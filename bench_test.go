@@ -71,6 +71,12 @@ func BenchmarkHardwareOverhead(b *testing.B) {
 //     /ctxswitch injects the paper's §IV-C descheduling with a realistic
 //     out:in ratio, the idle-heavy regime next-event scheduling exists
 //     for, where the event engine leaps whole descheduled windows.
+//
+// Besides cycles/s every variant reports two deterministic work counters
+// of the scheduler, per simulated cycle: ticked/cycle (cycles actually
+// simulated) and wake_evals/cycle (component wakeups evaluated). They do
+// not depend on the host, so a change in them is a change in the
+// scheduler's work, not runner noise.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	app, err := rnrsim.BuildWorkload("pagerank", "urand", rnrsim.ScaleTest)
 	if err != nil {
@@ -78,19 +84,15 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	run := func(b *testing.B, mutate func(*rnrsim.MachineConfig)) {
 		b.ResetTimer()
-		var cycles uint64
+		var w work
 		for i := 0; i < b.N; i++ {
 			cfg := rnrsim.TestMachine()
 			if mutate != nil {
 				mutate(&cfg)
 			}
-			r, err := rnrsim.Simulate(cfg, app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles += r.Cycles
+			w.simulate(b, cfg, app)
 		}
-		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+		w.report(b)
 	}
 	ctxHeavy := func(cfg *rnrsim.MachineConfig) {
 		cfg.CtxSwitch = sim.CtxSwitchConfig{Period: 20_000, Duration: 1_000_000}
@@ -123,7 +125,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	run2 := func(b *testing.B, stepped bool) {
 		b.ResetTimer()
-		var cycles uint64
+		var w work
 		for i := 0; i < b.N; i++ {
 			cfg := rnrsim.TestMachine()
 			cfg.Cores = 2
@@ -131,13 +133,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			cfg.LLCBanks = 2
 			cfg.CrossCore = true
 			cfg.ForceCycleStepped = stepped
-			r, err := rnrsim.Simulate(cfg, coApp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles += r.Cycles
+			w.simulate(b, cfg, coApp)
 		}
-		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+		w.report(b)
 	}
 	b.Run("2core", func(b *testing.B) { run2(b, false) })
 	b.Run("2core-stepped", func(b *testing.B) { run2(b, true) })
@@ -150,23 +148,44 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	// should cost ~nothing); real speedup needs real cores.
 	run2p := func(b *testing.B, parallel bool) {
 		b.ResetTimer()
-		var cycles uint64
+		var w work
 		for i := 0; i < b.N; i++ {
 			cfg := rnrsim.TestMachine()
 			cfg.Cores = 2
 			cfg.LLCBanks = 2
 			cfg.CrossCore = true
 			cfg.CoreParallel = parallel
-			r, err := rnrsim.Simulate(cfg, coApp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles += r.Cycles
+			w.simulate(b, cfg, coApp)
 		}
-		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+		w.report(b)
 	}
 	b.Run("2core-parallel", func(b *testing.B) { run2p(b, true) })
 	b.Run("2core-parallel-serial", func(b *testing.B) { run2p(b, false) })
+}
+
+// work accumulates a throughput benchmark's simulated cycles and the
+// scheduler's deterministic work counters over its iterations.
+type work struct{ cycles, ticked, evals uint64 }
+
+// simulate runs one simulation to completion and adds its counts.
+func (w *work) simulate(b *testing.B, cfg rnrsim.MachineConfig, app *rnrsim.Workload) {
+	s, err := sim.New(cfg, app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := s.RunAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.cycles += r.Cycles
+	w.ticked += s.TickedCycles()
+	w.evals += s.WakeEvals()
+}
+
+func (w *work) report(b *testing.B) {
+	b.ReportMetric(float64(w.cycles)/b.Elapsed().Seconds(), "cycles/s")
+	b.ReportMetric(float64(w.ticked)/float64(w.cycles), "ticked/cycle")
+	b.ReportMetric(float64(w.evals)/float64(w.cycles), "wake_evals/cycle")
 }
 
 // BenchmarkRnRReplay measures the full RnR pipeline (record + replay);

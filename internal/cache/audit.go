@@ -43,9 +43,17 @@ func (c *Cache) AuditInvariants(report func(law string)) {
 			s.DemandHits, s.DemandMisses, s.DemandMerges, s.DemandAccesses))
 	}
 
-	// MSHR table integrity.
+	// MSHR table integrity, including the line index mirroring the
+	// active list slot for slot.
+	if len(c.mshrLines) != len(c.mshrs) {
+		report(fmt.Sprintf("MSHR line index holds %d lines for %d MSHRs", len(c.mshrLines), len(c.mshrs)))
+	}
 	seen := make(map[mem.Addr]bool, len(c.mshrs))
-	for _, m := range c.mshrs {
+	for i, m := range c.mshrs {
+		if i < len(c.mshrLines) && c.mshrLines[i] != m.line {
+			report(fmt.Sprintf("MSHR line index slot %d holds %#x, MSHR tracks %#x",
+				i, uint64(c.mshrLines[i]), uint64(m.line)))
+		}
 		if seen[m.line] {
 			report(fmt.Sprintf("MSHR table holds line %#x twice", uint64(m.line)))
 		}

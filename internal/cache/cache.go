@@ -159,25 +159,30 @@ type queued struct {
 // Cache is one level of the hierarchy. Create with New, connect with
 // SetLower, drive with TryEnqueue/TryPrefetch and Tick.
 type Cache struct {
-	cfg      Config
-	sets     []line // len = nsets*ways, set-major
-	nsets    int
-	setMask  mem.Addr
-	lower    mem.Backend
-	clock    uint64
-	readQ    reqRing
-	prefQ    reqRing
-	writeQ   reqRing
-	mshrs    []*mshr       // active MSHRs; linear scan beats a map at <=128 entries
-	arena    []mshr        // chunk allocator for MSHRs (see newMSHR)
-	mshrFree []*mshr       // retired MSHRs available for reuse
-	wbArena  []mem.Request // chunk allocator for eviction writebacks
-	unsent   []*mshr       // MSHRs whose child could not be enqueued below yet
+	cfg     Config
+	sets    []line // len = nsets*ways, set-major
+	nsets   int
+	setMask mem.Addr
+	lower   mem.Backend
+	clock   uint64
+	readQ   reqRing
+	prefQ   reqRing
+	writeQ  reqRing
+	mshrs   []*mshr // active MSHRs; linear scan beats a map at <=128 entries
+	// mshrLines[i] == mshrs[i].line, kept in the same swap-delete order:
+	// the miss-path lookups scan this contiguous slice instead of
+	// dereferencing every active MSHR.
+	mshrLines []mem.Addr
+	arena     []mshr        // chunk allocator for MSHRs (see newMSHR)
+	mshrFree  []*mshr       // retired MSHRs available for reuse
+	wbArena   []mem.Request // chunk allocator for eviction writebacks
+	unsent    []*mshr       // MSHRs whose child could not be enqueued below yet
 	// wakeDirty is set whenever the cache receives external input (an
 	// enqueue from above, a fill from below, an invalidation) — anything
-	// that can move its Wakeup earlier. The event scheduler clears it
-	// when it recomputes the cached wakeup; see TakeWakeDirty.
-	wakeDirty bool
+	// that can move its Wakeup earlier. The event scheduler owns the flag
+	// and clears it when it recomputes the cached wakeup; see
+	// BindWakeFlag.
+	wakeDirty *bool
 	// mshrAllocs counts every MSHR ever allocated; the audit layer checks
 	// the conservation law mshrAllocs == MissServiceCnt + len(mshrs)
 	// (every miss is either filled or still in flight).
@@ -204,11 +209,13 @@ func New(cfg Config) *Cache {
 	}
 	n := cfg.Sets()
 	c := &Cache{
-		cfg:     cfg,
-		sets:    make([]line, n*cfg.Ways),
-		nsets:   n,
-		setMask: mem.Addr(n - 1),
-		mshrs:   make([]*mshr, 0, cfg.MSHRs),
+		cfg:       cfg,
+		sets:      make([]line, n*cfg.Ways),
+		nsets:     n,
+		setMask:   mem.Addr(n - 1),
+		mshrs:     make([]*mshr, 0, cfg.MSHRs),
+		mshrLines: make([]mem.Addr, 0, cfg.MSHRs),
+		wakeDirty: new(bool),
 	}
 	for i := range c.sets {
 		c.sets[i].tag = invalidTag
@@ -256,22 +263,31 @@ func (c *Cache) MSHRFree() bool { return len(c.mshrs) < c.cfg.MSHRs }
 // are small (8-128), so an unordered linear scan is faster than the map
 // it replaced on the miss path.
 func (c *Cache) findMSHR(lineAddr mem.Addr) *mshr {
-	for _, m := range c.mshrs {
-		if m.line == lineAddr {
-			return m
+	for i, l := range c.mshrLines {
+		if l == lineAddr {
+			return c.mshrs[i]
 		}
 	}
 	return nil
 }
 
-// removeMSHR drops m from the active list (order is not meaningful).
+// addMSHR appends m to the active list and its line to the line index.
+func (c *Cache) addMSHR(m *mshr) {
+	c.mshrs = append(c.mshrs, m)
+	c.mshrLines = append(c.mshrLines, m.line)
+}
+
+// removeMSHR drops m from the active list (order is not meaningful) by
+// swap-delete, mirrored in the line index so the two stay slot for slot.
 func (c *Cache) removeMSHR(m *mshr) {
-	for i, x := range c.mshrs {
-		if x == m {
+	for i, l := range c.mshrLines {
+		if l == m.line && c.mshrs[i] == m {
 			last := len(c.mshrs) - 1
 			c.mshrs[i] = c.mshrs[last]
 			c.mshrs[last] = nil
 			c.mshrs = c.mshrs[:last]
+			c.mshrLines[i] = c.mshrLines[last]
+			c.mshrLines = c.mshrLines[:last]
 			return
 		}
 	}
@@ -287,7 +303,7 @@ func (c *Cache) TryEnqueue(r *mem.Request) bool {
 			return false
 		}
 		c.writeQ.pushBack(queued{r, c.clock + c.cfg.Latency})
-		c.wakeDirty = true
+		*c.wakeDirty = true
 	case mem.ReqPrefetch:
 		return c.TryPrefetch(r)
 	default:
@@ -295,7 +311,7 @@ func (c *Cache) TryEnqueue(r *mem.Request) bool {
 			return false
 		}
 		c.readQ.pushBack(queued{r, c.clock + c.cfg.Latency})
-		c.wakeDirty = true
+		*c.wakeDirty = true
 	}
 	return true
 }
@@ -318,7 +334,7 @@ func (c *Cache) TryPrefetch(r *mem.Request) bool {
 		return false
 	}
 	c.prefQ.pushBack(queued{r, c.clock + c.cfg.Latency})
-	c.wakeDirty = true
+	*c.wakeDirty = true
 	c.Stats.PrefetchIssued++
 	return true
 }
@@ -390,15 +406,12 @@ func (c *Cache) Wakeup(now uint64) uint64 {
 // the only effect the skipped ticks had).
 func (c *Cache) AdvanceClock(now uint64) { c.clock = now }
 
-// TakeWakeDirty reports and clears the external-input flag. The event
-// scheduler calls it when deciding whether a cached Wakeup value is
-// still valid; everything that can move the wakeup earlier (TryEnqueue,
-// TryPrefetch, fill, InvalidateAll) sets the flag.
-func (c *Cache) TakeWakeDirty() bool {
-	d := c.wakeDirty
-	c.wakeDirty = false
-	return d
-}
+// BindWakeFlag points the cache's external-input flag at *p. Everything
+// that can move the wakeup earlier (TryEnqueue, TryPrefetch, fill,
+// Invalidate, InvalidateAll) sets *p; the event scheduler owns the flag
+// (a slot of its wake table) and clears it when it recomputes the cached
+// wakeup.
+func (c *Cache) BindWakeFlag(p *bool) { c.wakeDirty = p }
 
 // Tick advances the cache by one cycle: it retries blocked miss traffic,
 // performs up to Bandwidth lookups (demand before prefetch) and forwards
@@ -562,7 +575,7 @@ func (c *Cache) access(r *mem.Request, now uint64) {
 	child := &m.childReq
 	child.Done = m.boundFill
 	m.child = child
-	c.mshrs = append(c.mshrs, m)
+	c.addMSHR(m)
 	c.mshrAllocs++
 	if c.lower == nil || c.lower.TryEnqueue(child) {
 		m.sent = c.lower != nil
@@ -614,7 +627,7 @@ func (c *Cache) retryUnsent() {
 
 // fill installs the line delivered by the lower level and wakes waiters.
 func (c *Cache) fill(m *mshr, now uint64) {
-	c.wakeDirty = true
+	*c.wakeDirty = true
 	c.removeMSHR(m)
 	c.Stats.MissServiceSum += now - m.allocAt
 	c.Stats.MissServiceCnt++
@@ -827,7 +840,7 @@ func (c *Cache) Invalidate(lineAddr mem.Addr) bool {
 	set := c.setSlice(lineAddr)
 	for i := range set {
 		if set[i].tag == lineAddr {
-			c.wakeDirty = true
+			*c.wakeDirty = true
 			if c.Lifecycle != nil && set[i].prefetched {
 				c.Lifecycle.PrefetchEvictedUnused(lineAddr, c.clock)
 			}
@@ -855,7 +868,7 @@ func (c *Cache) ForEachResident(fn func(line mem.Addr)) {
 // are dropped without writeback traffic; the cost modelled is the warm-up
 // misses afterwards, which §IV-C identifies as the dominant penalty.
 func (c *Cache) InvalidateAll() {
-	c.wakeDirty = true
+	*c.wakeDirty = true
 	for i := range c.sets {
 		// Invalidation ends the lifecycle of still-unused prefetched
 		// lines exactly like an eviction would; without this the flight

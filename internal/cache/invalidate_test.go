@@ -34,7 +34,8 @@ func TestInvalidateDropsSingleLine(t *testing.T) {
 	a, b := mem.Addr(0x1000), mem.Addr(0x2000)
 	fillLine(t, c, a)
 	fillLine(t, c, b)
-	c.TakeWakeDirty()
+	var wake bool
+	c.BindWakeFlag(&wake)
 	if !c.Invalidate(a) {
 		t.Fatal("Invalidate of a resident line returned false")
 	}
@@ -44,7 +45,7 @@ func TestInvalidateDropsSingleLine(t *testing.T) {
 	if !c.Lookup(b) {
 		t.Fatal("Invalidate dropped an unrelated line")
 	}
-	if !c.TakeWakeDirty() {
+	if !wake {
 		t.Fatal("Invalidate did not set the wake-dirty flag")
 	}
 	if c.Invalidate(a) {

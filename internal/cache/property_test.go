@@ -151,3 +151,69 @@ func TestInvalidateAllEmptiesCache(t *testing.T) {
 		t.Error("cache broken after InvalidateAll")
 	}
 }
+
+// shuffledMemory completes one random in-flight read per cycle, so MSHRs
+// fill out of allocation order and removeMSHR swap-deletes from the
+// middle of the active list.
+type shuffledMemory struct {
+	rng      *rand.Rand
+	clock    uint64
+	inFlight []*mem.Request
+}
+
+func (s *shuffledMemory) TryEnqueue(r *mem.Request) bool {
+	if r.Type == mem.ReqWriteback {
+		r.Complete(s.clock)
+		return true
+	}
+	s.inFlight = append(s.inFlight, r)
+	return true
+}
+
+func (s *shuffledMemory) Tick(now uint64) {
+	s.clock = now
+	if len(s.inFlight) == 0 || s.rng.Intn(2) == 0 {
+		return
+	}
+	i := s.rng.Intn(len(s.inFlight))
+	r := s.inFlight[i]
+	s.inFlight = append(s.inFlight[:i], s.inFlight[i+1:]...)
+	r.Complete(now)
+}
+
+// TestMSHRLineIndexMirrorsActiveList: under out-of-order fills, merges
+// and MSHR exhaustion the line index stays slot-for-slot equal to the
+// active MSHRs' lines, and findMSHR agrees with a scan of the MSHRs.
+func TestMSHRLineIndexMirrorsActiveList(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := &shuffledMemory{rng: rng}
+	c := New(testConfig(4096, 4))
+	c.SetLower(m)
+	for cycle := uint64(1); cycle < 20000; cycle++ {
+		if rng.Intn(2) == 0 {
+			line := mem.Addr(rng.Intn(48)) * mem.LineSize
+			c.TryEnqueue(mem.NewRequest(mem.ReqLoad, line, 0, 0, cycle))
+		}
+		c.Tick(cycle)
+		m.Tick(cycle)
+		if len(c.mshrLines) != len(c.mshrs) {
+			t.Fatalf("cycle %d: %d lines for %d MSHRs", cycle, len(c.mshrLines), len(c.mshrs))
+		}
+		for i, ms := range c.mshrs {
+			if c.mshrLines[i] != ms.line {
+				t.Fatalf("cycle %d: slot %d line %#x, MSHR %#x", cycle, i, uint64(c.mshrLines[i]), uint64(ms.line))
+			}
+			if c.findMSHR(ms.line) != ms {
+				t.Fatalf("cycle %d: findMSHR(%#x) missed its MSHR", cycle, uint64(ms.line))
+			}
+		}
+		var laws []string
+		c.AuditInvariants(func(law string) { laws = append(laws, law) })
+		if len(laws) > 0 {
+			t.Fatalf("cycle %d: audit: %v", cycle, laws)
+		}
+	}
+	if c.Stats.MissServiceCnt == 0 {
+		t.Fatal("no MSHR ever filled; the test exercised nothing")
+	}
+}

@@ -37,8 +37,10 @@ func (c *Core) AuditInvariants(report func(law string)) {
 
 // HashState folds the core's complete state — ROB ring in retirement
 // order, LSQ and dispatch registers, the pending record/request and the
-// statistics — into the caller's hasher.
+// statistics, with pending idle cycles settled — into the caller's
+// hasher.
 func (c *Core) HashState(mix func(uint64)) {
+	c.Settle()
 	mix(uint64(int64(c.count)))
 	for i := 0; i < c.count; i++ {
 		e := &c.rob[(c.head+i)%c.cfg.ROB]

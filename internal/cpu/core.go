@@ -99,7 +99,8 @@ type Core struct {
 	opArena      []memOp      // chunk allocator for memOps
 	opFree       []*memOp     // completed memOps available for reuse
 	drained      bool
-	wakeDirty    bool // external completion arrived; see TakeWakeDirty
+	wakeDirty    *bool  // set by completions that can move Wakeup; see BindWakeFlag
+	idle         uint64 // skipped cycles not yet charged to Stats; see Settle
 
 	Stats Stats
 
@@ -124,7 +125,7 @@ func New(id int, cfg Config, src trace.Source, l1 mem.Backend) *Core {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	c := &Core{ID: id, cfg: cfg, l1: l1, src: src, rob: make([]robEntry, cfg.ROB)}
+	c := &Core{ID: id, cfg: cfg, l1: l1, src: src, rob: make([]robEntry, cfg.ROB), wakeDirty: new(bool)}
 	c.l1Cap, _ = l1.(mem.DemandCapacity)
 	return c
 }
@@ -143,6 +144,7 @@ func (c *Core) Drained() bool { return c.drained }
 
 // Tick advances the core one cycle: retire, then fetch/dispatch.
 func (c *Core) Tick(now uint64) {
+	c.Settle()
 	if c.Done() {
 		return
 	}
@@ -211,25 +213,43 @@ func (c *Core) Wakeup(now uint64) uint64 {
 	return w
 }
 
-// TakeWakeDirty reports and clears the external-input flag, set when a
-// memory completion callback touched the core (ROB head done, LSQ slot
-// freed). The event scheduler uses it to know when the core's cached
-// wakeup may have moved earlier.
-func (c *Core) TakeWakeDirty() bool {
-	d := c.wakeDirty
-	c.wakeDirty = false
-	return d
-}
+// BlockedOnL1 reports whether dispatch is stalled on a request the L1
+// rejected. Only then does Wakeup consult the L1's demand capacity, so
+// only then can an L1 tick that frees demand capacity move the core's
+// wakeup without any completion reaching the core.
+func (c *Core) BlockedOnL1() bool { return c.pendingReq != nil }
 
-// SkipIdle charges n skipped cycles' worth of per-cycle accounting in
-// one batch. The caller (the event-driven scheduler) guarantees the
-// core's state is frozen over the span: no retirement, no dispatch, no
-// completion — exactly the cycles Wakeup said nothing happens on. What
-// a frozen Tick still does is count: Cycles always, ROBStallCyc and
-// FetchStalls when retire/fetch are blocked. The conditions mirror one
-// frozen Tick body, so n batched calls hash identically to n real ones.
-func (c *Core) SkipIdle(n uint64) {
-	if n == 0 || c.Done() {
+// BindWakeFlag points the core's external-input flag at *p: a memory
+// completion callback that can move Wakeup earlier (the ROB head done,
+// a slot of a full LSQ freed) sets *p. The event scheduler owns the flag (a
+// slot of its wake table) and clears it when it recomputes the cached
+// wakeup.
+func (c *Core) BindWakeFlag(p *bool) { c.wakeDirty = p }
+
+// SkipIdle records n skipped cycles. The caller (the event-driven
+// scheduler) guarantees the core's state is frozen over the span: no
+// retirement, no dispatch, no completion — exactly the cycles Wakeup
+// said nothing happens on. What a frozen Tick still does is count, and
+// that count is deferred: SkipIdle only adds to a pending total, and
+// Settle charges it. The charge depends only on the frozen state, so a
+// batch of n pending cycles charges exactly what n eager ones would,
+// provided nothing changes the core's stall classification in between.
+// The core settles itself before each such change it owns (Tick, memory
+// completion) and before reading Stats (HashState, probes); a caller
+// that flips the fetch Gate or reads Stats directly must Settle first.
+func (c *Core) SkipIdle(n uint64) { c.idle += n }
+
+// Settle charges the pending skipped cycles (see SkipIdle): Cycles
+// always, ROBStallCyc and FetchStalls when retire/fetch are blocked. The
+// conditions mirror one frozen Tick body, so n settled cycles hash
+// identically to n real ones.
+func (c *Core) Settle() {
+	n := c.idle
+	if n == 0 {
+		return
+	}
+	c.idle = 0
+	if c.Done() {
 		return
 	}
 	c.Stats.Cycles += n
@@ -418,7 +438,13 @@ type memOp struct {
 // slot is safe — loads cannot retire before their own completion.
 func (o *memOp) done(cycle uint64) {
 	c := o.c
-	c.wakeDirty = true
+	c.Settle() // the LSQ slot freed below may end an LSQ-full stall
+	// A completion moves Wakeup earlier only by making the ROB head
+	// retirable or by freeing a slot of a full LSQ; after any other the
+	// cached wakeup still holds.
+	if (o.isLoad && c.count > 0 && o.slot == c.head) || c.lsqUsed >= c.cfg.LSQ {
+		*c.wakeDirty = true
+	}
 	if o.isLoad {
 		c.rob[o.slot].done = true
 		c.rob[o.slot].doneAt = cycle
@@ -538,6 +564,7 @@ func (c *Core) RegisterProbes(tel *telemetry.Recorder, prefix string) {
 	}
 	var lastCycles, lastInstr uint64
 	tel.Probe(prefix+"ipc", func(uint64) float64 {
+		c.Settle()
 		dc := c.Stats.Cycles - lastCycles
 		di := c.Stats.Instructions - lastInstr
 		lastCycles, lastInstr = c.Stats.Cycles, c.Stats.Instructions

@@ -58,6 +58,15 @@ func (c *Controller) AuditInvariants(report func(law string)) {
 			report(fmt.Sprintf("inService[%d] holds posted write %s", i, p.req.Type))
 		}
 	}
+	// The bank decoded at enqueue must still be the address decode's.
+	for _, q := range [2][]queued{c.readQ, c.writeQ} {
+		for i := range q {
+			if want := c.bankOf(q[i].req.Line); int(q[i].bank) != want {
+				report(fmt.Sprintf("queued line %#x carries bank %d, decode says %d",
+					uint64(q[i].req.Line), q[i].bank, want))
+			}
+		}
+	}
 	for i := range c.banks {
 		b := &c.banks[i]
 		if b.rowOpened && b.openRow < 0 {
@@ -81,12 +90,12 @@ func (c *Controller) HashState(mix func(uint64)) {
 		mix(dramBoolWord(b.rowOpened))
 	}
 	mix(uint64(len(c.readQ)))
-	for _, r := range c.readQ {
-		dramHashRequest(r, mix)
+	for _, q := range c.readQ {
+		dramHashRequest(q.req, mix)
 	}
 	mix(uint64(len(c.writeQ)))
-	for _, r := range c.writeQ {
-		dramHashRequest(r, mix)
+	for _, q := range c.writeQ {
+		dramHashRequest(q.req, mix)
 	}
 	mix(uint64(len(c.inService)))
 	for _, p := range c.inService {

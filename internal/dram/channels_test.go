@@ -154,3 +154,56 @@ func TestRowHitsForSequentialMetadata(t *testing.T) {
 		t.Errorf("metadata stream row hits %d/%d, want >= 75%%", c.Stats.RowHits, n)
 	}
 }
+
+// TestEnqueueDecodesBank pins the queue entries' pre-decoded bank to the
+// address decode, on the shipped power-of-two geometry (shift/mask fast
+// path) and on a non-power-of-two one (the division path).
+func TestEnqueueDecodesBank(t *testing.T) {
+	pow2 := testConfig()
+	pow2.Channels = 2
+	odd := testConfig()
+	odd.Channels = 3
+	odd.Banks = 6
+	odd.RowBytes = 3 * 1024
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		fast bool
+	}{{"pow2", pow2, true}, {"non-pow2", odd, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.ReadQ, tc.cfg.WriteQ = 4096, 4096
+			c := New(tc.cfg)
+			if c.fastAddr != tc.fast {
+				t.Fatalf("fastAddr = %v, want %v", c.fastAddr, tc.fast)
+			}
+			seen := map[int32]bool{}
+			for i := 0; i < 2048; i++ {
+				line := mem.LineAddr(mem.Addr(uint64(i) * 0x9c40))
+				typ := mem.ReqLoad
+				if i%3 == 0 {
+					typ = mem.ReqWriteback
+				}
+				if !c.TryEnqueue(mem.NewRequest(typ, line, 0, 0, 0)) {
+					t.Fatalf("enqueue %d rejected", i)
+				}
+			}
+			for _, q := range append(append([]queued(nil), c.readQ...), c.writeQ...) {
+				if want := c.bankOf(q.req.Line); int(q.bank) != want {
+					t.Errorf("line %#x: queued bank %d, bankOf %d", uint64(q.req.Line), q.bank, want)
+				}
+				if q.demand != q.req.Type.IsDemand() {
+					t.Errorf("line %#x: queued demand %v for %s", uint64(q.req.Line), q.demand, q.req.Type)
+				}
+				seen[q.bank] = true
+			}
+			if len(seen) != tc.cfg.Banks*tc.cfg.Channels {
+				t.Errorf("queued entries reach %d banks, want %d", len(seen), tc.cfg.Banks*tc.cfg.Channels)
+			}
+			var laws []string
+			c.AuditInvariants(func(law string) { laws = append(laws, law) })
+			if len(laws) != 0 {
+				t.Errorf("audit: %v", laws)
+			}
+		})
+	}
+}

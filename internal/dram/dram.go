@@ -96,20 +96,29 @@ type pending struct {
 	finish uint64
 }
 
+// queued is one read- or write-queue entry. The bank is decoded and the
+// demand class read once at enqueue, so the per-cycle scans in Wakeup,
+// issueRead and issueWrite never chase the request pointer.
+type queued struct {
+	req    *mem.Request
+	bank   int32
+	demand bool
+}
+
 // Controller is the memory controller plus DRAM device model. It
 // implements mem.Backend.
 type Controller struct {
 	cfg       Config
 	banks     []bank
-	readQ     []*mem.Request
-	writeQ    []*mem.Request
+	readQ     []queued
+	writeQ    []queued
 	inService []pending
 	clock     uint64
 	busFreeAt []uint64 // per channel
 	lastWrite []bool   // per channel: direction of last transfer, for turnaround
 	draining  bool
-	burstLeft int  // writes remaining in the current drain burst
-	wakeDirty bool // external enqueue arrived; see TakeWakeDirty
+	burstLeft int   // writes remaining in the current drain burst
+	wakeDirty *bool // set on every accepted enqueue; see BindWakeFlag
 	// Power-of-two address-decode fast path (see New).
 	fastAddr  bool
 	drainHi   int // precomputed watermark: int(WriteQ*DrainHigh)
@@ -145,6 +154,7 @@ func New(cfg Config) *Controller {
 		banks:     make([]bank, cfg.Banks*cfg.Channels),
 		busFreeAt: make([]uint64, cfg.Channels),
 		lastWrite: make([]bool, cfg.Channels),
+		wakeDirty: new(bool),
 	}
 	// Address decode runs on every scheduling scan; when the geometry is
 	// all powers of two (every shipped config) the three divisions reduce
@@ -214,8 +224,8 @@ func (c *Controller) TryEnqueue(r *mem.Request) bool {
 		if len(c.writeQ) >= c.cfg.WriteQ {
 			return false
 		}
-		c.writeQ = append(c.writeQ, r)
-		c.wakeDirty = true
+		c.writeQ = append(c.writeQ, c.entry(r))
+		*c.wakeDirty = true
 		r.Complete(c.clock) // posted write
 		return true
 	default:
@@ -223,20 +233,22 @@ func (c *Controller) TryEnqueue(r *mem.Request) bool {
 			c.Stats.ReadQFullStall++
 			return false
 		}
-		c.readQ = append(c.readQ, r)
-		c.wakeDirty = true
+		c.readQ = append(c.readQ, c.entry(r))
+		*c.wakeDirty = true
 		return true
 	}
 }
 
-// TakeWakeDirty reports and clears the external-input flag (set on
-// every accepted enqueue). The event scheduler uses it to know when the
-// controller's cached wakeup may have moved earlier.
-func (c *Controller) TakeWakeDirty() bool {
-	d := c.wakeDirty
-	c.wakeDirty = false
-	return d
+// entry builds r's queue entry, decoding its bank once.
+func (c *Controller) entry(r *mem.Request) queued {
+	return queued{req: r, bank: int32(c.bankOf(r.Line)), demand: r.Type.IsDemand()}
 }
+
+// BindWakeFlag points the controller's external-input flag at *p: every
+// accepted enqueue sets *p, which may move Wakeup earlier. The event
+// scheduler owns the flag (a slot of its wake table) and clears it when
+// it recomputes the cached wakeup.
+func (c *Controller) BindWakeFlag(p *bool) { c.wakeDirty = p }
 
 // ReadQLen and WriteQLen expose occupancy for tests and adaptive clients.
 func (c *Controller) ReadQLen() int { return len(c.readQ) }
@@ -298,8 +310,8 @@ func (c *Controller) Wakeup(now uint64) uint64 {
 	// Reads issue as soon as a bank is ready, provided a service slot is
 	// free (slot exhaustion resolves at a finish time, already counted).
 	if len(c.inService) <= c.cfg.MaxInFlight {
-		for _, r := range c.readQ {
-			if ra := c.banks[c.bankOf(r.Line)].readyAt; ra < w {
+		for i := range c.readQ {
+			if ra := c.banks[c.readQ[i].bank].readyAt; ra < w {
 				w = ra
 			}
 		}
@@ -312,8 +324,8 @@ func (c *Controller) Wakeup(now uint64) uint64 {
 	if len(c.writeQ) > 0 &&
 		(c.burstLeft > 0 ||
 			(len(c.readQ) == 0 && (len(c.writeQ) >= writeBurstMin || len(c.inService) == 0))) {
-		for _, r := range c.writeQ {
-			if ra := c.banks[c.bankOf(r.Line)].readyAt; ra < w {
+		for i := range c.writeQ {
+			if ra := c.banks[c.writeQ[i].bank].readyAt; ra < w {
 				w = ra
 			}
 		}
@@ -411,23 +423,18 @@ func (c *Controller) scheduleOne(now uint64) bool {
 const writeBurstMin = 8
 
 func (c *Controller) issueRead(now uint64, demandOnly bool) bool {
-	for i, r := range c.readQ {
-		if demandOnly != r.Type.IsDemand() {
+	for i := range c.readQ {
+		q := &c.readQ[i]
+		// FCFS: an older blocked demand read blocks younger ones to the
+		// same bank but not other banks; to keep the model simple (and
+		// pessimistic only for pathological traces) a blocked read skips
+		// just this request.
+		if demandOnly != q.demand || c.banks[q.bank].readyAt > now {
 			continue
 		}
-		b := &c.banks[c.bankOf(r.Line)]
-		if b.readyAt > now {
-			if demandOnly {
-				// FCFS: an older blocked demand read blocks younger ones
-				// to the same bank but not other banks; to keep the model
-				// simple (and pessimistic only for pathological traces) we
-				// skip just this request.
-				continue
-			}
-			continue
-		}
+		r, bank := q.req, int(q.bank)
 		c.readQ = append(c.readQ[:i], c.readQ[i+1:]...)
-		finish := c.serve(r.Line, now, false)
+		finish := c.serve(r.Line, bank, now, false)
 		c.account(r)
 		c.inService = append(c.inService, pending{r, finish})
 		return true
@@ -436,23 +443,25 @@ func (c *Controller) issueRead(now uint64, demandOnly bool) bool {
 }
 
 func (c *Controller) issueWrite(now uint64) bool {
-	for i, r := range c.writeQ {
-		b := &c.banks[c.bankOf(r.Line)]
-		if b.readyAt > now {
+	for i := range c.writeQ {
+		q := &c.writeQ[i]
+		if c.banks[q.bank].readyAt > now {
 			continue
 		}
+		r, bank := q.req, int(q.bank)
 		c.writeQ = append(c.writeQ[:i], c.writeQ[i+1:]...)
-		c.serve(r.Line, now, true)
+		c.serve(r.Line, bank, now, true)
 		c.account(r)
 		return true
 	}
 	return false
 }
 
-// serve runs the bank/bus timing state machine for one line transfer and
-// returns the cycle at which the data is fully transferred.
-func (c *Controller) serve(line mem.Addr, now uint64, write bool) uint64 {
-	b := &c.banks[c.bankOf(line)]
+// serve runs the bank/bus timing state machine for one line transfer on
+// its (pre-decoded) bank and returns the cycle at which the data is fully
+// transferred.
+func (c *Controller) serve(line mem.Addr, bank int, now uint64, write bool) uint64 {
+	b := &c.banks[bank]
 	row := c.rowOf(line)
 
 	var access, bankBusy uint64

@@ -138,6 +138,32 @@ func TestEventEngineSkipsCycles(t *testing.T) {
 	}
 }
 
+// TestSchedulerWorkCounters pins the diagnostics-only work counters on a
+// dense run: they repeat exactly from run to run (so benchmarks can gate
+// them independently of the host), the event engine simulates at most
+// every cycle and evaluates wakeups, and the stepped engine, which
+// consults no wakeups, evaluates none.
+func TestSchedulerWorkCounters(t *testing.T) {
+	app := testApp(t)
+	cfg := testConfig().WithPrefetcher(PFRnR)
+	r1, s1 := runEngine(t, cfg, app, false)
+	_, s2 := runEngine(t, cfg, app, false)
+	if s1.TickedCycles() != s2.TickedCycles() || s1.WakeEvals() != s2.WakeEvals() {
+		t.Errorf("work counters differ between identical runs: ticked %d/%d, wake evals %d/%d",
+			s1.TickedCycles(), s2.TickedCycles(), s1.WakeEvals(), s2.WakeEvals())
+	}
+	if s1.TickedCycles() > r1.Cycles || s1.WakeEvals() == 0 {
+		t.Errorf("event engine: ticked %d of %d cycles with %d wake evals", s1.TickedCycles(), r1.Cycles, s1.WakeEvals())
+	}
+	rs, ss := runEngine(t, cfg, app, true)
+	if ss.WakeEvals() != 0 {
+		t.Errorf("stepped engine evaluated %d wakeups", ss.WakeEvals())
+	}
+	if rs.StateHash != r1.StateHash {
+		t.Errorf("state hash: event %016x != stepped %016x", r1.StateHash, rs.StateHash)
+	}
+}
+
 // TestTelemetrySampleCyclesIdentical is the sampler-jump regression: the
 // event engine lands on cycles past a sampleEvery multiple, and the
 // sampler must still stamp the exact multiples the stepped engine does.
@@ -171,6 +197,27 @@ func TestTelemetrySampleCyclesIdentical(t *testing.T) {
 			t.Errorf("row %d stamped off-grid cycle %d (interval %d)", i, c, interval)
 		}
 	}
+}
+
+// legacyDone is the original unmemoised predicate, kept verbatim (and
+// side-effect free) as the reference for the Done regression test.
+func (s *System) legacyDone() bool {
+	for _, c := range s.cores {
+		if !c.Done() {
+			return false
+		}
+	}
+	for i := range s.l1s {
+		if s.l1s[i].Pending() > 0 || s.l2s[i].Pending() > 0 {
+			return false
+		}
+	}
+	for _, llc := range s.llcs {
+		if llc.Pending() > 0 {
+			return false
+		}
+	}
+	return s.mc.Pending() == 0
 }
 
 // TestDoneMatchesLegacyPredicate is the System.Done regression: the

@@ -59,7 +59,6 @@ import (
 	"sync"
 
 	"rnrsim/internal/mem"
-	"rnrsim/internal/prefetch"
 )
 
 // parallelMinSpan is the minimum number of in-window cycles worth
@@ -144,7 +143,6 @@ func (s *System) quietHorizon(limit uint64) uint64 {
 	if limit <= dead {
 		return 0
 	}
-	s.refreshGates()
 	t := limit
 	lower := func(w uint64) bool {
 		if w <= now {
@@ -172,7 +170,7 @@ func (s *System) quietHorizon(limit uint64) uint64 {
 			return 0
 		}
 	}
-	if s.ideal != nil && lower(s.ideal.wakeup(now)) {
+	if s.ideal != nil && lower(s.idealWakeAt(now)) {
 		return 0
 	}
 	if lower(s.mcWakeAt(now)) {
@@ -222,11 +220,10 @@ func (s *System) quietHorizon(limit uint64) uint64 {
 		// Prefetcher feed: OnCycle at u issues with ready u+l2Lat (the
 		// L2's clock has already reached u when the prefetcher runs).
 		if s.cycleDriven[c] {
-			pw := s.pfWake[c]
-			if pw == nil {
+			if s.pfWake[c] == nil {
 				return 0 // wakeup unknown: dense-stepping territory
 			}
-			p := pw.Wakeup(now)
+			p := s.pfWakeAt(c, now)
 			if p <= now {
 				p = now + 1
 			}
@@ -323,8 +320,8 @@ func (s *System) ParallelSpans() (spans, cycles uint64) {
 // runDomain simulates core c's private domain over cycles (from, to],
 // alone on a worker goroutine. It is tickGated restricted to one
 // domain: the same per-cycle component order (core, L1, L2, prefetcher),
-// the same wake-cache discipline (all slices element-exclusive by core
-// index; the pool join publishes every write before the serial loop
+// the same wake-table discipline (the domain's slots are element-exclusive
+// by core; the pool join publishes every write before the serial loop
 // reads them), and the same idle batching as advanceTo — a gap where
 // the domain's own minimum wakeup says nothing happens is charged via
 // SkipIdle/AdvanceClock in one jump, which is sound because no other
@@ -332,11 +329,10 @@ func (s *System) ParallelSpans() (spans, cycles uint64) {
 func (s *System) runDomain(c int, from, to uint64) uint64 {
 	out := s.ctx.out
 	core, l1, l2 := s.cores[c], s.l1s[c], s.l2s[c]
+	// With cd set, s.pfWake[c] is non-nil: quietHorizon refused the window
+	// otherwise.
 	cd := s.cycleDriven[c]
-	var pw prefetch.CycleDriven
-	if cd {
-		pw = s.pfWake[c] // non-nil: quietHorizon refused the window otherwise
-	}
+	l1Slot, l2Slot := s.l1Slot(c), s.l2Slot(c)
 	cur := from
 	var ticks uint64
 	for cur < to {
@@ -353,7 +349,7 @@ func (s *System) runDomain(c int, from, to uint64) uint64 {
 			nw = w
 		}
 		if cd {
-			if w := pw.Wakeup(cur); w < nw {
+			if w := s.pfWakeAt(c, cur); w < nw {
 				nw = w
 			}
 		}
@@ -382,30 +378,31 @@ func (s *System) runDomain(c int, from, to uint64) uint64 {
 		prev := cur - 1
 		if !out {
 			if s.coreWakeAt(c, prev) <= cur {
-				s.coreWakeOK[c] = false
+				s.wake[c].stale = true
 				core.Tick(cur)
 			} else {
 				core.SkipIdle(1)
 			}
 		}
 		if s.l1WakeAt(c, prev) <= cur {
-			s.l1WakeOK[c] = false
-			// Core.Wakeup probes L1 demand capacity (same rule as
-			// tickGated): an L1 tick may free queue space the cached core
-			// wakeup could not see.
-			s.coreWakeOK[c] = false
+			s.wake[l1Slot].stale = true
 			l1.Tick(cur)
+			if core.BlockedOnL1() && l1.CanAcceptDemand() {
+				// Same rule as tickGated: the tick freed the L1 demand
+				// capacity the blocked core's cached wakeup probes.
+				s.wake[c].stale = true
+			}
 		} else {
 			l1.AdvanceClock(cur)
 		}
 		if s.l2WakeAt(c, prev) <= cur {
-			s.l2WakeOK[c] = false
+			s.wake[l2Slot].stale = true
 			l2.Tick(cur)
 		} else {
 			l2.AdvanceClock(cur)
 		}
 		if cd {
-			if pw.Wakeup(prev) <= cur {
+			if s.pfWakeAt(c, prev) <= cur {
 				s.prefs[c].OnCycle(cur, s.issueFns[c])
 			}
 		}

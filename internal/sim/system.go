@@ -91,24 +91,14 @@ type System struct {
 	nextSampleAt uint64 // next telemetry sample event (WakeupNever when off)
 	nextAuditAt  uint64 // next audit sweep event (WakeupNever when off)
 	ticked       uint64 // cycles actually simulated (diagnostics/tests only)
+	// busy records that the last simulated cycle ticked some component;
+	// the run loop then simulates the next cycle directly instead of
+	// scanning for the global minimum wakeup (see runEventDriven).
+	busy bool
 
-	// Cached per-component wakeups. A cached value stays valid until the
-	// component ticks (the scheduler clears the OK flag) or receives
-	// external input (the component sets its wake-dirty flag, checked at
-	// every use via TakeWakeDirty). Cores additionally invalidate when
-	// their L1 ticks (Core.Wakeup probes L1 demand capacity) and when the
-	// iteration barrier opens or a context switch fires (both change the
-	// fetch gate without touching the core).
-	coreWake   []uint64
-	l1Wake     []uint64
-	l2Wake     []uint64
-	llcWake    []uint64
-	mcWake     uint64
-	coreWakeOK []bool
-	l1WakeOK   []bool
-	l2WakeOK   []bool
-	llcWakeOK  []bool
-	mcWakeOK   bool
+	// wake is the wake table: the cached wakeup of every scheduled
+	// component, one slot each in tick order (see wake.go).
+	wake []wakeSlot
 
 	// Done memoisation: Tick sets doneDirty, Done recomputes at most once
 	// per tick, and coresDone latches the (monotone) all-cores-drained
@@ -149,10 +139,11 @@ type barrier struct {
 	iter    []int32
 	done    func(core int) bool
 	onOpen  func(iter int32)
-	// flipped records that an open released at least one waiting core —
-	// their fetch gates changed without any core-local event, so the
-	// event scheduler must invalidate cached core wakeups.
-	flipped bool
+	// release, if set, runs for each waiting core just before an open
+	// clears its waiting bit. Its fetch gate is about to flip without any
+	// core-local event: the simulator charges the core's deferred idle
+	// cycles under the old gate and voids its cached wakeup.
+	release func(core int)
 }
 
 func newBarrier(members []int) *barrier {
@@ -179,7 +170,9 @@ func (b *barrier) maybeOpen() {
 	for i := range b.waiting {
 		if b.waiting[i] {
 			iter = b.iter[i]
-			b.flipped = true
+			if b.release != nil {
+				b.release(b.members[i])
+			}
 		}
 		b.waiting[i] = false
 	}
@@ -237,8 +230,6 @@ func New(cfg Config, app *apps.App) (*System, error) {
 			llcBackend = &bankRouter{sys: s}
 		}
 	}
-	s.llcWake = make([]uint64, len(s.llcs))
-	s.llcWakeOK = make([]bool, len(s.llcs))
 
 	sources := app.Sources()
 	s.cores = make([]*cpu.Core, cfg.Cores)
@@ -250,12 +241,6 @@ func New(cfg Config, app *apps.App) (*System, error) {
 	s.issueFns = make([]prefetch.IssueFunc, cfg.Cores)
 	s.cycleDriven = make([]bool, cfg.Cores)
 	s.pfWake = make([]prefetch.CycleDriven, cfg.Cores)
-	s.coreWake = make([]uint64, cfg.Cores)
-	s.l1Wake = make([]uint64, cfg.Cores)
-	s.l2Wake = make([]uint64, cfg.Cores)
-	s.coreWakeOK = make([]bool, cfg.Cores)
-	s.l1WakeOK = make([]bool, cfg.Cores)
-	s.l2WakeOK = make([]bool, cfg.Cores)
 	s.coreCycle = make([]uint64, cfg.Cores)
 
 	for c := 0; c < cfg.Cores; c++ {
@@ -276,8 +261,13 @@ func New(cfg Config, app *apps.App) (*System, error) {
 	for g := range s.barriers {
 		b := s.barriers[g]
 		b.done = func(core int) bool { return s.cores[core].Done() }
+		b.release = func(core int) {
+			s.cores[core].Settle()
+			s.wake[core].stale = true
+		}
 		b.onOpen = s.makeOnOpen(g)
 	}
+	s.bindWakeTable()
 	if cfg.Coherence {
 		s.wireCoherence()
 	}
@@ -693,6 +683,12 @@ func (s *System) Tick() {
 		s.ideal.Tick(now)
 	}
 	s.mc.Tick(now)
+	s.endCycle(now)
+}
+
+// endCycle runs the end-of-cycle events both engines share: barrier
+// opens, then the telemetry sample and audit sweep when due.
+func (s *System) endCycle(now uint64) {
 	for _, b := range s.barriers {
 		b.maybeOpen()
 	}
@@ -705,77 +701,23 @@ func (s *System) Tick() {
 		// reads Stats.Cycles — so the machine must be ticked at exactly
 		// the sample cycle for the values to match the stepped engine.)
 		stamp := now - now%s.sampleEvery
+		s.settleCores()
 		s.tel.Sample(stamp)
 		s.nextSampleAt = stamp + s.sampleEvery
 	}
 	if s.aud != nil && now >= s.nextAuditAt {
+		s.settleCores()
 		s.aud.Check(now)
 		s.nextAuditAt = now - now%s.auditEvery + s.auditEvery
 	}
 }
 
-// refreshGates invalidates cached core wakeups when the iteration
-// barrier released waiting cores: their fetch gates changed without any
-// core-local event, which cached values cannot see.
-func (s *System) refreshGates() {
-	flipped := false
-	for _, b := range s.barriers {
-		if b.flipped {
-			b.flipped = false
-			flipped = true
-		}
+// settleCores charges every core's deferred idle cycles (see
+// cpu.Core.SkipIdle) ahead of a read of core Stats.
+func (s *System) settleCores() {
+	for _, c := range s.cores {
+		c.Settle()
 	}
-	if flipped {
-		for i := range s.coreWakeOK {
-			s.coreWakeOK[i] = false
-		}
-	}
-}
-
-// The *WakeAt accessors return the component's wakeup, recomputing only
-// when the cached value is gone (component ticked) or stale (external
-// input set the component's wake-dirty flag). Frozen components — the
-// common case — cost two boolean loads per cycle instead of a wakeup
-// evaluation.
-
-func (s *System) coreWakeAt(i int, now uint64) uint64 {
-	if s.cores[i].TakeWakeDirty() || !s.coreWakeOK[i] {
-		s.coreWake[i] = s.cores[i].Wakeup(now)
-		s.coreWakeOK[i] = true
-	}
-	return s.coreWake[i]
-}
-
-func (s *System) l1WakeAt(i int, now uint64) uint64 {
-	if s.l1s[i].TakeWakeDirty() || !s.l1WakeOK[i] {
-		s.l1Wake[i] = s.l1s[i].Wakeup(now)
-		s.l1WakeOK[i] = true
-	}
-	return s.l1Wake[i]
-}
-
-func (s *System) l2WakeAt(i int, now uint64) uint64 {
-	if s.l2s[i].TakeWakeDirty() || !s.l2WakeOK[i] {
-		s.l2Wake[i] = s.l2s[i].Wakeup(now)
-		s.l2WakeOK[i] = true
-	}
-	return s.l2Wake[i]
-}
-
-func (s *System) llcWakeAt(b int, now uint64) uint64 {
-	if s.llcs[b].TakeWakeDirty() || !s.llcWakeOK[b] {
-		s.llcWake[b] = s.llcs[b].Wakeup(now)
-		s.llcWakeOK[b] = true
-	}
-	return s.llcWake[b]
-}
-
-func (s *System) mcWakeAt(now uint64) uint64 {
-	if s.mc.TakeWakeDirty() || !s.mcWakeOK {
-		s.mcWake = s.mc.Wakeup(now)
-		s.mcWakeOK = true
-	}
-	return s.mcWake
 }
 
 // tickGated simulates one cycle like Tick, but consults each component's
@@ -794,26 +736,25 @@ func (s *System) tickGated() {
 	s.doneDirty = true
 	now := s.cycle
 	prev := now - 1
+	busy := false
 	switchedOut := false
 	if s.ctxOn {
 		outBefore := s.ctx.out
 		switchedOut = s.ctx.tick(s, now)
 		if s.ctx.out != outBefore {
 			// A switch fired: fetch gating changed under every core.
-			for i := range s.coreWakeOK {
-				s.coreWakeOK[i] = false
+			for c := range s.cores {
+				s.wake[c].stale = true
 			}
+			busy = true
 		}
 	}
 	if !switchedOut {
 		for c := range s.cores {
-			// A barrier release earlier in this loop (the last worker's
-			// marker dispatch) un-gates cores later in tick order, so the
-			// flip check runs per core, not once per cycle.
-			s.refreshGates()
 			if s.coreWakeAt(c, prev) <= now {
-				s.coreWakeOK[c] = false
+				s.wake[c].stale = true
 				s.cores[c].Tick(now)
+				busy = true
 			} else {
 				s.cores[c].SkipIdle(1)
 			}
@@ -822,59 +763,58 @@ func (s *System) tickGated() {
 	for c := range s.cores {
 		s.coreCycle[c] = now
 		if s.l1WakeAt(c, prev) <= now {
-			s.l1WakeOK[c] = false
-			// Core.Wakeup probes L1 demand capacity; an L1 tick may free
-			// read-queue space the cached core wakeup could not see.
-			s.coreWakeOK[c] = false
+			s.wake[s.l1Slot(c)].stale = true
 			s.l1s[c].Tick(now)
+			if s.cores[c].BlockedOnL1() && s.l1s[c].CanAcceptDemand() {
+				// The tick freed read-queue space the blocked core's
+				// cached wakeup (which probes L1 demand capacity) could
+				// not see.
+				s.wake[c].stale = true
+			}
+			busy = true
 		} else {
 			s.l1s[c].AdvanceClock(now)
 		}
 		if s.l2WakeAt(c, prev) <= now {
-			s.l2WakeOK[c] = false
+			s.wake[s.l2Slot(c)].stale = true
 			s.l2s[c].Tick(now)
+			busy = true
 		} else {
 			s.l2s[c].AdvanceClock(now)
 		}
 		if s.cycleDriven[c] {
-			if pw := s.pfWake[c]; pw == nil || pw.Wakeup(prev) <= now {
+			if s.pfWake[c] == nil || s.pfWakeAt(c, prev) <= now {
 				s.prefs[c].OnCycle(now, s.issueFns[c])
+				busy = true
 			}
 		}
 	}
 	for b := range s.llcs {
 		if s.llcWakeAt(b, prev) <= now {
-			s.llcWakeOK[b] = false
+			s.wake[s.llcSlot(b)].stale = true
 			s.llcs[b].Tick(now)
+			busy = true
 		} else {
 			s.llcs[b].AdvanceClock(now)
 		}
 	}
 	if s.ideal != nil {
-		if s.ideal.wakeup(prev) <= now {
+		if s.idealWakeAt(prev) <= now {
 			s.ideal.Tick(now)
+			busy = true
 		} else {
 			s.ideal.advanceClock(now)
 		}
 	}
 	if s.mcWakeAt(prev) <= now {
-		s.mcWakeOK = false
+		s.wake[len(s.wake)-1].stale = true
 		s.mc.Tick(now)
+		busy = true
 	} else {
 		s.mc.AdvanceClock(now)
 	}
-	for _, b := range s.barriers {
-		b.maybeOpen()
-	}
-	if s.tel != nil && now >= s.nextSampleAt {
-		stamp := now - now%s.sampleEvery
-		s.tel.Sample(stamp)
-		s.nextSampleAt = stamp + s.sampleEvery
-	}
-	if s.aud != nil && now >= s.nextAuditAt {
-		s.aud.Check(now)
-		s.nextAuditAt = now - now%s.auditEvery + s.auditEvery
-	}
+	s.endCycle(now)
+	s.busy = busy
 }
 
 // Done reports whether every core has drained and the memory system is
@@ -899,27 +839,6 @@ func (s *System) computeDone() bool {
 			}
 		}
 		s.coresDone = true
-	}
-	for i := range s.l1s {
-		if s.l1s[i].Pending() > 0 || s.l2s[i].Pending() > 0 {
-			return false
-		}
-	}
-	for _, llc := range s.llcs {
-		if llc.Pending() > 0 {
-			return false
-		}
-	}
-	return s.mc.Pending() == 0
-}
-
-// legacyDone is the original unmemoised predicate, kept verbatim (and
-// side-effect free) as the reference for the Done regression test.
-func (s *System) legacyDone() bool {
-	for _, c := range s.cores {
-		if !c.Done() {
-			return false
-		}
 	}
 	for i := range s.l1s {
 		if s.l1s[i].Pending() > 0 || s.l2s[i].Pending() > 0 {
@@ -1013,6 +932,7 @@ func (s *System) RunAllContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.settleCores()
 	if s.tel != nil && s.cycle%s.sampleEvery != 0 {
 		s.tel.Sample(s.cycle) // capture the final, post-drain state
 	}
@@ -1061,6 +981,8 @@ func (s *System) runCycleStepped(ctx context.Context, maxCycles uint64) error {
 // in between are provably inert: skipping them is accounted for by
 // Core.SkipIdle (stall/cycle counters) and the AdvanceClock calls
 // (internal clock stamps), after which the regular Tick runs unchanged.
+// The global scan only runs after an idle cycle: while components keep
+// acting, the loop simulates cycle after cycle through tickGated.
 func (s *System) runEventDriven(ctx context.Context, maxCycles uint64) error {
 	if s.parallelEligible() {
 		s.startPool()
@@ -1088,7 +1010,16 @@ func (s *System) runEventDriven(ctx context.Context, maxCycles uint64) error {
 					continue
 				}
 			}
-			s.advanceTo(s.nextWakeup(limit))
+			if s.busy {
+				// Dense regime: some component acted last cycle, so the
+				// global scan would most likely return s.cycle+1 anyway.
+				// Simulating that cycle directly is always sound — a gated
+				// cycle with nothing due is exactly a skipped one — and
+				// the next idle cycle falls back to the scan.
+				s.tickGated()
+			} else {
+				s.advanceTo(s.nextWakeup(limit))
+			}
 		}
 		if s.aud != nil && s.aud.FailFast() {
 			if err := s.aud.Err(); err != nil {
@@ -1108,7 +1039,6 @@ func (s *System) runEventDriven(ctx context.Context, maxCycles uint64) error {
 // exits once the minimum hits s.cycle+1 since nothing can beat it.
 func (s *System) nextWakeup(limit uint64) uint64 {
 	now := s.cycle
-	s.refreshGates()
 	min := limit
 	consider := func(w uint64) bool {
 		if w <= now {
@@ -1150,8 +1080,8 @@ func (s *System) nextWakeup(limit uint64) uint64 {
 		if !s.cycleDriven[c] {
 			continue
 		}
-		if pw := s.pfWake[c]; pw != nil {
-			if consider(pw.Wakeup(now)) {
+		if s.pfWake[c] != nil {
+			if consider(s.pfWakeAt(c, now)) {
 				return min
 			}
 		} else {
@@ -1164,7 +1094,7 @@ func (s *System) nextWakeup(limit uint64) uint64 {
 			return min
 		}
 	}
-	if s.ideal != nil && consider(s.ideal.wakeup(now)) {
+	if s.ideal != nil && consider(s.idealWakeAt(now)) {
 		return min
 	}
 	consider(s.mcWakeAt(now))
@@ -1202,6 +1132,7 @@ func (s *System) advanceTo(next uint64) {
 
 // Snapshot returns a one-line progress dump for debugging stalled runs.
 func (s *System) Snapshot() string {
+	s.settleCores()
 	out := fmt.Sprintf("cycle=%d", s.cycle)
 	for c := range s.cores {
 		out += fmt.Sprintf(" core%d[done=%v instr=%d gated=%v l1p=%d l2p=%d]",
@@ -1216,6 +1147,7 @@ func (s *System) Snapshot() string {
 }
 
 func (s *System) collect() *Result {
+	s.settleCores()
 	r := &Result{
 		ConfigName: s.cfg.Name,
 		Prefetcher: s.cfg.Prefetcher,
