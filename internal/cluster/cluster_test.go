@@ -438,3 +438,29 @@ func TestJoinLeaveHTTP(t *testing.T) {
 		t.Error("worker still registered after leave")
 	}
 }
+
+// TestCoordinatorOversizedBodyRejected pins the coordinator's request-body
+// cap: a run spec over serve.MaxBodyBytes answers 413 before routing,
+// where an in-limit spec on the same empty ring answers 503.
+func TestCoordinatorOversizedBodyRejected(t *testing.T) {
+	c := newTestCoordinator(t, Config{})
+	ts := httptest.NewServer(NewServer(c))
+	defer ts.Close()
+	pad := strings.Repeat("a", serve.MaxBodyBytes)
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"workload":"` + pad + `","input":"urand","scale":"test"}`, http.StatusRequestEntityTooLarge},
+		{`{"workload":"pagerank","input":"urand","scale":"test"}`, http.StatusServiceUnavailable},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body status = %d, want %d", len(tc.body), resp.StatusCode, tc.want)
+		}
+	}
+}

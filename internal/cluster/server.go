@@ -117,8 +117,7 @@ type joinRequest struct {
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !serve.DecodeBody(w, r, &req) {
 		return
 	}
 	if err := s.c.AddWorker(req.ID, req.URL); err != nil {
@@ -159,8 +158,7 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 // cluster is producing untrustworthy results), exhausted retries → 502.
 func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 	var spec serve.RunSpec
-	if err := decodeBody(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !serve.DecodeBody(w, r, &spec) {
 		return
 	}
 	res, err := s.c.Dispatch(r.Context(), spec)
@@ -185,8 +183,7 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var spec SweepSpec
-	if err := decodeBody(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !serve.DecodeBody(w, r, &spec) {
 		return
 	}
 	if s.c.LiveWorkers() == 0 {
@@ -234,15 +231,4 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	serve.StreamSSE(w, r, sw.EventLog())
-}
-
-// decodeBody decodes a JSON request body strictly (unknown fields are
-// client errors).
-func decodeBody(r *http.Request, v any) error {
-	if r.Body == nil || r.ContentLength == 0 {
-		return nil
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }

@@ -79,7 +79,11 @@ func Compose(s apps.Scale, jobs []JobSpec) (*apps.App, error) {
 			return nil, fmt.Errorf("multicore: job %d (%s): built %d traces, want 1", k, j, len(app.Traces))
 		}
 		delta := Stride * mem.Addr(k)
-		composed.Traces[k] = relocate(app.Traces[0], delta)
+		// apps.BuildCores emits a fresh trace on every call and keeps no
+		// reference to it, so nothing else can observe the shift: relocate
+		// it in place instead of copying a trace of up to a few hundred MB.
+		relocate(app.Traces[0], delta)
+		composed.Traces[k] = app.Traces[0]
 		composed.Groups[k] = []int{k}
 		for _, r := range app.Targets {
 			r.Base += delta
@@ -96,26 +100,24 @@ func Compose(s apps.Scale, jobs []JobSpec) (*apps.App, error) {
 	return composed, nil
 }
 
-// relocate shifts every address-carrying record by delta. Loads and
-// stores always carry an address; markers carry one exactly when it is
-// nonzero (table bases, boundary-register bases — a bump allocator
-// starting above the null page never hands out address zero, and all
-// other markers emit Addr 0 by construction, see trace.Builder).
-func relocate(recs []trace.Record, delta mem.Addr) []trace.Record {
+// relocate shifts every address-carrying record by delta, in place.
+// Loads and stores always carry an address; markers carry one exactly
+// when it is nonzero (table bases, boundary-register bases — a bump
+// allocator starting above the null page never hands out address zero,
+// and all other markers emit Addr 0 by construction, see trace.Builder).
+func relocate(recs []trace.Record, delta mem.Addr) {
 	if delta == 0 {
-		return recs
+		return
 	}
-	out := make([]trace.Record, len(recs))
-	copy(out, recs)
-	for i := range out {
-		switch out[i].Kind {
+	for i := range recs {
+		r := &recs[i]
+		switch r.Kind {
 		case trace.KindLoad, trace.KindStore:
-			out[i].Addr += delta
+			r.Addr += delta
 		case trace.KindMarker:
-			if out[i].Addr != 0 {
-				out[i].Addr += delta
+			if r.Addr != 0 {
+				r.Addr += delta
 			}
 		}
 	}
-	return out
 }

@@ -1,6 +1,7 @@
 package multicore
 
 import (
+	"runtime"
 	"testing"
 
 	"rnrsim/internal/apps"
@@ -115,4 +116,79 @@ func TestComposeRejectsUnknownJob(t *testing.T) {
 	if _, err := Compose(apps.ScaleTest, nil); err == nil {
 		t.Fatal("empty job list accepted")
 	}
+}
+
+// copyRelocate is the reference relocation Compose used to perform: a
+// fresh copy of the trace with every address-carrying record shifted.
+func copyRelocate(recs []trace.Record, delta mem.Addr) []trace.Record {
+	out := make([]trace.Record, len(recs))
+	copy(out, recs)
+	for i := range out {
+		r := &out[i]
+		if r.Kind == trace.KindLoad || r.Kind == trace.KindStore || (r.Kind == trace.KindMarker && r.Addr != 0) {
+			r.Addr += delta
+		}
+	}
+	return out
+}
+
+var coRunJobs = []JobSpec{{"pagerank", "urand"}, {"spcg", "bbmat"}}
+
+// TestComposeRelocationMatchesCopyOracle pins the in-place relocation to
+// copy-then-relocate over independently built job traces, and checks
+// that two compositions are equal: relocating in place must not reach
+// any input a later Compose call reads.
+func TestComposeRelocationMatchesCopyOracle(t *testing.T) {
+	first, err := Compose(apps.ScaleTest, coRunJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Compose(apps.ScaleTest, coRunJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, j := range coRunJobs {
+		solo, err := apps.BuildCores(j.Workload, j.Input, apps.ScaleTest, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := copyRelocate(solo.Traces[0], Stride*mem.Addr(k))
+		for name, got := range map[string][]trace.Record{"first": first.Traces[k], "second": second.Traces[k]} {
+			if len(got) != len(want) {
+				t.Fatalf("%s compose, core %d: %d records, oracle %d", name, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s compose, core %d record %d = %v, oracle %v", name, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if len(first.Targets) != len(second.Targets) {
+		t.Fatalf("targets differ between compositions: %v vs %v", first.Targets, second.Targets)
+	}
+	for i := range first.Targets {
+		if first.Targets[i] != second.Targets[i] {
+			t.Fatalf("target %d differs between compositions: %v vs %v", i, first.Targets[i], second.Targets[i])
+		}
+	}
+}
+
+// BenchmarkCompose measures composing the test-scale co-run pair. B/record
+// is the allocation per composed trace record, input generation included.
+func BenchmarkCompose(b *testing.B) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	records := 0
+	for i := 0; i < b.N; i++ {
+		app, err := Compose(apps.ScaleTest, coRunJobs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		records += app.Records()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(records), "B/record")
 }

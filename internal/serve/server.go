@@ -113,8 +113,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // counts as a watcher: disconnecting mid-wait can abandon the job).
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
-	if err := decodeBody(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeBody(w, r, &spec) {
 		return
 	}
 	j, fresh, err := s.m.SubmitRun(spec)
@@ -127,8 +126,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
-	if err := decodeBody(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeBody(w, r, &spec) {
 		return
 	}
 	j, fresh, err := s.m.SubmitExperiment(r.PathValue("id"), spec)
@@ -278,15 +276,33 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 	}{schema, generated, s.m.Options().DefaultScale, ScaleNames, infos})
 }
 
-// decodeBody decodes a JSON request body strictly (unknown fields are
-// client errors). An empty body decodes to the zero value.
-func decodeBody(r *http.Request, v any) error {
+// MaxBodyBytes caps the JSON request bodies the daemons accept. Every
+// spec they take (a run, a co-run job list, a sweep grid, a worker
+// join) is a few hundred bytes, so 1 MiB only ever stops a runaway or
+// hostile client from making the server buffer an unbounded body.
+const MaxBodyBytes = 1 << 20
+
+// DecodeBody decodes a JSON request body strictly (unknown fields are
+// client errors) into v. An empty body decodes to the zero value. On
+// failure it answers the request itself — 413 for a body over
+// MaxBodyBytes, 400 for anything else — and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Body == nil || r.ContentLength == 0 {
-		return nil
+		return true
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooLarge.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 func wantWait(r *http.Request) bool {

@@ -435,3 +435,45 @@ func TestHTTPHealthz(t *testing.T) {
 		t.Errorf("submit while draining = %d, want 503", sub.StatusCode)
 	}
 }
+
+// oversizedRunSpec is a syntactically valid run spec one byte over
+// MaxBodyBytes, so only the size cap can reject it.
+func oversizedRunSpec() string {
+	const frame = `{"workload":"","input":"urand","scale":"test"}`
+	return `{"workload":"` + strings.Repeat("a", MaxBodyBytes+1-len(frame)) + `","input":"urand","scale":"test"}`
+}
+
+// TestOversizedBodyRejected pins the request-body cap: a body over
+// MaxBodyBytes answers 413 with the JSON error envelope, and a malformed
+// body under the cap still answers 400.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts, m := newTestServer(t, Options{Workers: 1})
+	body := oversizedRunSpec()
+	if len(body) != MaxBodyBytes+1 {
+		t.Fatalf("oversized body is %d bytes, want %d", len(body), MaxBodyBytes+1)
+	}
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || !strings.Contains(eb.Error, strconv.Itoa(MaxBodyBytes)) {
+		t.Errorf("413 body = %+v (%v), want an error naming the %d-byte cap", eb, err, MaxBodyBytes)
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Errorf("oversized body created %d jobs", n)
+	}
+
+	bad, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(`{"workload":`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Errorf("malformed body status = %d, want 400", bad.StatusCode)
+	}
+}

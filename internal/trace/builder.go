@@ -6,40 +6,76 @@ import "rnrsim/internal/mem"
 // generators want: adjacent Exec records coalesce, and the RnR software
 // interface is exposed with the same shape as the paper's Table I so the
 // workload code reads like Algorithm 1.
+//
+// Records go into fixed-size chunks rather than one growing slice: a
+// growing slice copies every record again on each growth step (about
+// four writes per record at the runtime's large-slice growth factor),
+// while a chunk is never moved. Records joins the chunks once into a
+// slice of exactly the trace's length, so each record is written at
+// most twice.
 type Builder struct {
-	recs []Record
+	chunk int        // records per chunk
+	full  [][]Record // filled chunks, in order
+	nFull int        // records in full
+	cur   []Record   // chunk being filled; len(cur) < cap(cur) unless full
 }
 
-// NewBuilder returns an empty trace builder with the given capacity hint.
+// defaultChunk is the chunk size when NewBuilder gets no usable hint.
+const defaultChunk = 4096
+
+// NewBuilder returns an empty trace builder. capacity sets the chunk
+// size in records; a non-positive hint picks a default.
 func NewBuilder(capacity int) *Builder {
-	return &Builder{recs: make([]Record, 0, capacity)}
+	if capacity < 1 {
+		capacity = defaultChunk
+	}
+	return &Builder{chunk: capacity}
+}
+
+// push appends r, starting a new chunk when the current one is full.
+func (b *Builder) push(r Record) {
+	if len(b.cur) == cap(b.cur) {
+		b.newChunk()
+	}
+	b.cur = append(b.cur, r)
+}
+
+func (b *Builder) newChunk() {
+	if len(b.cur) > 0 {
+		b.full = append(b.full, b.cur)
+		b.nFull += len(b.cur)
+	}
+	b.cur = make([]Record, 0, b.chunk)
 }
 
 // Exec appends n non-memory instructions, merging with a preceding Exec.
+// A full chunk is only retired when the next record is pushed, so the
+// preceding record is still cur's last element even across a chunk
+// boundary.
 func (b *Builder) Exec(n uint64) {
 	if n == 0 {
 		return
 	}
-	if k := len(b.recs); k > 0 && b.recs[k-1].Kind == KindExec {
-		b.recs[k-1].Count += n
+	if k := len(b.cur); k > 0 && b.cur[k-1].Kind == KindExec {
+		b.cur[k-1].Count += n
 		return
 	}
-	b.recs = append(b.recs, Exec(n))
+	b.push(Exec(n))
 }
 
 // Load appends a load of size bytes at addr from site pc in region.
 func (b *Builder) Load(pc uint64, addr mem.Addr, size uint64, region int32) {
-	b.recs = append(b.recs, Load(pc, addr, size, region))
+	b.push(Load(pc, addr, size, region))
 }
 
 // Store appends a store of size bytes at addr from site pc in region.
 func (b *Builder) Store(pc uint64, addr mem.Addr, size uint64, region int32) {
-	b.recs = append(b.recs, Store(pc, addr, size, region))
+	b.push(Store(pc, addr, size, region))
 }
 
 // Mark appends an arbitrary marker record.
 func (b *Builder) Mark(m Marker, addr mem.Addr, count uint64, aux int32) {
-	b.recs = append(b.recs, Mark(m, addr, count, aux))
+	b.push(Mark(m, addr, count, aux))
 }
 
 // RnRInit emits RnR.init() followed by the metadata table base registers.
@@ -97,19 +133,43 @@ func (b *Builder) ROIBegin() { b.Mark(MarkROIBegin, 0, 0, 0) }
 // ROIEnd closes the measured region of interest.
 func (b *Builder) ROIEnd() { b.Mark(MarkROIEnd, 0, 0, 0) }
 
-// Records returns the accumulated trace.
-func (b *Builder) Records() []Record { return b.recs }
+// Records returns the accumulated trace as one slice with cap == len.
+// The first call after an append joins the chunks; the builder then
+// keeps the joined slice as its only chunk, so a repeated call returns
+// it without copying. The slice is the builder's own storage: a later
+// Exec may still merge into its last record.
+func (b *Builder) Records() []Record {
+	if len(b.full) == 0 && len(b.cur) == cap(b.cur) {
+		return b.cur
+	}
+	out := make([]Record, b.Len())
+	n := 0
+	for _, c := range b.full {
+		n += copy(out[n:], c)
+	}
+	copy(out[n:], b.cur)
+	b.full, b.nFull, b.cur = nil, 0, out
+	return out
+}
 
-// Source returns a Source over the accumulated trace.
-func (b *Builder) Source() *SliceSource { return NewSliceSource(b.recs) }
+// Source returns a Source over the accumulated trace (see Records).
+func (b *Builder) Source() *SliceSource { return NewSliceSource(b.Records()) }
 
 // Len returns the number of records (not instructions) accumulated.
-func (b *Builder) Len() int { return len(b.recs) }
+func (b *Builder) Len() int { return b.nFull + len(b.cur) }
 
 // Instructions returns the total dynamic instruction count of the trace.
 func (b *Builder) Instructions() uint64 {
 	var n uint64
-	for _, r := range b.recs {
+	for _, c := range b.full {
+		n += instructions(c)
+	}
+	return n + instructions(b.cur)
+}
+
+func instructions(recs []Record) uint64 {
+	var n uint64
+	for _, r := range recs {
 		n += r.Instructions()
 	}
 	return n
