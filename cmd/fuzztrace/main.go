@@ -11,7 +11,6 @@
 //	fuzztrace -fuzz-seed 42 -v        # reproduce one seed, print stats
 //	fuzztrace -prefetchers rnr -pathological=false
 //	fuzztrace -force-cycle-stepped    # same sweep on the legacy engine
-//	fuzztrace -core-parallel          # same sweep on the parallel engine
 //
 // Every failure prints the seed, the prefetcher, and each retained
 // violation (cycle, component, law), so a red sweep reproduces with
@@ -46,8 +45,6 @@ func main() {
 	maxCycles := flag.Uint64("max-cycles", 5_000_000, "abort a wedged interleaving after this many cycles")
 	forceStepped := flag.Bool("force-cycle-stepped", false,
 		"drive the sweep with the legacy cycle-stepped engine instead of the event-driven scheduler (differential debugging: a hash that changes with this flag is a wakeup bug)")
-	coreParallel := flag.Bool("core-parallel", false,
-		"run each core's private domain on its own goroutine between shared-level events (differential debugging: a hash that changes with this flag is a domain-span bug)")
 	coherent := flag.Bool("coherence", false,
 		"attach the MESI-lite coherence directory so its invariants (single owner, sharer masks, no stale hits) are fuzzed too — the fuzzer's shared store targets are the directory's worst case")
 	llcBanks := flag.Int("llc-banks", 0, "split the shared LLC into this many banks (power of two; 0 = monolithic)")
@@ -86,7 +83,6 @@ func main() {
 			cfg.Audit = &audit.Config{Interval: *interval}
 			cfg.MaxCycles = *maxCycles
 			cfg.ForceCycleStepped = *forceStepped
-			cfg.CoreParallel = *coreParallel
 			cfg.Coherence = *coherent
 			cfg.LLCBanks = *llcBanks
 			cfg.CrossCore = *crossCore

@@ -20,15 +20,12 @@ func TestValidateFlags(t *testing.T) {
 		{"negative cores rejected", flagValues{Cores: -3, Jobs: 1}, "-cores"},
 		{"crosscore without corun or cores", flagValues{CrossCore: true, Jobs: 1}, "-crosscore"},
 		{"cores conflicts with corun", flagValues{Cores: 2, CoRun: "pagerank.urand,spcg.bbmat", Jobs: 1}, "-cores"},
-		{"negative parallel workers", flagValues{CoreParallel: true, CoreParallelWorkers: -1, Jobs: 1}, "-core-parallel-workers"},
-		{"workers without core-parallel", flagValues{CoreParallelWorkers: 2, Jobs: 1}, "-core-parallel"},
 		{"zero jobs", flagValues{Jobs: 0}, "-j"},
 
 		{"defaults pass", flagValues{Jobs: 1}, ""},
 		{"cores pass", flagValues{Cores: 4, Jobs: 8}, ""},
 		{"crosscore with corun", flagValues{CoRun: "pagerank.urand,spcg.bbmat", CrossCore: true, Jobs: 1}, ""},
 		{"crosscore with cores", flagValues{Cores: 2, CrossCore: true, Jobs: 1}, ""},
-		{"core-parallel pass", flagValues{Cores: 4, CoreParallel: true, CoreParallelWorkers: 2, Jobs: 1}, ""},
 	} {
 		err := validateFlags(tc.v)
 		if tc.wantErr == "" {

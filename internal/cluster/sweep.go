@@ -32,8 +32,18 @@ type SweepSpec struct {
 	Scales []string `json:"scales,omitempty"`
 }
 
+// maxSweepCells caps a sweep's raw grid: the product of its four list
+// lengths, before de-duplication. The fixed wire names span 3,744
+// distinct cells (12 workload inputs × 13 prefetchers × 8 variants × 3
+// scales), so no de-duplicated grid over them is refused, and the cap
+// leaves room for window-size variants (winN) on top. Without a cap, a
+// 1 MiB body that repeats one name in every list encodes over 10^18
+// cells, each normalised before dedup could drop it.
+const maxSweepCells = 1 << 16
+
 // expand produces the grid's run specs in deterministic nested-loop
 // order (workload outermost, scale innermost), validating every cell.
+// A grid over maxSweepCells is refused before any cell is normalised.
 func (sp SweepSpec) expand(defaultScale string) ([]serve.RunSpec, error) {
 	if len(sp.Workloads) == 0 {
 		return nil, fmt.Errorf("sweep lists no workloads")
@@ -49,6 +59,16 @@ func (sp SweepSpec) expand(defaultScale string) ([]serve.RunSpec, error) {
 	scales := sp.Scales
 	if len(scales) == 0 {
 		scales = []string{defaultScale}
+	}
+	// Multiply one list at a time, checking before each step, so the
+	// running product never exceeds the cap and cannot overflow.
+	cells := 1
+	for _, n := range []int{len(sp.Workloads), len(prefetchers), len(variants), len(scales)} {
+		if cells > maxSweepCells/n {
+			return nil, fmt.Errorf("sweep grid of %d workloads × %d prefetchers × %d variants × %d scales exceeds %d cells",
+				len(sp.Workloads), len(prefetchers), len(variants), len(scales), maxSweepCells)
+		}
+		cells *= n
 	}
 	var specs []serve.RunSpec
 	seen := make(map[string]bool)

@@ -273,64 +273,6 @@ func (c *Core) Settle() {
 	}
 }
 
-// QuietScan reports conservative fetch-unit distances from the core's
-// current dispatch position: memU units must dispatch before the next
-// load/store could enter the memory system, markU before the next marker
-// could fire OnMarker, and drainU before the trace source could drain
-// (a prerequisite for Done flipping). Distances account for the pending
-// record and any in-progress Exec bundle before consulting the trace
-// source's Lookahead; a source without Lookahead makes every horizon
-// collapse to the locally-known units. Values are lower bounds (capped at
-// limit): structural stalls only push events later, never earlier, so the
-// parallel scheduler can size an independence window from them.
-func (c *Core) QuietScan(limit uint64) (memU, markU, drainU uint64) {
-	if c.Done() {
-		return limit, limit, limit
-	}
-	memU, markU, drainU = limit, limit, limit
-	var u uint64
-	if c.pendingValid {
-		switch c.pendingRec.Kind {
-		case trace.KindLoad, trace.KindStore:
-			memU = 0
-		case trace.KindMarker:
-			markU = 0
-		default:
-			memU, markU = 0, 0
-		}
-		u = 1
-	}
-	u += c.pendingExec
-	if u >= limit {
-		return
-	}
-	if c.drained {
-		drainU = u
-		return
-	}
-	la, ok := c.src.(trace.Lookahead)
-	if !ok {
-		// Opaque source: the very next fetched record could be anything.
-		if u < memU {
-			memU = u
-		}
-		if u < markU {
-			markU = u
-		}
-		drainU = u
-		return
-	}
-	m, k, d := la.ScanUnits(limit - u)
-	if u+m < memU {
-		memU = u + m
-	}
-	if u+k < markU {
-		markU = u + k
-	}
-	drainU = u + d
-	return
-}
-
 func (c *Core) retire(now uint64) {
 	retired := 0
 	for retired < c.cfg.RetireWidth && c.count > 0 {

@@ -582,21 +582,6 @@ func (e *Engine) Wakeup(now uint64) uint64 {
 	return mem.WakeupNever
 }
 
-// MetaStreamPending reports whether a future OnCycle could still issue a
-// metadata read (sequence or division table) into the memory backend. The
-// parallel per-core scheduler refuses to open an independence window while
-// this holds: metadata reads target the shared DRAM controller, and the
-// in-fly/ahead throttles that gate them in Wakeup can unblock mid-window
-// as nextIdx and curWindow advance — so those throttles are deliberately
-// ignored here. With meta == nil (unit-test mode) the cursors snap without
-// touching any backend, so nothing is ever pending.
-func (e *Engine) MetaStreamPending() bool {
-	if e.Arch.State != StateReplay || len(e.seq) == 0 || e.meta == nil {
-		return false
-	}
-	return e.metaIssued < len(e.seq) || e.divIssued < len(e.div)
-}
-
 // entryLine reconstructs the prefetch address from a sequence entry and
 // the *current* boundary base (Base+Offset, §IV-B).
 func (e *Engine) entryLine(entry SeqEntry) (mem.Addr, bool) {

@@ -139,24 +139,12 @@ type Config struct {
 	OnIteration func(iter int, cycle uint64)
 
 	// ForceCycleStepped disables the event-driven scheduler and runs the
-	// legacy one-Tick-per-cycle loop. Results are byte-identical either
-	// way (the differential tests prove it); this exists as the reference
-	// engine for those tests and as an escape hatch while debugging
-	// wakeup computations.
+	// legacy one-Tick-per-cycle loop: the same cycle body under the
+	// always-tick policy, consulting no wakeups. Results are
+	// byte-identical either way (the differential tests prove it); this
+	// exists as the reference engine for those tests and as an escape
+	// hatch while debugging wakeup computations.
 	ForceCycleStepped bool
-
-	// CoreParallel runs each core's private domain (core + L1 + L2 +
-	// per-core prefetcher + RnR engine) on its own goroutine between
-	// shared-level wakeups. Results are byte-identical to the serial
-	// engines — the parallel differential tests prove it — so this is a
-	// pure wall-clock knob. It is a no-op with one core, under
-	// ForceCycleStepped, and in configurations where private-domain
-	// activity can reach shared state mid-window (coherence directory,
-	// RnRPrefetchToLLC); those fall back to the serial event engine.
-	CoreParallel bool
-	// CoreParallelWorkers bounds the worker pool (0 = GOMAXPROCS,
-	// capped at Cores).
-	CoreParallelWorkers int
 }
 
 // Baseline returns the paper's Table II machine: 4-core 4 GHz OoO with
@@ -278,9 +266,6 @@ func (c Config) validate() error {
 	}
 	if c.CrossCore && c.IdealLLC {
 		return fmt.Errorf("sim: config %q attaches the cross-core prefetcher to the ideal LLC", c.Name)
-	}
-	if c.CoreParallelWorkers < 0 {
-		return fmt.Errorf("sim: config %q has %d parallel workers", c.Name, c.CoreParallelWorkers)
 	}
 	return nil
 }

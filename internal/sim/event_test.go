@@ -63,56 +63,97 @@ func requireIdentical(t *testing.T, cfg Config, app *apps.App) (*System, *System
 	return se, ss
 }
 
+// telemetrySeries runs cfg on one engine with a telemetry recorder
+// sampling every interval cycles and returns its metrics JSONL.
+func telemetrySeries(t *testing.T, cfg Config, app *apps.App, stepped bool, interval uint64) []byte {
+	t.Helper()
+	rec := telemetry.New(telemetry.Config{SampleInterval: interval})
+	cfg.Telemetry = rec
+	runEngine(t, cfg, app, stepped)
+	var buf bytes.Buffer
+	if err := rec.WriteMetricsJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestEventSteppedDifferentialMatrix sweeps the configurations whose
-// wakeup paths differ — every prefetcher family, audit sweeps, the
-// lifecycle observer, the ideal-LLC bar, context switching — and holds
-// the two engines to byte-identical export envelopes on each.
+// wakeup paths differ — every prefetcher family (demand-trained and
+// cycle-driven), mixed per-core assignments, audit sweeps, the
+// lifecycle observer, the ideal-LLC bar, context switching, banked LLCs,
+// the uncoherent co-run with the cross-core prefetcher and the 1-core
+// machine — and holds the two engines to byte-identical export
+// envelopes and telemetry JSONL on each.
 func TestEventSteppedDifferentialMatrix(t *testing.T) {
 	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
 	app := testApp(t)
-	cases := []struct {
+	type tcase struct {
 		name string
 		cfg  Config
-	}{
-		{"none", testConfig().WithPrefetcher(PFNone)},
-		{"nextline", testConfig().WithPrefetcher(PFNextLine)},
-		{"stream", testConfig().WithPrefetcher(PFStream)},
-		{"rnr", testConfig().WithPrefetcher(PFRnR)},
-		{"rnr-combined", testConfig().WithPrefetcher(PFRnRCombined)},
+		app  *apps.App // nil = the 4-core PageRank testApp
 	}
+	cases := []tcase{
+		{name: "none", cfg: testConfig().WithPrefetcher(PFNone)},
+		{name: "nextline", cfg: testConfig().WithPrefetcher(PFNextLine)},
+		{name: "stream", cfg: testConfig().WithPrefetcher(PFStream)},
+		{name: "misb", cfg: testConfig().WithPrefetcher(PFMISB)},
+		{name: "droplet", cfg: testConfig().WithPrefetcher(PFDroplet)},
+		{name: "rnr", cfg: testConfig().WithPrefetcher(PFRnR)},
+		{name: "rnr-combined", cfg: testConfig().WithPrefetcher(PFRnRCombined)},
+	}
+
+	mixed := testConfig()
+	mixed.Name = "test+mixed"
+	mixed.PerCorePrefetchers = []PrefetcherKind{PFRnR, PFNextLine, PFStream, PFNone}
+	cases = append(cases, tcase{name: "mixed-per-core", cfg: mixed})
+
 	audited := testConfig().WithPrefetcher(PFRnR)
 	audited.Audit = &audit.Config{Interval: 256}
-	cases = append(cases, struct {
-		name string
-		cfg  Config
-	}{"rnr+audit", audited})
+	cases = append(cases, tcase{name: "rnr+audit", cfg: audited})
 
 	observed := testConfig().WithPrefetcher(PFRnR)
 	observed.Obs = &obs.Config{}
-	cases = append(cases, struct {
-		name string
-		cfg  Config
-	}{"rnr+obs", observed})
+	cases = append(cases, tcase{name: "rnr+obs", cfg: observed})
 
 	ideal := testConfig().WithPrefetcher(PFNone)
 	ideal.IdealLLC = true
-	cases = append(cases, struct {
-		name string
-		cfg  Config
-	}{"ideal-llc", ideal})
+	cases = append(cases, tcase{name: "ideal-llc", cfg: ideal})
 
 	ctxCfg := testConfig().WithPrefetcher(PFRnR)
 	ctxCfg.CtxSwitch = CtxSwitchConfig{Period: 20_000, Duration: 7_000}
-	cases = append(cases, struct {
-		name string
-		cfg  Config
-	}{"rnr+ctx", ctxCfg})
+	cases = append(cases, tcase{name: "rnr+ctx", cfg: ctxCfg})
+
+	banked := testConfig().WithPrefetcher(PFNextLine)
+	banked.LLCBanks = 2
+	cases = append(cases, tcase{name: "nextline+2banks", cfg: banked})
+
+	// The co-run machine minus the coherence directory: per-core
+	// prefetchers, a banked LLC and the cross-core prefetcher over two
+	// free-running jobs. TestCoRunEngineDifferential covers the coherent
+	// one.
+	uncoherent := coRunConfig()
+	uncoherent.Coherence = false
+	cases = append(cases, tcase{name: "corun-uncoherent", cfg: uncoherent, app: coRunApp(t)})
+
+	oneCoreApp, err := apps.BuildCores("pagerank", "urand", apps.ScaleTest, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, tcase{name: "one-core", cfg: oneCoreConfig().WithPrefetcher(PFRnR), app: oneCoreApp})
 
 	for _, tc := range cases {
 		tc := tc
+		if tc.app == nil {
+			tc.app = app
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			requireIdentical(t, tc.cfg, app)
+			requireIdentical(t, tc.cfg, tc.app)
+			ev := telemetrySeries(t, tc.cfg, tc.app, false, 1000)
+			st := telemetrySeries(t, tc.cfg, tc.app, true, 1000)
+			if !bytes.Equal(ev, st) {
+				t.Errorf("telemetry JSONL differs between engines\nevent:   %.512s\nstepped: %.512s", ev, st)
+			}
 		})
 	}
 }
@@ -140,10 +181,17 @@ func TestEventEngineSkipsCycles(t *testing.T) {
 
 // TestSchedulerWorkCounters pins the diagnostics-only work counters on a
 // dense run: they repeat exactly from run to run (so benchmarks can gate
-// them independently of the host), the event engine simulates at most
-// every cycle and evaluates wakeups, and the stepped engine, which
-// consults no wakeups, evaluates none.
+// them independently of the host), the event engine's counts equal the
+// values pinned below, and the stepped engine, which consults no
+// wakeups, evaluates none. A change to either pinned value is a change
+// to the event engine's work, not noise: re-pin it only together with a
+// deliberate scheduler change.
 func TestSchedulerWorkCounters(t *testing.T) {
+	const (
+		wantCycles    = 129132
+		wantTicked    = 124757
+		wantWakeEvals = 1055820
+	)
 	app := testApp(t)
 	cfg := testConfig().WithPrefetcher(PFRnR)
 	r1, s1 := runEngine(t, cfg, app, false)
@@ -152,8 +200,9 @@ func TestSchedulerWorkCounters(t *testing.T) {
 		t.Errorf("work counters differ between identical runs: ticked %d/%d, wake evals %d/%d",
 			s1.TickedCycles(), s2.TickedCycles(), s1.WakeEvals(), s2.WakeEvals())
 	}
-	if s1.TickedCycles() > r1.Cycles || s1.WakeEvals() == 0 {
-		t.Errorf("event engine: ticked %d of %d cycles with %d wake evals", s1.TickedCycles(), r1.Cycles, s1.WakeEvals())
+	if r1.Cycles != wantCycles || s1.TickedCycles() != wantTicked || s1.WakeEvals() != wantWakeEvals {
+		t.Errorf("event engine: %d cycles, ticked %d, %d wake evals; want %d, %d, %d",
+			r1.Cycles, s1.TickedCycles(), s1.WakeEvals(), wantCycles, wantTicked, wantWakeEvals)
 	}
 	rs, ss := runEngine(t, cfg, app, true)
 	if ss.WakeEvals() != 0 {
@@ -171,18 +220,8 @@ func TestSchedulerWorkCounters(t *testing.T) {
 func TestTelemetrySampleCyclesIdentical(t *testing.T) {
 	app := testApp(t)
 	const interval = 1000
-	series := func(stepped bool) []byte {
-		cfg := testConfig().WithPrefetcher(PFRnR)
-		rec := telemetry.New(telemetry.Config{SampleInterval: interval})
-		cfg.Telemetry = rec
-		runEngine(t, cfg, app, stepped)
-		var buf bytes.Buffer
-		if err := rec.WriteMetricsJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	ev, st := series(false), series(true)
+	cfg := testConfig().WithPrefetcher(PFRnR)
+	ev, st := telemetrySeries(t, cfg, app, false, interval), telemetrySeries(t, cfg, app, true, interval)
 	if !bytes.Equal(ev, st) {
 		t.Errorf("telemetry JSONL differs between engines\nevent:   %.512s\nstepped: %.512s", ev, st)
 	}

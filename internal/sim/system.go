@@ -83,7 +83,7 @@ type System struct {
 	ctxOn       bool
 	cycleDriven []bool
 
-	// Event-driven scheduler state (see runEventDriven). pfWake caches
+	// Event-driven scheduler state (see run). pfWake caches
 	// the CycleDriven assertion per core (refreshed whenever the
 	// prefetcher instance is swapped); nil with cycleDriven set means the
 	// prefetcher's wakeup is unknown and every cycle must be simulated.
@@ -91,9 +91,10 @@ type System struct {
 	nextSampleAt uint64 // next telemetry sample event (WakeupNever when off)
 	nextAuditAt  uint64 // next audit sweep event (WakeupNever when off)
 	ticked       uint64 // cycles actually simulated (diagnostics/tests only)
+	wakeEvals    uint64 // wakeups evaluated (diagnostics/tests only; see WakeEvals)
 	// busy records that the last simulated cycle ticked some component;
 	// the run loop then simulates the next cycle directly instead of
-	// scanning for the global minimum wakeup (see runEventDriven).
+	// scanning for the global minimum wakeup (see run).
 	busy bool
 
 	// wake is the wake table: the cached wakeup of every scheduled
@@ -106,23 +107,6 @@ type System struct {
 	doneDirty  bool
 	doneCached bool
 	coresDone  bool
-
-	// coreCycle mirrors the cycle a core's private domain is currently
-	// simulating. The per-core issue/metadata closures stamp requests from
-	// it instead of s.cycle: during a parallel domain span (see
-	// parallel.go) each domain runs at its own local cycle while s.cycle
-	// still holds the span's start, and a stale stamp would skew the
-	// lead-time attribution in the flight recorder — a hash-visible
-	// divergence, not a data race. The serial engines keep it equal to
-	// s.cycle, so behaviour is unchanged when spans never form.
-	coreCycle []uint64
-
-	// par is the parallel per-core execution state (nil unless the config
-	// enables CoreParallel and the machine shape permits it). parSpans /
-	// parSpanCycles count executed windows for diagnostics and tests.
-	par           *corePool
-	parSpans      uint64
-	parSpanCycles uint64
 }
 
 // WakeupNever is re-exported for components and tests that interact with
@@ -241,7 +225,6 @@ func New(cfg Config, app *apps.App) (*System, error) {
 	s.issueFns = make([]prefetch.IssueFunc, cfg.Cores)
 	s.cycleDriven = make([]bool, cfg.Cores)
 	s.pfWake = make([]prefetch.CycleDriven, cfg.Cores)
-	s.coreCycle = make([]uint64, cfg.Cores)
 
 	for c := 0; c < cfg.Cores; c++ {
 		l2cfg := cfg.L2
@@ -621,18 +604,15 @@ func (s *System) wireCrossCore() {
 // issueFunc returns the prefetch-issue path into core c's L2 (or the
 // shared LLC under the §III destination ablation).
 func (s *System) issueFunc(c int) prefetch.IssueFunc {
-	// Issue stamps read the per-core cycle mirror, not s.cycle: during a
-	// parallel domain span s.cycle lags at the span start while the domain
-	// runs ahead at its own local cycle (see coreCycle).
 	if s.cfg.RnRPrefetchToLLC && len(s.llcs) > 0 {
 		return func(line mem.Addr) bool {
-			req := mem.NewRequest(mem.ReqPrefetch, line, 0, c, s.coreCycle[c])
+			req := mem.NewRequest(mem.ReqPrefetch, line, 0, c, s.cycle)
 			return s.llcs[s.bankOf(line)].TryPrefetch(req)
 		}
 	}
 	l2 := s.l2s[c]
 	return func(line mem.Addr) bool {
-		req := mem.NewRequest(mem.ReqPrefetch, line, 0, c, s.coreCycle[c])
+		req := mem.NewRequest(mem.ReqPrefetch, line, 0, c, s.cycle)
 		return l2.TryPrefetch(req)
 	}
 }
@@ -644,46 +624,127 @@ func (s *System) metaHook(c int) func(write bool, addr mem.Addr) {
 		if write {
 			t = mem.ReqMetaWrite
 		}
-		req := mem.NewRequest(t, addr, 0, c, s.coreCycle[c])
+		req := mem.NewRequest(t, addr, 0, c, s.cycle)
 		// Best effort: a full queue drops the transaction; the traffic
 		// model is what matters for MISB.
 		s.mc.TryEnqueue(req)
 	}
 }
 
-// Tick advances the machine one cycle.
-func (s *System) Tick() {
+// Tick advances the machine one cycle, ticking every component. It is
+// the stepped engine's cycle body and the way tests step a machine.
+func (s *System) Tick() { s.step(false) }
+
+// step simulates one cycle. Both engines share this body, and so the
+// per-cycle tick order: ctx switch, every core, then each core's L1, L2
+// and cycle-driven prefetcher, then the LLC banks (or the ideal LLC),
+// then DRAM, then the end-of-cycle events.
+//
+// The gate policy decides which components tick. With gated false
+// (always tick, the stepped engine) every component ticks and no wakeup
+// is consulted: the short-circuit skips every *WakeAt call, so the
+// stepped engine evaluates none. With gated true (the event engine) each
+// component's wakeup is consulted just-in-time — in tick order, so work
+// enqueued upstream earlier in the same cycle is visible — and a
+// component with nothing due skips its Tick, charging the one-cycle
+// accounting (Core.SkipIdle, AdvanceClock) instead. This is the event
+// engine's dense-region fast path: in regions where *some* component
+// acts every cycle (so the global next-wakeup jump degenerates to
+// stepping), most individual components are still idle, and a skipped
+// component Tick is provably a no-op by the same wakeup contract that
+// justifies multi-cycle jumps. State evolution is byte-identical under
+// both policies; the event-vs-stepped differentials hold it to that.
+//
+// The stale marks below keep the wake table valid for the gated policy;
+// the always-tick policy never reads the table, so they are inert there.
+func (s *System) step(gated bool) {
 	s.cycle++
 	s.ticked++
 	s.doneDirty = true
 	now := s.cycle
+	prev := now - 1
+	busy := false
 	switchedOut := false
 	if s.ctxOn {
+		outBefore := s.ctx.out
 		switchedOut = s.ctx.tick(s, now)
+		if s.ctx.out != outBefore {
+			// A switch fired: fetch gating changed under every core.
+			for c := range s.cores {
+				s.wake[c].stale = true
+			}
+			busy = true
+		}
 	}
 	if !switchedOut {
 		// The process is descheduled while switched out: cores make no
 		// progress (the memory system below still drains).
 		for c := range s.cores {
-			s.cores[c].Tick(now)
+			if !gated || s.coreWakeAt(c, prev) <= now {
+				s.wake[c].stale = true
+				s.cores[c].Tick(now)
+				busy = true
+			} else {
+				s.cores[c].SkipIdle(1)
+			}
 		}
 	}
 	for c := range s.cores {
-		s.coreCycle[c] = now
-		s.l1s[c].Tick(now)
-		s.l2s[c].Tick(now)
+		if !gated || s.l1WakeAt(c, prev) <= now {
+			s.wake[s.l1Slot(c)].stale = true
+			s.l1s[c].Tick(now)
+			if s.cores[c].BlockedOnL1() && s.l1s[c].CanAcceptDemand() {
+				// The tick freed read-queue space the blocked core's
+				// cached wakeup (which probes L1 demand capacity) could
+				// not see.
+				s.wake[c].stale = true
+			}
+			busy = true
+		} else {
+			s.l1s[c].AdvanceClock(now)
+		}
+		if !gated || s.l2WakeAt(c, prev) <= now {
+			s.wake[s.l2Slot(c)].stale = true
+			s.l2s[c].Tick(now)
+			busy = true
+		} else {
+			s.l2s[c].AdvanceClock(now)
+		}
+		// Only cycle-driven prefetchers do per-cycle work in OnCycle; one
+		// without a Wakeup (pfWake nil) runs every cycle.
 		if s.cycleDriven[c] {
-			s.prefs[c].OnCycle(now, s.issueFns[c])
+			if !gated || s.pfWake[c] == nil || s.pfWakeAt(c, prev) <= now {
+				s.prefs[c].OnCycle(now, s.issueFns[c])
+				busy = true
+			}
 		}
 	}
-	for _, llc := range s.llcs {
-		llc.Tick(now)
+	for b := range s.llcs {
+		if !gated || s.llcWakeAt(b, prev) <= now {
+			s.wake[s.llcSlot(b)].stale = true
+			s.llcs[b].Tick(now)
+			busy = true
+		} else {
+			s.llcs[b].AdvanceClock(now)
+		}
 	}
 	if s.ideal != nil {
-		s.ideal.Tick(now)
+		if !gated || s.idealWakeAt(prev) <= now {
+			s.ideal.Tick(now)
+			busy = true
+		} else {
+			s.ideal.advanceClock(now)
+		}
 	}
-	s.mc.Tick(now)
+	if !gated || s.mcWakeAt(prev) <= now {
+		s.wake[len(s.wake)-1].stale = true
+		s.mc.Tick(now)
+		busy = true
+	} else {
+		s.mc.AdvanceClock(now)
+	}
 	s.endCycle(now)
+	s.busy = busy
 }
 
 // endCycle runs the end-of-cycle events both engines share: barrier
@@ -718,103 +779,6 @@ func (s *System) settleCores() {
 	for _, c := range s.cores {
 		c.Settle()
 	}
-}
-
-// tickGated simulates one cycle like Tick, but consults each component's
-// wakeup just-in-time — in tick order, so work enqueued upstream earlier
-// in the same cycle is visible — and skips the component's Tick when it
-// has nothing due, charging the one-cycle accounting (Core.SkipIdle,
-// AdvanceClock) instead. This is the event engine's dense-region fast
-// path: in regions where *some* component acts every cycle (so the
-// global next-wakeup jump degenerates to stepping), most individual
-// components are still idle, and a skipped component Tick is provably a
-// no-op by the same wakeup contract that justifies multi-cycle jumps.
-// State evolution is byte-identical to Tick.
-func (s *System) tickGated() {
-	s.cycle++
-	s.ticked++
-	s.doneDirty = true
-	now := s.cycle
-	prev := now - 1
-	busy := false
-	switchedOut := false
-	if s.ctxOn {
-		outBefore := s.ctx.out
-		switchedOut = s.ctx.tick(s, now)
-		if s.ctx.out != outBefore {
-			// A switch fired: fetch gating changed under every core.
-			for c := range s.cores {
-				s.wake[c].stale = true
-			}
-			busy = true
-		}
-	}
-	if !switchedOut {
-		for c := range s.cores {
-			if s.coreWakeAt(c, prev) <= now {
-				s.wake[c].stale = true
-				s.cores[c].Tick(now)
-				busy = true
-			} else {
-				s.cores[c].SkipIdle(1)
-			}
-		}
-	}
-	for c := range s.cores {
-		s.coreCycle[c] = now
-		if s.l1WakeAt(c, prev) <= now {
-			s.wake[s.l1Slot(c)].stale = true
-			s.l1s[c].Tick(now)
-			if s.cores[c].BlockedOnL1() && s.l1s[c].CanAcceptDemand() {
-				// The tick freed read-queue space the blocked core's
-				// cached wakeup (which probes L1 demand capacity) could
-				// not see.
-				s.wake[c].stale = true
-			}
-			busy = true
-		} else {
-			s.l1s[c].AdvanceClock(now)
-		}
-		if s.l2WakeAt(c, prev) <= now {
-			s.wake[s.l2Slot(c)].stale = true
-			s.l2s[c].Tick(now)
-			busy = true
-		} else {
-			s.l2s[c].AdvanceClock(now)
-		}
-		if s.cycleDriven[c] {
-			if s.pfWake[c] == nil || s.pfWakeAt(c, prev) <= now {
-				s.prefs[c].OnCycle(now, s.issueFns[c])
-				busy = true
-			}
-		}
-	}
-	for b := range s.llcs {
-		if s.llcWakeAt(b, prev) <= now {
-			s.wake[s.llcSlot(b)].stale = true
-			s.llcs[b].Tick(now)
-			busy = true
-		} else {
-			s.llcs[b].AdvanceClock(now)
-		}
-	}
-	if s.ideal != nil {
-		if s.idealWakeAt(prev) <= now {
-			s.ideal.Tick(now)
-			busy = true
-		} else {
-			s.ideal.advanceClock(now)
-		}
-	}
-	if s.mcWakeAt(prev) <= now {
-		s.wake[len(s.wake)-1].stale = true
-		s.mc.Tick(now)
-		busy = true
-	} else {
-		s.mc.AdvanceClock(now)
-	}
-	s.endCycle(now)
-	s.busy = busy
 }
 
 // Done reports whether every core has drained and the memory system is
@@ -911,10 +875,10 @@ func (s *System) RunAll() (*Result, error) {
 // ctx error (matching errors.Is against context.Canceled or
 // context.DeadlineExceeded) and increments CounterRunsCancelled.
 //
-// Two engines drive the same Tick: the event-driven scheduler (default)
-// jumps straight to the next cycle at which any component, sample,
-// audit sweep or context switch can act, and the legacy cycle-stepped
-// loop (Config.ForceCycleStepped) ticks every cycle. Results, state
+// Two engines drive the same cycle body (step): the event-driven
+// scheduler (default) jumps straight to the next cycle at which any
+// component, sample, audit sweep or context switch can act, and the
+// legacy cycle-stepped loop (Config.ForceCycleStepped) ticks every cycle. Results, state
 // hashes, telemetry and audit sweeps are byte-identical between the two;
 // the differential tests in event_test.go and the fuzz harness hold the
 // engines to that.
@@ -923,13 +887,7 @@ func (s *System) RunAllContext(ctx context.Context) (*Result, error) {
 	if maxCycles == 0 {
 		maxCycles = 2_000_000_000
 	}
-	var err error
-	if s.cfg.ForceCycleStepped {
-		err = s.runCycleStepped(ctx, maxCycles)
-	} else {
-		err = s.runEventDriven(ctx, maxCycles)
-	}
-	if err != nil {
+	if err := s.run(ctx, maxCycles); err != nil {
 		return nil, err
 	}
 	s.settleCores()
@@ -946,8 +904,19 @@ func (s *System) RunAllContext(ctx context.Context) (*Result, error) {
 	return s.collect(), nil
 }
 
-// runCycleStepped is the legacy engine: one Tick per cycle.
-func (s *System) runCycleStepped(ctx context.Context, maxCycles uint64) error {
+// run drives the machine to completion in batches of
+// CancelCheckInterval cycles, with the same cancellation, maxCycles and
+// FailFast points under both engines. The stepped engine
+// (Config.ForceCycleStepped) simulates every cycle with the always-tick
+// policy. The event engine asks every component for its wakeup and
+// simulates only the minimum. Cycles in between are provably inert:
+// skipping them is accounted for by Core.SkipIdle (stall/cycle counters)
+// and the AdvanceClock calls (internal clock stamps), after which the
+// gated step runs. The global scan only runs after an idle cycle: while
+// components keep acting, the loop simulates cycle after cycle through
+// the gated step.
+func (s *System) run(ctx context.Context, maxCycles uint64) error {
+	stepped := s.cfg.ForceCycleStepped
 	for !s.Done() {
 		if err := ctx.Err(); err != nil {
 			runsCancelled.Inc()
@@ -960,67 +929,26 @@ func (s *System) runCycleStepped(ctx context.Context, maxCycles uint64) error {
 				return fmt.Errorf("sim: %s on %s/%s exceeded %d cycles",
 					s.cfg.Name, s.app.Name, s.app.Input, maxCycles)
 			}
-			s.Tick()
-		}
-		// FailFast aborts at tick-batch boundaries, so a violating run
-		// stops within one batch of the failing sweep.
-		if s.aud != nil && s.aud.FailFast() {
-			if err := s.aud.Err(); err != nil {
-				return fmt.Errorf("sim: %s on %s/%s: %w",
-					s.cfg.Name, s.app.Name, s.app.Input, err)
-			}
-		}
-	}
-	return nil
-}
-
-// runEventDriven is the next-wakeup engine. It mirrors runCycleStepped's
-// structure exactly — same cancellation batches, same maxCycles check,
-// same FailFast points — but instead of ticking every cycle it asks
-// every component for its wakeup and simulates only the minimum. Cycles
-// in between are provably inert: skipping them is accounted for by
-// Core.SkipIdle (stall/cycle counters) and the AdvanceClock calls
-// (internal clock stamps), after which the regular Tick runs unchanged.
-// The global scan only runs after an idle cycle: while components keep
-// acting, the loop simulates cycle after cycle through tickGated.
-func (s *System) runEventDriven(ctx context.Context, maxCycles uint64) error {
-	if s.parallelEligible() {
-		s.startPool()
-		defer s.stopPool()
-	}
-	for !s.Done() {
-		if err := ctx.Err(); err != nil {
-			runsCancelled.Inc()
-			return fmt.Errorf("sim: %s on %s/%s cancelled at cycle %d: %w",
-				s.cfg.Name, s.app.Name, s.app.Input, s.cycle, err)
-		}
-		batchEnd := s.cycle + CancelCheckInterval
-		for !s.Done() && s.cycle < batchEnd {
-			if s.cycle >= maxCycles {
-				return fmt.Errorf("sim: %s on %s/%s exceeded %d cycles",
-					s.cfg.Name, s.app.Name, s.app.Input, maxCycles)
-			}
-			limit := batchEnd
-			if maxCycles < limit {
-				limit = maxCycles
-			}
-			if s.par != nil {
-				if t := s.quietHorizon(limit); t > 0 {
-					s.runSpan(t)
-					continue
-				}
-			}
-			if s.busy {
+			switch {
+			case stepped:
+				s.Tick()
+			case s.busy:
 				// Dense regime: some component acted last cycle, so the
 				// global scan would most likely return s.cycle+1 anyway.
 				// Simulating that cycle directly is always sound — a gated
 				// cycle with nothing due is exactly a skipped one — and
 				// the next idle cycle falls back to the scan.
-				s.tickGated()
-			} else {
+				s.step(true)
+			default:
+				limit := batchEnd
+				if maxCycles < limit {
+					limit = maxCycles
+				}
 				s.advanceTo(s.nextWakeup(limit))
 			}
 		}
+		// FailFast aborts at tick-batch boundaries, so a violating run
+		// stops within one batch of the failing sweep.
 		if s.aud != nil && s.aud.FailFast() {
 			if err := s.aud.Err(); err != nil {
 				return fmt.Errorf("sim: %s on %s/%s: %w",
@@ -1127,7 +1055,7 @@ func (s *System) advanceTo(next uint64) {
 		s.mc.AdvanceClock(prev)
 		s.cycle = prev
 	}
-	s.tickGated()
+	s.step(true)
 }
 
 // Snapshot returns a one-line progress dump for debugging stalled runs.

@@ -1,8 +1,8 @@
 package sim
 
-// The wake table: one slot per scheduled component, laid out in tick
-// order — every core, then each core's L1, L2 and prefetcher, then the
-// shared LLC (one slot per bank, or one for the ideal LLC), then DRAM.
+// The wake table: one slot per component whose wakeup is cached, laid
+// out in tick order — every core, then each core's L1 and L2, then the
+// LLC banks, then DRAM.
 //
 // A slot caches its component's wakeup until the slot goes stale. The
 // scheduler marks it stale when the component ticks. Cores also go stale
@@ -17,32 +17,23 @@ package sim
 // load per use, with no call through its pointer.
 //
 // Prefetcher and ideal-LLC wakeups are polled, never cached: they have no
-// external-input flag. Their slots only count the polls.
+// external-input flag, so they have no slot.
 
 // wakeSlot is one wake-table entry.
 type wakeSlot struct {
-	at uint64 // cached wakeup; valid while !stale
-	// evals counts the wakeup evaluations for this slot (diagnostics
-	// only). It lives in the slot so that parallel domains, which own
-	// disjoint slots, count without sharing a counter.
-	evals uint64
+	at    uint64 // cached wakeup; valid while !stale
 	stale bool
 }
 
-func (s *System) l1Slot(c int) int  { return len(s.cores) + 3*c }
-func (s *System) l2Slot(c int) int  { return len(s.cores) + 3*c + 1 }
-func (s *System) pfSlot(c int) int  { return len(s.cores) + 3*c + 2 }
-func (s *System) llcSlot(b int) int { return 4*len(s.cores) + b }
+func (s *System) l1Slot(c int) int  { return len(s.cores) + 2*c }
+func (s *System) l2Slot(c int) int  { return len(s.cores) + 2*c + 1 }
+func (s *System) llcSlot(b int) int { return 3*len(s.cores) + b }
 
 // bindWakeTable sizes the wake table, starts every slot stale and binds
 // each cached component's external-input flag to its slot. The table is
 // never reallocated afterwards: components hold pointers into it.
 func (s *System) bindWakeTable() {
-	shared := len(s.llcs)
-	if s.ideal != nil {
-		shared = 1
-	}
-	s.wake = make([]wakeSlot, 4*len(s.cores)+shared+1)
+	s.wake = make([]wakeSlot, 3*len(s.cores)+len(s.llcs)+1)
 	for i := range s.wake {
 		s.wake[i].stale = true
 	}
@@ -64,7 +55,7 @@ func (s *System) coreWakeAt(c int, now uint64) uint64 {
 	w := &s.wake[c]
 	if w.stale {
 		w.at, w.stale = s.cores[c].Wakeup(now), false
-		w.evals++
+		s.wakeEvals++
 	}
 	return w.at
 }
@@ -73,7 +64,7 @@ func (s *System) l1WakeAt(c int, now uint64) uint64 {
 	w := &s.wake[s.l1Slot(c)]
 	if w.stale {
 		w.at, w.stale = s.l1s[c].Wakeup(now), false
-		w.evals++
+		s.wakeEvals++
 	}
 	return w.at
 }
@@ -82,7 +73,7 @@ func (s *System) l2WakeAt(c int, now uint64) uint64 {
 	w := &s.wake[s.l2Slot(c)]
 	if w.stale {
 		w.at, w.stale = s.l2s[c].Wakeup(now), false
-		w.evals++
+		s.wakeEvals++
 	}
 	return w.at
 }
@@ -91,7 +82,7 @@ func (s *System) llcWakeAt(b int, now uint64) uint64 {
 	w := &s.wake[s.llcSlot(b)]
 	if w.stale {
 		w.at, w.stale = s.llcs[b].Wakeup(now), false
-		w.evals++
+		s.wakeEvals++
 	}
 	return w.at
 }
@@ -100,20 +91,20 @@ func (s *System) mcWakeAt(now uint64) uint64 {
 	w := &s.wake[len(s.wake)-1]
 	if w.stale {
 		w.at, w.stale = s.mc.Wakeup(now), false
-		w.evals++
+		s.wakeEvals++
 	}
 	return w.at
 }
 
 // pfWakeAt polls core c's cycle-driven prefetcher (s.pfWake[c] != nil).
 func (s *System) pfWakeAt(c int, now uint64) uint64 {
-	s.wake[s.pfSlot(c)].evals++
+	s.wakeEvals++
 	return s.pfWake[c].Wakeup(now)
 }
 
 // idealWakeAt polls the ideal LLC (s.ideal != nil).
 func (s *System) idealWakeAt(now uint64) uint64 {
-	s.wake[s.llcSlot(0)].evals++
+	s.wakeEvals++
 	return s.ideal.wakeup(now)
 }
 
@@ -123,10 +114,4 @@ func (s *System) idealWakeAt(now uint64) uint64 {
 // hardware-independent work counter for diagnostics and benchmarks,
 // deliberately not part of Result or the state hash. The stepped engine
 // evaluates none.
-func (s *System) WakeEvals() uint64 {
-	var n uint64
-	for i := range s.wake {
-		n += s.wake[i].evals
-	}
-	return n
-}
+func (s *System) WakeEvals() uint64 { return s.wakeEvals }
