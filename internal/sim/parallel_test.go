@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,76 +15,64 @@ import (
 	"rnrsim/internal/apps"
 )
 
-// runParallel builds and runs one system with the parallel per-core
-// scheduler enabled, returning the result and the system (for the span
-// diagnostics).
-func runParallel(t *testing.T, cfg Config, app *apps.App) (*Result, *System) {
-	t.Helper()
-	cfg.CoreParallel = true
-	cfg.ForceCycleStepped = false
+// The simulator itself runs one System on one goroutine, but its hosts
+// run many Systems at once: rnrd serves a job per slot, the cluster
+// coordinator fans sweeps out, and internal/bench prewarms its plan on a
+// worker pool. Those Systems share the read-only *apps.App they were
+// built from and nothing else. The tests in this file hold that line:
+// a System simulated alongside others on concurrent goroutines must
+// produce exactly what it produces with nothing else running. Under
+// -race they also catch any mutable state that leaks between Systems
+// (a package-level table, a memoised trace, a shared recorder).
+
+// concurrentCopies is how many Systems each concurrent run puts on the
+// same configuration and app at the same time.
+const concurrentCopies = 2
+
+// runQuiet builds and runs one System on the event engine, returning an
+// error instead of failing the test so that it can run off the test's
+// goroutine.
+func runQuiet(cfg Config, app *apps.App) (*Result, error) {
 	s, err := New(cfg, app)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	r, err := s.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, s
+	return s.RunAll()
 }
 
-// requireParallelIdentical is the three-way differential: the parallel
-// engine vs the serial event engine vs the legacy cycle-stepped engine,
-// held to identical state hashes, per-core sub-hashes and byte-identical
-// export envelopes. Callers must pin the export clock first (in the
-// parent test when subtests run in parallel). Returns the parallel
-// system so callers can assert on span formation.
-func requireParallelIdentical(t *testing.T, cfg Config, app *apps.App) *System {
+// runConcurrently runs n copies of run at once, each on its own
+// goroutine, and returns their outputs in copy order. The goroutines
+// start together so that the copies really overlap.
+func runConcurrently[T any](t *testing.T, n int, run func() (T, error)) []T {
 	t.Helper()
-	rp, sp := runParallel(t, cfg, app)
-	re, _ := runEngine(t, cfg, app, false)
-	rs, _ := runEngine(t, cfg, app, true)
-	if rp.StateHash != re.StateHash {
-		t.Errorf("state hash: parallel %016x != event %016x", rp.StateHash, re.StateHash)
+	out := make([]T, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			out[i], errs[i] = run()
+		}(i)
 	}
-	if rp.StateHash != rs.StateHash {
-		t.Errorf("state hash: parallel %016x != stepped %016x", rp.StateHash, rs.StateHash)
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent copy %d: %v", i, err)
+		}
 	}
-	if !reflect.DeepEqual(rp.CoreHashes, re.CoreHashes) {
-		t.Errorf("core sub-hashes: parallel %v != event %v", rp.CoreHashes, re.CoreHashes)
-	}
-	bp, be, bs := exportBytes(t, rp), exportBytes(t, re), exportBytes(t, rs)
-	if !bytes.Equal(bp, be) {
-		t.Errorf("export envelope differs: parallel vs event\nparallel: %.2048s\nevent:    %.2048s", bp, be)
-	}
-	if !bytes.Equal(bp, bs) {
-		t.Errorf("export envelope differs: parallel vs stepped")
-	}
-	return sp
+	return out
 }
 
-// parallelCoRunConfig is the multicore co-run machine minus the
-// coherence directory: per-core prefetchers, a banked LLC and the
-// cooperative cross-core prefetcher — everything that is window-safe
-// (the cross-core table trains and issues only inside LLC bank ticks,
-// which the horizon freezes). Coherence itself hooks private L1 demand
-// processing into the shared directory, so coherent machines keep the
-// serial engine; TestParallelCoherenceFallback covers that path.
-func parallelCoRunConfig() Config {
-	cfg := Test()
-	cfg.Cores = 2
-	cfg.PerCorePrefetchers = []PrefetcherKind{PFRnR, PFNextLine}
-	cfg.LLCBanks = 2
-	cfg.CrossCore = true
-	return cfg
-}
-
-// TestParallelDifferentialMatrix sweeps the configurations whose
-// in-window behaviour differs — every prefetcher family (demand-trained
-// and cycle-driven), audit sweeps, the lifecycle observer, the ideal
-// LLC, context switching, banked LLCs with the cross-core prefetcher,
-// and mixed per-core assignments — and holds the parallel engine to
-// byte-identical export envelopes against both serial engines.
+// TestParallelDifferentialMatrix sweeps configurations that exercise
+// the auxiliary state a System owns — every prefetcher family, audit
+// sweeps, the lifecycle observer, the ideal LLC and context switching —
+// and holds Systems run concurrently, all on one shared app, to the
+// byte-identical export envelope of the same configuration run with
+// nothing else in flight.
 func TestParallelDifferentialMatrix(t *testing.T) {
 	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
 	app := testApp(t)
@@ -95,16 +84,9 @@ func TestParallelDifferentialMatrix(t *testing.T) {
 		{"none", testConfig().WithPrefetcher(PFNone)},
 		{"nextline", testConfig().WithPrefetcher(PFNextLine)},
 		{"stream", testConfig().WithPrefetcher(PFStream)},
-		{"misb", testConfig().WithPrefetcher(PFMISB)},
-		{"droplet", testConfig().WithPrefetcher(PFDroplet)},
 		{"rnr", testConfig().WithPrefetcher(PFRnR)},
 		{"rnr-combined", testConfig().WithPrefetcher(PFRnRCombined)},
 	}
-
-	mixed := testConfig()
-	mixed.Name = "test+mixed"
-	mixed.PerCorePrefetchers = []PrefetcherKind{PFRnR, PFNextLine, PFStream, PFNone}
-	cases = append(cases, tcase{"mixed-per-core", mixed})
 
 	audited := testConfig().WithPrefetcher(PFRnR)
 	audited.Audit = &audit.Config{Interval: 256}
@@ -122,141 +104,64 @@ func TestParallelDifferentialMatrix(t *testing.T) {
 	ctxCfg.CtxSwitch = CtxSwitchConfig{Period: 20_000, Duration: 7_000}
 	cases = append(cases, tcase{"rnr+ctx", ctxCfg})
 
-	banked := testConfig().WithPrefetcher(PFNextLine)
-	banked.LLCBanks = 2
-	cases = append(cases, tcase{"nextline+2banks", banked})
-
-	oneWorker := testConfig().WithPrefetcher(PFRnR)
-	oneWorker.Name = "test+rnr+1worker"
-	oneWorker.CoreParallelWorkers = 1
-	cases = append(cases, tcase{"rnr+1worker", oneWorker})
+	// The references run one after another before any subtest starts,
+	// so each is a run with nothing else in flight.
+	want := make(map[string][]byte, len(cases))
+	for _, tc := range cases {
+		r, _ := runEngine(t, tc.cfg, app, false)
+		want[tc.name] = exportBytes(t, r)
+	}
 
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			requireParallelIdentical(t, tc.cfg, app)
-		})
-	}
-}
-
-// TestParallelCoRunDifferential runs the multi-programmed co-run shape
-// (disjoint jobs, per-core prefetchers, banked LLC, cross-core
-// prefetcher) through the three-way differential, and requires that the
-// parallel scheduler actually formed domain spans — a vacuously serial
-// "parallel" run would pass any differential.
-func TestParallelCoRunDifferential(t *testing.T) {
-	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
-	sp := requireParallelIdentical(t, parallelCoRunConfig(), coRunApp(t))
-	spans, cycles := sp.ParallelSpans()
-	if spans == 0 || cycles == 0 {
-		t.Errorf("parallel scheduler formed no domain spans (spans=%d, cycles=%d); differential is vacuous",
-			spans, cycles)
-	}
-	t.Logf("co-run: %d spans covering %d cycles of %d total", spans, cycles, sp.Cycle())
-}
-
-// TestParallelSpansForm pins, per matrix family, that quiet windows
-// actually open on the SPMD workload — the horizon terms are allowed to
-// refuse individual windows, but a family where no window ever opens
-// means the parallel path is dead code for it.
-func TestParallelSpansForm(t *testing.T) {
-	app := testApp(t)
-	for _, pf := range []PrefetcherKind{PFNone, PFNextLine, PFRnR, PFRnRCombined} {
-		pf := pf
-		t.Run(string(pf), func(t *testing.T) {
-			t.Parallel()
-			_, sp := runParallel(t, testConfig().WithPrefetcher(pf), app)
-			spans, cycles := sp.ParallelSpans()
-			if spans == 0 {
-				t.Errorf("%s: no domain spans formed over %d cycles", pf, sp.Cycle())
+			got := runConcurrently(t, concurrentCopies, func() (*Result, error) {
+				return runQuiet(tc.cfg, app)
+			})
+			for i, r := range got {
+				if b := exportBytes(t, r); !bytes.Equal(b, want[tc.name]) {
+					t.Errorf("copy %d: export envelope differs from the solo run\nconcurrent: %.2048s\nsolo:       %.2048s",
+						i, b, want[tc.name])
+				}
 			}
-			t.Logf("%s: %d spans / %d in-window cycles / %d total", pf, spans, cycles, sp.Cycle())
 		})
 	}
 }
 
-// TestParallelCoherenceFallback pins the eligibility gate: a coherent
-// machine must never open a window (the directory hooks private L1
-// demand processing into shared state), and the flag must degrade to
-// the serial engine with identical results rather than erroring.
-func TestParallelCoherenceFallback(t *testing.T) {
-	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
-	cfg := coRunConfig() // coherent co-run machine
-	sp := requireParallelIdentical(t, cfg, coRunApp(t))
-	if spans, _ := sp.ParallelSpans(); spans != 0 {
-		t.Errorf("coherent machine ran %d parallel spans; must fall back serial", spans)
-	}
-}
-
-// TestParallelSingleCoreNoop pins the other fallback: one core has
-// nothing to overlap, so the flag is a no-op and results are identical.
-func TestParallelSingleCoreNoop(t *testing.T) {
-	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
-	cfg := oneCoreConfig().WithPrefetcher(PFRnR)
-	app, err := apps.BuildCores("pagerank", "urand", apps.ScaleTest, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := requireParallelIdentical(t, cfg, app)
-	if spans, _ := sp.ParallelSpans(); spans != 0 {
-		t.Errorf("1-core machine ran %d parallel spans", spans)
-	}
-}
-
-// TestParallelTelemetryJSONLIdentical extends the sampler-jump
-// regression to the parallel engine: windows must close strictly before
-// every sample event, so the JSONL series — stamps and values — is
-// byte-identical to the serial engines'.
+// TestParallelTelemetryJSONLIdentical gives each concurrent System its
+// own telemetry recorder and requires every recorder's JSONL series —
+// stamps and values — to be byte-identical to a solo run's: no sample
+// may land in, or be read from, another System's recorder.
 func TestParallelTelemetryJSONLIdentical(t *testing.T) {
 	app := testApp(t)
-	series := func(parallel bool) []byte {
-		cfg := testConfig().WithPrefetcher(PFRnR)
-		cfg.CoreParallel = parallel
-		rec := telemetry.New(telemetry.Config{SampleInterval: 1000})
-		cfg.Telemetry = rec
-		runEngine(t, cfg, app, false)
-		var buf bytes.Buffer
-		if err := rec.WriteMetricsJSONL(&buf); err != nil {
-			t.Fatal(err)
+	cfg := testConfig().WithPrefetcher(PFRnR)
+	const interval = 1000
+	want := telemetrySeries(t, cfg, app, false, interval)
+	got := runConcurrently(t, concurrentCopies, func() ([]byte, error) {
+		c := cfg
+		rec := telemetry.New(telemetry.Config{SampleInterval: interval})
+		c.Telemetry = rec
+		if _, err := runQuiet(c, app); err != nil {
+			return nil, err
 		}
-		return buf.Bytes()
-	}
-	pl, ev := series(true), series(false)
-	if !bytes.Equal(pl, ev) {
-		t.Errorf("telemetry JSONL differs\nparallel: %.512s\nserial:   %.512s", pl, ev)
-	}
-}
-
-// TestParallelIssueStampRegression pins the in-window issue-stamp path:
-// prefetch-issue and RnR-metadata requests used to be stamped from the
-// shared cycle counter (s.cycle), which the parallel scheduler only
-// advances at span boundaries — in-window issues would carry the span's
-// *start* cycle. The stamps are transient (they live only while the
-// request sits in a queue, and the final state hash runs on drained
-// queues), so today's differentials cannot see the difference; the
-// per-core cycle mirror (System.coreCycle) exists to keep Request.Issue
-// exact anyway, for mid-run state hashing and any future latency
-// accounting. This test holds the configuration where in-window issues
-// are densest — cycle-driven replay prefetching under the lifecycle
-// observer — to byte-equality, and requires that spans actually formed.
-func TestParallelIssueStampRegression(t *testing.T) {
-	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
-	cfg := testConfig().WithPrefetcher(PFRnRCombined)
-	cfg.Obs = &obs.Config{}
-	sp := requireParallelIdentical(t, cfg, testApp(t))
-	if spans, _ := sp.ParallelSpans(); spans == 0 {
-		t.Skip("no spans formed; regression not exercised on this machine shape")
+		var buf bytes.Buffer
+		err := rec.WriteMetricsJSONL(&buf)
+		return buf.Bytes(), err
+	})
+	for i, b := range got {
+		if !bytes.Equal(b, want) {
+			t.Errorf("copy %d: telemetry JSONL differs from the solo run\nconcurrent: %.512s\nsolo:       %.512s",
+				i, b, want)
+		}
 	}
 }
 
-// TestFuzzedTracesParallelDifferential is the fuzz safety net for the
-// parallel scheduler: randomized marker/load interleavings — including
-// pathological shapes — run through the parallel and serial event
-// engines, and the final state hashes, per-core sub-hashes and
-// architectural statistics must be identical. A divergence here means a
-// horizon term is unsound (a private-domain action escaped into the
-// window, or a domain observed stale shared state).
+// TestFuzzedTracesParallelDifferential is the fuzz counterpart of the
+// matrix: randomized marker/load interleavings — including pathological
+// shapes — run solo and then as concurrent copies, and the final state
+// hashes, per-core sub-hashes and architectural statistics must be
+// identical.
 func TestFuzzedTracesParallelDifferential(t *testing.T) {
 	seeds := make([]int64, 0, 32)
 	for s := int64(1); s <= 32; s++ {
@@ -265,105 +170,53 @@ func TestFuzzedTracesParallelDifferential(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:8]
 	}
+	type fuzzCase struct {
+		seed int64
+		cfg  Config
+		app  *apps.App
+		want *Result
+	}
+	// Solo references first, one after another, as in the matrix.
+	cases := map[bool][]fuzzCase{}
+	for _, patho := range []bool{false, true} {
+		for _, seed := range seeds {
+			fc := audit.FuzzConfig{Seed: seed, Pathological: patho}.WithDefaults()
+			fz := fuzzCase{seed: seed, cfg: fuzzMachine(fc.Cores).WithPrefetcher(PFRnR), app: audit.Fuzz(fc)}
+			r, err := runQuiet(fz.cfg, fz.app)
+			if err != nil {
+				t.Fatalf("seed %d (patho=%v): %v", seed, patho, err)
+			}
+			fz.want = r
+			cases[patho] = append(cases[patho], fz)
+		}
+	}
 	for _, patho := range []bool{false, true} {
 		patho := patho
 		t.Run(fmt.Sprintf("patho=%v", patho), func(t *testing.T) {
 			t.Parallel()
-			var spansTotal uint64
-			for _, seed := range seeds {
-				fc := audit.FuzzConfig{Seed: seed, Pathological: patho}.WithDefaults()
-				app := audit.Fuzz(fc)
-				run := func(parallel bool) (*Result, *System) {
-					cfg := fuzzMachine(fc.Cores).WithPrefetcher(PFRnR)
-					cfg.CoreParallel = parallel
-					s, err := New(cfg, app)
-					if err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
+			for _, fz := range cases[patho] {
+				fz := fz
+				got := runConcurrently(t, concurrentCopies, func() (*Result, error) {
+					return runQuiet(fz.cfg, fz.app)
+				})
+				for i, r := range got {
+					if r.StateHash != fz.want.StateHash {
+						t.Errorf("seed %d copy %d: state hash concurrent %016x != solo %016x",
+							fz.seed, i, r.StateHash, fz.want.StateHash)
 					}
-					r, err := s.RunAll()
-					if err != nil {
-						t.Fatalf("seed %d (parallel=%v): %v", seed, parallel, err)
+					if !reflect.DeepEqual(r.CoreHashes, fz.want.CoreHashes) {
+						t.Errorf("seed %d copy %d: core sub-hashes concurrent %v != solo %v",
+							fz.seed, i, r.CoreHashes, fz.want.CoreHashes)
 					}
-					return r, s
+					if r.Cycles != fz.want.Cycles || r.Instructions != fz.want.Instructions {
+						t.Errorf("seed %d copy %d: cycles/instructions diverged: concurrent %d/%d, solo %d/%d",
+							fz.seed, i, r.Cycles, r.Instructions, fz.want.Cycles, fz.want.Instructions)
+					}
+					if r.L2 != fz.want.L2 || r.LLC != fz.want.LLC || r.DRAM != fz.want.DRAM {
+						t.Errorf("seed %d copy %d: memory-system stats diverged", fz.seed, i)
+					}
 				}
-				pl, sp := run(true)
-				ev, _ := run(false)
-				if pl.StateHash != ev.StateHash {
-					t.Errorf("seed %d: state hash parallel %016x != serial %016x",
-						seed, pl.StateHash, ev.StateHash)
-				}
-				if !reflect.DeepEqual(pl.CoreHashes, ev.CoreHashes) {
-					t.Errorf("seed %d: core sub-hashes parallel %v != serial %v",
-						seed, pl.CoreHashes, ev.CoreHashes)
-				}
-				if pl.Cycles != ev.Cycles || pl.Instructions != ev.Instructions {
-					t.Errorf("seed %d: cycles/instructions diverged: parallel %d/%d, serial %d/%d",
-						seed, pl.Cycles, pl.Instructions, ev.Cycles, ev.Instructions)
-				}
-				if pl.L2 != ev.L2 || pl.LLC != ev.LLC || pl.DRAM != ev.DRAM {
-					t.Errorf("seed %d: memory-system stats diverged", seed)
-				}
-				spans, _ := sp.ParallelSpans()
-				spansTotal += spans
 			}
-			// The fuzz traces are load-dense and audited every 64 cycles,
-			// so individual seeds may open few windows — but across the
-			// whole pool at least some must form, or the harness is
-			// exercising nothing.
-			if spansTotal == 0 {
-				t.Error("no seed opened a single domain span; fuzz differential is vacuous")
-			}
-			t.Logf("patho=%v: %d spans across %d seeds", patho, spansTotal, len(seeds))
 		})
-	}
-}
-
-// TestFuzzedCoherentParallelDifferential mirrors the coherent fuzz
-// sweep with the parallel flag set: shared-store interleavings drive
-// the directory, the eligibility gate must keep every run serial, and
-// results must match the serial engine exactly.
-func TestFuzzedCoherentParallelDifferential(t *testing.T) {
-	seeds := []int64{1, 2, 3, 5, 8, 42, 99991, 2026}
-	if testing.Short() {
-		seeds = seeds[:3]
-	}
-	for _, seed := range seeds {
-		fc := audit.FuzzConfig{Seed: seed}.WithDefaults()
-		app := audit.Fuzz(fc)
-		run := func(parallel bool) *Result {
-			cfg := fuzzMachine(fc.Cores).WithPrefetcher(PFRnR)
-			cfg.Coherence = true
-			cfg.CoreParallel = parallel
-			s, err := New(cfg, app)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			r, err := s.RunAll()
-			if err != nil {
-				t.Fatalf("seed %d (parallel=%v): %v", seed, parallel, err)
-			}
-			return r
-		}
-		pl, ev := run(true), run(false)
-		if pl.StateHash != ev.StateHash || !reflect.DeepEqual(pl.CoreHashes, ev.CoreHashes) {
-			t.Errorf("seed %d: coherent fallback diverged: %016x/%v vs %016x/%v",
-				seed, pl.StateHash, pl.CoreHashes, ev.StateHash, ev.CoreHashes)
-		}
-	}
-}
-
-// TestParallelDeterministic pins run-to-run determinism of the parallel
-// engine itself: the pool's scheduling order varies freely between runs
-// (workers race for jobs), and none of it may leak into results.
-func TestParallelDeterministic(t *testing.T) {
-	app := testApp(t)
-	run := func() *Result {
-		r, _ := runParallel(t, testConfig().WithPrefetcher(PFRnRCombined), app)
-		return r
-	}
-	a, b := run(), run()
-	if a.StateHash != b.StateHash || !reflect.DeepEqual(a.CoreHashes, b.CoreHashes) {
-		t.Errorf("parallel runs diverged: %016x/%v vs %016x/%v",
-			a.StateHash, a.CoreHashes, b.StateHash, b.CoreHashes)
 	}
 }
