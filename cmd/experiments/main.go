@@ -66,15 +66,8 @@ func main() {
 	}
 	defer stopProf()
 
-	var sc apps.Scale
-	switch *scale {
-	case "test":
-		sc = apps.ScaleTest
-	case "bench":
-		sc = apps.ScaleBench
-	case "large":
-		sc = apps.ScaleLarge
-	default:
+	sc, ok := apps.ParseScale(*scale)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}

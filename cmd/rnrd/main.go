@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"rnrsim/internal/apps"
 	"rnrsim/internal/audit"
 	"rnrsim/internal/cluster"
 	"rnrsim/internal/obs"
@@ -106,8 +107,8 @@ func run(addr, scale string, workers, queueDepth, parallelism int,
 	jobTimeout, drainTimeout time.Duration, quiet bool,
 	auditCfg *audit.Config, obsCfg *obs.Config,
 	join, advertise, workerID string) error {
-	if _, ok := serve.ParseScale(scale); !ok {
-		return fmt.Errorf("unknown scale %q (have %v)", scale, serve.ScaleNames)
+	if _, ok := apps.ParseScale(scale); !ok {
+		return fmt.Errorf("unknown scale %q (have %v)", scale, apps.ScaleNames)
 	}
 	logf := log.Printf
 	if quiet {
@@ -218,8 +219,8 @@ func registerWithCoordinator(base, id, advertise string) error {
 // just routing, health and sweeps.
 func runCoordinator(addr, scale string, heartbeatInterval time.Duration,
 	replicateCheck float64, dispatchTimeout, drainTimeout time.Duration, quiet bool) error {
-	if _, ok := serve.ParseScale(scale); !ok {
-		return fmt.Errorf("unknown scale %q (have %v)", scale, serve.ScaleNames)
+	if _, ok := apps.ParseScale(scale); !ok {
+		return fmt.Errorf("unknown scale %q (have %v)", scale, apps.ScaleNames)
 	}
 	if replicateCheck < 0 || replicateCheck > 1 {
 		return fmt.Errorf("replicate-check %v outside [0,1]", replicateCheck)

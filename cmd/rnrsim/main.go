@@ -45,6 +45,7 @@ import (
 
 	"rnrsim/internal/apps"
 	"rnrsim/internal/audit"
+	"rnrsim/internal/bench"
 	"rnrsim/internal/multicore"
 	"rnrsim/internal/obs"
 	"rnrsim/internal/rnr"
@@ -99,15 +100,8 @@ func main() {
 	}
 	defer stopProf()
 
-	var sc apps.Scale
-	switch *scale {
-	case "test":
-		sc = apps.ScaleTest
-	case "bench":
-		sc = apps.ScaleBench
-	case "large":
-		sc = apps.ScaleLarge
-	default:
+	sc, ok := apps.ParseScale(*scale)
+	if !ok {
 		fatal("unknown scale %q", *scale)
 	}
 	var ctl rnr.TimingControl
@@ -159,13 +153,13 @@ func main() {
 		if *corun != "" {
 			// One core per composed program, interacting only through the
 			// coherent shared LLC.
-			cfg.Cores = app.Cores
-			cfg.Coherence = true
-			cfg.LLCBanks = 2
-		} else if *cores > 0 {
-			cfg.Cores = *cores
+			cfg = bench.CoRunMachine(cfg, app.Cores, pf, *crosscore)
+		} else {
+			if *cores > 0 {
+				cfg.Cores = *cores
+			}
+			cfg.CrossCore = *crosscore
 		}
-		cfg.CrossCore = *crosscore
 		if *auditOn {
 			cfg.Audit = &audit.Config{Interval: *auditInt}
 		}

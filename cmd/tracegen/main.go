@@ -27,15 +27,8 @@ func main() {
 	n := flag.Int("n", 20, "records to print with -dump")
 	flag.Parse()
 
-	var sc apps.Scale
-	switch *scale {
-	case "test":
-		sc = apps.ScaleTest
-	case "bench":
-		sc = apps.ScaleBench
-	case "large":
-		sc = apps.ScaleLarge
-	default:
+	sc, ok := apps.ParseScale(*scale)
+	if !ok {
 		fatal("unknown scale %q", *scale)
 	}
 

@@ -22,6 +22,20 @@ const (
 	ScaleLarge
 )
 
+// ScaleNames lists the scale names ParseScale accepts, in Scale order.
+var ScaleNames = []string{"test", "bench", "large"}
+
+// ParseScale maps a scale name ("test", "bench" or "large") to its
+// Scale; the CLIs' -scale flags and rnrd's wire specs share it.
+func ParseScale(name string) (Scale, bool) {
+	for i, n := range ScaleNames {
+		if n == name {
+			return Scale(i), true
+		}
+	}
+	return 0, false
+}
+
 // GraphInput builds the single named graph input (Table III) at the
 // given scale. Building one input instead of the whole Table III map
 // matters once workload construction is parallel and memoised per

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"context"
 	"fmt"
+	"strings"
 
+	"rnrsim/internal/apps"
 	"rnrsim/internal/multicore"
 	"rnrsim/internal/sim"
 )
@@ -17,11 +20,12 @@ import (
 // slowdown column isolates what LLC sharing (and the prefetchers'
 // response to it) costs each program.
 //
-// Like core-scaling, the runs are bespoke (composed apps and per-core
-// prefetch assignments live outside the workload/input/prefetcher/tag
-// key space), so the experiment plans empty and simulates serially at
-// assembly time; the table is therefore byte-identical no matter the
-// prewarm parallelism, which TestCoRunExperimentDeterministic pins.
+// Every run, solo reference included, is a co-run through the suite's
+// memoised run path (RunCoRunContext), the same path rnrd's co-run jobs
+// take. The planner does not enumerate co-run keys, so the experiment
+// plans empty and simulates serially at assembly time; the table is
+// therefore byte-identical no matter the prewarm parallelism, which
+// TestCoRunExperimentDeterministic pins.
 
 // coRunJobs is the composed workload pair, shared with the test.
 var coRunJobs = []multicore.JobSpec{
@@ -43,29 +47,53 @@ var coRunVariants = []coRunVariant{
 	{"rnr+crosscore", sim.PFRnR, true},
 }
 
-// coRunMachine is the multicore machine of the experiment: the suite's
-// configured machine resized to the job count, with the coherence
-// directory and a 2-bank LLC attached. The solo reference runs use the
-// same machine at cores == 1 so the only variable is the co-scheduling.
-func (s *Suite) coRunMachine(cores int, v coRunVariant) sim.Config {
-	cfg := s.Config
+// CoRunMachine is the co-run machine: base resized to one core per
+// job, with the coherence directory and a 2-bank shared LLC attached,
+// pf on every core's private L2 and, with crossCore, the cooperative
+// cross-core LLC prefetcher. A solo reference is the same machine at
+// cores == 1, so the only variable is the co-scheduling.
+func CoRunMachine(base sim.Config, cores int, pf sim.PrefetcherKind, crossCore bool) sim.Config {
+	cfg := base
 	cfg.Cores = cores
-	cfg.Prefetcher = v.pf
+	cfg.Prefetcher = pf
 	cfg.Coherence = true
 	cfg.LLCBanks = 2
-	cfg.CrossCore = v.xc
-	cfg.Name = fmt.Sprintf("corun%d/%s", cores, v.name)
+	cfg.CrossCore = crossCore
 	return cfg
 }
 
-// coRunSim builds and runs one bespoke co-run simulation.
-func (s *Suite) coRunSim(jobs []multicore.JobSpec, v coRunVariant) *sim.Result {
-	app, err := multicore.Compose(s.Scale, jobs)
-	if err != nil {
-		panic(err) // experiment-definition bug: the job list is static
+// CoRunKey is the memoisation key of a co-run:
+// "corun:<jobs>/<prefetcher>/<xcore>", the jobs in core order joined by
+// "+" and the last field "xcore" when the cross-core prefetcher is
+// attached, empty otherwise. rnrd derives a co-run job's content
+// address from it.
+func CoRunKey(jobs []multicore.JobSpec, pf sim.PrefetcherKind, crossCore bool) string {
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		names[i] = j.String()
 	}
-	cfg := s.coRunMachine(len(jobs), v)
-	r, err := sim.Run(cfg, app)
+	x := ""
+	if crossCore {
+		x = "xcore"
+	}
+	return fmt.Sprintf("corun:%s/%s/%s", strings.Join(names, "+"), pf, x)
+}
+
+// RunCoRunContext simulates (memoised, singleflight, under the same
+// cancellation contract as RunContext) the jobs composed one per core
+// on CoRunMachine. Each fresh run composes its app anew; composed apps
+// are not memoised.
+func (s *Suite) RunCoRunContext(ctx context.Context, jobs []multicore.JobSpec, pf sim.PrefetcherKind, crossCore bool) (*sim.Result, error) {
+	cfg := CoRunMachine(s.Config, len(jobs), pf, crossCore)
+	return s.run(ctx, CoRunKey(jobs, pf, crossCore), cfg, func(context.Context) (*apps.App, error) {
+		return multicore.Compose(s.Scale, jobs)
+	})
+}
+
+// coRun is the experiment's co-run; the job list is static, so an error
+// is an experiment-definition bug.
+func (s *Suite) coRun(jobs []multicore.JobSpec, v coRunVariant) *sim.Result {
+	r, err := s.RunCoRunContext(context.Background(), jobs, v.pf, v.xc)
 	if err != nil {
 		panic(err)
 	}
@@ -111,12 +139,12 @@ func (s *Suite) CoRun() *Table {
 	solos := make(map[soloKey]*sim.Result)
 	for k := range coRunJobs {
 		for _, v := range coRunVariants {
-			solos[soloKey{k, v.name}] = s.coRunSim(coRunJobs[k:k+1], v)
+			solos[soloKey{k, v.name}] = s.coRun(coRunJobs[k:k+1], v)
 		}
 	}
 
 	for _, v := range coRunVariants {
-		co := s.coRunSim(coRunJobs, v)
+		co := s.coRun(coRunJobs, v)
 		for k, job := range coRunJobs {
 			solo := solos[soloKey{k, v.name}]
 			soloBase := solos[soloKey{k, "none"}]

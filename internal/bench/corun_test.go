@@ -37,14 +37,14 @@ func TestCoRunTableShape(t *testing.T) {
 // TestCoRunExperimentDeterministic pins the served/direct and -j
 // guarantee for the co-run experiment: the table is byte-identical on a
 // serial suite and an 8-wide one after a (deliberately empty) Prewarm —
-// the experiment's runs are bespoke and never touch the parallel pool,
-// so determinism is structural, and this test keeps it that way.
+// the experiment's co-runs are not planned and never touch the parallel
+// pool, so determinism is structural, and this test keeps it that way.
 func TestCoRunExperimentDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the co-run grid twice")
 	}
 	if plan := testSuite().Plan("corun"); len(plan) != 0 {
-		t.Fatalf("corun planned %d memoised runs; bespoke experiments must plan empty", len(plan))
+		t.Fatalf("corun planned %d runs; the planner cannot name co-run keys, so it must plan empty", len(plan))
 	}
 
 	serial := testSuite()

@@ -10,9 +10,9 @@ import (
 	"rnrsim/internal/sim"
 )
 
-// RunExport pairs a memoised run key ("workload/input/prefetcher/tag")
-// with its machine-readable result, flattened into one JSON object.
-// The embedded ResultJSON carries the export envelope
+// RunExport pairs a memoised run key ("workload/input/prefetcher/tag",
+// or a CoRunKey) with its machine-readable result, flattened into one
+// JSON object. The embedded ResultJSON carries the export envelope
 // (schema_version/generated_at), so each record is self-describing even
 // when extracted from the surrounding SuiteExport.
 type RunExport struct {

@@ -151,10 +151,11 @@ func eachInput(f func(w, in string)) {
 }
 
 // planOne enumerates one experiment's runs, mirroring its runner. The
-// static tables (tableII/III/IV, hw-overhead) simulate nothing, and
-// core-scaling and corun build bespoke systems (per-core-count machines,
-// composed multi-programmed apps) outside the memoised key space, so
-// they plan empty.
+// static tables (tableII/III/IV, hw-overhead) simulate nothing.
+// core-scaling builds per-core-count machines outside the memoised key
+// space, and corun's co-runs are memoised under co-run keys
+// (RunCoRunContext) that PlannedRun cannot name, so both plan empty and
+// simulate at assembly time.
 func (s *Suite) planOne(id string) []PlannedRun {
 	var p []PlannedRun
 	base := func(w, in string) {
@@ -301,12 +302,6 @@ func (s *Suite) PrewarmContext(ctx context.Context, plan []PlannedRun) (int, err
 		return 0, err
 	}
 	return len(plan), nil
-}
-
-// PrewarmIDs plans and prewarms the given experiments; the convenience
-// form used by tests and callers that do not need the plan itself.
-func (s *Suite) PrewarmIDs(ids ...string) int {
-	return s.Prewarm(s.Plan(ids...))
 }
 
 // runPool invokes f(0..n-1) over at most `workers` goroutines. Panics in

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,20 +104,30 @@ func TestPlanCoversEveryExperiment(t *testing.T) {
 // contract: after Prewarm(Plan(id)) the table assembly (a) performs zero
 // fresh simulations and (b) requests exactly the planned key set —
 // neither a cold miss nor an over-planned run the table never uses.
+// The one exception is corun, whose co-run keys PlannedRun cannot name:
+// it plans empty, and its co-runs (and nothing else) simulate fresh at
+// assembly time, once per distinct co-run key.
 func TestPlannerCompleteness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the full suite")
 	}
 	s := testSuite()
 	s.Parallelism = 4
-	var fresh atomic.Int64
-	s.Progress = func(string) { fresh.Add(1) }
+	var fresh, freshCoRuns atomic.Int64
+	isCoRun := func(key string) bool { return strings.HasPrefix(key, "corun:") }
+	s.Progress = func(key string) {
+		if isCoRun(key) {
+			freshCoRuns.Add(1)
+		} else {
+			fresh.Add(1)
+		}
+	}
 
 	for _, id := range ExperimentIDs {
 		plan := s.Plan(id)
 		s.Prewarm(plan)
 
-		before := fresh.Load()
+		before, beforeCoRuns := fresh.Load(), freshCoRuns.Load()
 		s.resetRequested()
 		run, ok := s.Runner(id)
 		if !ok {
@@ -132,10 +143,22 @@ func TestPlannerCompleteness(t *testing.T) {
 		for _, k := range PlanKeys(plan) {
 			planned[k] = struct{}{}
 		}
+		coRunKeys := 0
 		for k := range requested {
+			if id == "corun" && isCoRun(k) {
+				coRunKeys++
+				continue
+			}
 			if _, ok := planned[k]; !ok {
 				t.Errorf("%s: assembly requested unplanned key %s", id, k)
 			}
+		}
+		if id == "corun" && coRunKeys == 0 {
+			t.Errorf("corun: assembly requested no co-run keys")
+		}
+		if d := freshCoRuns.Load() - beforeCoRuns; d != int64(coRunKeys) {
+			t.Errorf("%s: assembly performed %d fresh co-runs over %d co-run keys; want one per key",
+				id, d, coRunKeys)
 		}
 		for k := range planned {
 			if _, ok := requested[k]; !ok {

@@ -20,10 +20,11 @@ import (
 // runners can share runs (the baseline run, for example, feeds Fig. 6, 7,
 // 8, 9 and 12).
 //
-// Suite is safe for concurrent callers. Both App and Run use singleflight
-// memoisation: the first caller of a key computes it while later callers
-// block on the same in-flight entry, so an expensive run is simulated
-// exactly once no matter how many goroutines ask for it, in any order.
+// Suite is safe for concurrent callers. App, Run and RunCoRunContext use
+// singleflight memoisation: the first caller of a key computes it while
+// later callers block on the same in-flight entry, so an expensive run
+// is simulated exactly once no matter how many goroutines ask for it, in
+// any order.
 // Combined with the run planner (plan.go) this is what makes the parallel
 // experiment engine deterministic: Prewarm fans the planned keys out over
 // a bounded worker pool, and the subsequent serial table assembly is all
@@ -44,7 +45,7 @@ type Suite struct {
 	mu        sync.Mutex
 	apps      map[string]*appCall
 	results   map[string]*runCall
-	requested map[string]struct{} // every Run key ever asked for (hit or miss)
+	requested map[string]struct{} // every run key ever asked for (hit or miss)
 	scaleG    *graph.Graph        // memoised core-scaling input
 
 	// freshRuns counts completed fresh simulations (memoised hits and
@@ -248,7 +249,21 @@ func IsCancellation(err error) bool {
 // A waiter whose own ctx ends while blocked gives up immediately; the
 // in-flight simulation it was waiting on is unaffected.
 func (s *Suite) RunContext(ctx context.Context, workload, input string, pf sim.PrefetcherKind, v Variant) (*sim.Result, error) {
-	key := runKey(workload, input, pf, v.Tag)
+	cfg := s.Config
+	cfg.Prefetcher = pf
+	if v.Mutate != nil {
+		v.Mutate(&cfg)
+	}
+	return s.run(ctx, runKey(workload, input, pf, v.Tag), cfg, func(ctx context.Context) (*apps.App, error) {
+		return s.AppContext(ctx, workload, input)
+	})
+}
+
+// run is the one memoised, singleflight run path: the solo runs of
+// RunContext and the co-runs of RunCoRunContext both simulate here,
+// keyed by their run key, on cfg (whose Name becomes the key) over the
+// app that build returns.
+func (s *Suite) run(ctx context.Context, key string, cfg sim.Config, build func(context.Context) (*apps.App, error)) (*sim.Result, error) {
 	for {
 		s.mu.Lock()
 		s.requested[key] = struct{}{}
@@ -260,7 +275,7 @@ func (s *Suite) RunContext(ctx context.Context, workload, input string, pf sim.P
 		s.mu.Unlock()
 
 		if !ok {
-			s.runFresh(ctx, c, key, workload, input, pf, v)
+			s.runFresh(ctx, c, key, cfg, build)
 		} else {
 			select {
 			case <-c.done:
@@ -281,9 +296,9 @@ func (s *Suite) RunContext(ctx context.Context, workload, input string, pf sim.P
 // outcome on c, wake the waiters. A cancelled run deletes its map entry
 // *before* close(c.done) so retrying waiters cannot re-adopt the dead
 // entry.
-func (s *Suite) runFresh(ctx context.Context, c *runCall, key, workload, input string, pf sim.PrefetcherKind, v Variant) {
+func (s *Suite) runFresh(ctx context.Context, c *runCall, key string, cfg sim.Config, build func(context.Context) (*apps.App, error)) {
 	defer close(c.done) // never leave waiters hanging, even on panic
-	c.res, c.err = s.simulate(ctx, key, workload, input, pf, v)
+	c.res, c.err = s.simulate(ctx, key, cfg, build)
 	if IsCancellation(c.err) {
 		s.mu.Lock()
 		if s.results[key] == c {
@@ -294,17 +309,12 @@ func (s *Suite) runFresh(ctx context.Context, c *runCall, key, workload, input s
 }
 
 // simulate performs one fresh run (the singleflight winner's path).
-func (s *Suite) simulate(ctx context.Context, key, workload, input string, pf sim.PrefetcherKind, v Variant) (*sim.Result, error) {
-	app, err := s.AppContext(ctx, workload, input)
+func (s *Suite) simulate(ctx context.Context, key string, cfg sim.Config, build func(context.Context) (*apps.App, error)) (*sim.Result, error) {
+	app, err := build(ctx)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.Config
-	cfg.Prefetcher = pf
 	cfg.Name = key
-	if v.Mutate != nil {
-		v.Mutate(&cfg)
-	}
 	if fn := progressFrom(ctx); fn != nil {
 		cfg.OnIteration = func(iter int, cycle uint64) {
 			fn(ProgressEvent{Key: key, Iteration: iter, Cycle: cycle})
@@ -367,10 +377,10 @@ func progressFrom(ctx context.Context) func(ProgressEvent) {
 	return fn
 }
 
-// RequestedKeys returns a snapshot of every run key Run has been asked
-// for so far (memoised hits included). The planner-completeness tests
-// use it to verify that a plan covers exactly the keys table assembly
-// requests.
+// RequestedKeys returns a snapshot of every run key (co-run keys
+// included) asked for so far, memoised hits included. The
+// planner-completeness tests use it to verify that a plan covers
+// exactly the keys table assembly requests.
 func (s *Suite) RequestedKeys() map[string]struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()

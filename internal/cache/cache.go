@@ -90,14 +90,6 @@ type Stats struct {
 	MissServiceCnt uint64
 }
 
-// AvgMissService returns the mean MSHR residency in cycles.
-func (s Stats) AvgMissService() float64 {
-	if s.MissServiceCnt == 0 {
-		return 0
-	}
-	return float64(s.MissServiceSum) / float64(s.MissServiceCnt)
-}
-
 type line struct {
 	tag        mem.Addr // line-aligned address; valid when != invalidTag
 	dirty      bool

@@ -103,17 +103,6 @@ func (inj *Injector) Arm(f Fault) {
 	inj.faults = append(inj.faults, f)
 }
 
-// Revive clears a kill/hang/slow state: the "process" restarts. The
-// submission counter keeps running, so a revived worker does not
-// re-trigger the same fault.
-func (inj *Injector) Revive() {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	inj.killed = false
-	inj.hung = false
-	inj.slowBy = 0
-}
-
 // Killed reports whether the worker is currently down.
 func (inj *Injector) Killed() bool {
 	inj.mu.Lock()

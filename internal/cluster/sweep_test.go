@@ -38,7 +38,7 @@ func TestSweepExpandCapsGrid(t *testing.T) {
 		full.Prefetchers = append(full.Prefetchers, string(pf))
 	}
 	full.Variants = bench.VariantNames()
-	full.Scales = serve.ScaleNames
+	full.Scales = apps.ScaleNames
 	specs, err := full.expand("test")
 	if err != nil {
 		t.Fatalf("full fixed-name grid refused: %v", err)

@@ -136,12 +136,6 @@ func (c *Core) Done() bool {
 	return c.drained && c.count == 0 && c.pendingExec == 0 && !c.pendingValid
 }
 
-// Drained reports whether the trace source is exhausted (retirement may
-// still be in progress; see Done). The parallel scheduler uses it to
-// tell cores that can still go Done through retirement alone from cores
-// that would first have to fetch.
-func (c *Core) Drained() bool { return c.drained }
-
 // Tick advances the core one cycle: retire, then fetch/dispatch.
 func (c *Core) Tick(now uint64) {
 	c.Settle()

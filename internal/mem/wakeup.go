@@ -21,21 +21,6 @@ package mem
 //     callback may report WakeupNever: the callback can only fire
 //     during some component's tick, after which all wakeups are
 //     re-evaluated.
-//
-// Domain spans (parallel per-core execution). The parallel scheduler in
-// internal/sim extends the contract: over a quiet window (now, T) during
-// which no shared-level component (LLC bank, DRAM controller, context
-// scheduler, audit/sample event) can act, each core's private domain
-// ticks independently on its own goroutine. Within the window the domain
-// relies on a stronger reading of Wakeup: a component's Wakeup is also a
-// lower bound on the first cycle its Tick would *act* (send a request
-// downstream, fire a hook, complete a fill) — which holds because any
-// state that could unfreeze it earlier must arrive via an external
-// completion, and external completions originate at the shared level,
-// which is frozen for the whole window by construction. The scheduler
-// sizes T so that no private component's action can cascade into the
-// shared level before T; see internal/sim/parallel.go for the horizon
-// terms.
 const WakeupNever = ^uint64(0)
 
 // DemandCapacity is optionally implemented by backends whose demand

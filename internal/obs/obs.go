@@ -36,17 +36,9 @@ type Config struct {
 	// against hostile iteration indices from fuzzed traces; 0 = 1<<16
 	// (the same cap the simulator applies to its iteration snapshots).
 	MaxTrackedIterations int
-	// DivergenceMaxCompare caps the per-window sequence length the RnR
-	// divergence probe compares (edit distance is quadratic); 0 = 512.
-	DivergenceMaxCompare int
 }
 
-const (
-	defaultMaxIterations = 1 << 16
-	// DefaultDivergenceMaxCompare is the per-window comparison cap used
-	// when Config leaves DivergenceMaxCompare zero.
-	DefaultDivergenceMaxCompare = 512
-)
+const defaultMaxIterations = 1 << 16
 
 // Stats are the recorder's monotone outcome counters. Every field is a
 // uint64 counter so the audit layer's reflection-based monotone watcher
@@ -95,7 +87,6 @@ type record struct {
 // Recorder is one run's flight recorder: a set of per-cache views plus
 // the shared histograms and the per-iteration outcome table.
 type Recorder struct {
-	cfg     Config
 	maxIter int
 	views   []*CacheView
 
@@ -128,11 +119,7 @@ func NewRecorder(cfg Config) *Recorder {
 	if cfg.MaxTrackedIterations <= 0 {
 		cfg.MaxTrackedIterations = defaultMaxIterations
 	}
-	if cfg.DivergenceMaxCompare <= 0 {
-		cfg.DivergenceMaxCompare = DefaultDivergenceMaxCompare
-	}
 	r := &Recorder{
-		cfg:            cfg,
 		maxIter:        cfg.MaxTrackedIterations,
 		hPrefetchToUse: &telemetry.Histogram{},
 		hFillLatency:   &telemetry.Histogram{},
@@ -145,9 +132,6 @@ func NewRecorder(cfg Config) *Recorder {
 	}
 	return r
 }
-
-// Config returns the recorder's (defaulted) configuration.
-func (r *Recorder) Config() Config { return r.cfg }
 
 // View creates and registers the lifecycle observer for one cache
 // level. name labels the level in invariant-violation messages

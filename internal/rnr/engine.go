@@ -765,38 +765,6 @@ func (e *Engine) lead() int {
 	return int(e.Arch.WindowSize)
 }
 
-// DebugState returns a one-line dump of the replay registers.
-func (e *Engine) DebugState() string {
-	return "state=" + e.Arch.State.String() +
-		" seq=" + itoa(len(e.seq)) + " div=" + itoa(len(e.div)) +
-		" next=" + itoa(e.nextIdx) + " fetched=" + itoa(e.fetchedIdx) +
-		" metaIssued=" + itoa(e.metaIssued) + " inFly=" + itoa(e.metaInFly) +
-		" divFetched=" + itoa(e.divFetched) + " curWin=" + itoa(e.curWindow) +
-		" reads=" + itoa(int(e.curStructRead)) + " win=" + itoa(int(e.Arch.WindowSize))
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
 // SetTelemetry attaches a recorder (nil disables) and the trace track
 // this engine's spans are emitted on (e.g. "rnr.c0").
 func (e *Engine) SetTelemetry(tel *telemetry.Recorder, track string) {

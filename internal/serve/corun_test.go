@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"reflect"
 	"testing"
+	"time"
 
+	"rnrsim/internal/apps"
 	"rnrsim/internal/bench"
 	"rnrsim/internal/coherence"
 	"rnrsim/internal/multicore"
@@ -97,6 +99,44 @@ func TestHTTPCoRunOverMaxCores(t *testing.T) {
 	}
 }
 
+// TestCoRunJobReportsProgress holds served co-runs to the suite's run
+// path: the finished job's event history carries per-iteration phase
+// ticks keyed by the co-run key, and the co-run counts as exactly one
+// fresh simulation.
+func TestCoRunJobReportsProgress(t *testing.T) {
+	m := newTestManager(t, Options{Workers: 1})
+	j, fresh, err := m.SubmitRun(coRunSpec())
+	if err != nil || !fresh {
+		t.Fatalf("SubmitRun = (%v, fresh=%v), want fresh job", err, fresh)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("co-run job did not finish")
+	}
+	if st := j.State(); st != StateDone {
+		t.Fatalf("state = %q, want done (err %q)", st, j.View(false).Error)
+	}
+	history, _, cancel := j.log.Subscribe()
+	cancel()
+	key, phases := j.Spec.key(), 0
+	for _, ev := range history {
+		if ev.Type != EventPhase {
+			continue
+		}
+		phases++
+		if ev.Phase.Key != key {
+			t.Errorf("phase event keyed %q, want the co-run key %q", ev.Phase.Key, key)
+		}
+	}
+	if phases == 0 {
+		t.Errorf("finished co-run job published no phase events")
+	}
+	if n := m.FreshRuns(); n != 1 {
+		t.Errorf("FreshRuns = %d after one co-run job, want 1", n)
+	}
+}
+
 // TestHTTPCoRunServedVsDirect runs the canonical co-run through the
 // full HTTP stack and asserts the served result is identical — state
 // hash, per-core sub-hashes, coherence and cross-core sections — to a
@@ -128,7 +168,7 @@ func TestHTTPCoRunServedVsDirect(t *testing.T) {
 		}
 		jobs[k] = j
 	}
-	sc, _ := ParseScale(sp.Scale)
+	sc, _ := apps.ParseScale(sp.Scale)
 	app, err := multicore.Compose(sc, jobs)
 	if err != nil {
 		t.Fatal(err)

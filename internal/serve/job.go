@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -99,22 +98,6 @@ type RunSpec struct {
 	LeaseSeconds int `json:"lease_seconds,omitempty"`
 }
 
-// ParseScale maps a wire scale name to apps.Scale.
-func ParseScale(name string) (apps.Scale, bool) {
-	switch name {
-	case "test":
-		return apps.ScaleTest, true
-	case "bench":
-		return apps.ScaleBench, true
-	case "large":
-		return apps.ScaleLarge, true
-	}
-	return 0, false
-}
-
-// ScaleNames lists the accepted wire scale names.
-var ScaleNames = []string{"test", "bench", "large"}
-
 // Normalize validates the spec and fills defaults (the exported form
 // the cluster coordinator uses before dispatching). It is deliberately
 // strict: everything a job would panic or spin on later is rejected at
@@ -133,8 +116,8 @@ func (sp *RunSpec) normalize(defaultScale string) error {
 	if sp.LeaseSeconds < 0 {
 		return fmt.Errorf("lease_seconds must be >= 0 (got %d)", sp.LeaseSeconds)
 	}
-	if _, ok := ParseScale(sp.Scale); !ok {
-		return fmt.Errorf("unknown scale %q (have %v)", sp.Scale, ScaleNames)
+	if _, ok := apps.ParseScale(sp.Scale); !ok {
+		return fmt.Errorf("unknown scale %q (have %v)", sp.Scale, apps.ScaleNames)
 	}
 	if sp.Prefetcher == "" {
 		sp.Prefetcher = string(sim.PFNone)
@@ -186,18 +169,24 @@ func (sp *RunSpec) normalize(defaultScale string) error {
 }
 
 // key returns the memoisation key the spec resolves to: the bench run
-// key for plain runs, a co-run key (job list + prefetcher + cross-core
-// flag) for multi-programmed submissions.
+// key for plain runs, the bench co-run key (job list + prefetcher +
+// cross-core flag) for multi-programmed submissions.
 func (sp RunSpec) key() string {
 	if len(sp.Jobs) > 0 {
-		x := ""
-		if sp.CrossCore {
-			x = "xcore"
-		}
-		return fmt.Sprintf("corun:%s/%s/%s", strings.Join(sp.Jobs, "+"), sp.Prefetcher, x)
+		return bench.CoRunKey(sp.coRunJobs(), sim.PrefetcherKind(sp.Prefetcher), sp.CrossCore)
 	}
 	v, _ := bench.NamedVariant(sp.Variant)
 	return bench.RunKey(sp.Workload, sp.Input, sim.PrefetcherKind(sp.Prefetcher), v.Tag)
+}
+
+// coRunJobs returns a normalized spec's co-run job list, one entry per
+// core. normalize has parsed every entry, so none fails here.
+func (sp RunSpec) coRunJobs() []multicore.JobSpec {
+	jobs := make([]multicore.JobSpec, len(sp.Jobs))
+	for k, raw := range sp.Jobs {
+		jobs[k], _ = multicore.ParseJob(raw)
+	}
+	return jobs
 }
 
 // RunJobID derives the content-addressed job ID of a run spec: a hash

@@ -12,9 +12,9 @@ import (
 
 	"sync"
 
+	"rnrsim/internal/apps"
 	"rnrsim/internal/audit"
 	"rnrsim/internal/bench"
-	"rnrsim/internal/multicore"
 	"rnrsim/internal/obs"
 	"rnrsim/internal/sim"
 	"rnrsim/internal/telemetry"
@@ -194,7 +194,7 @@ func (m *Manager) suiteLocked(scale string) *bench.Suite {
 	if s, ok := m.suites[scale]; ok {
 		return s
 	}
-	sc, _ := ParseScale(scale)
+	sc, _ := apps.ParseScale(scale)
 	s := bench.NewSuite(sc)
 	s.Parallelism = m.opts.Parallelism
 	s.Config.Audit = m.opts.Audit
@@ -249,8 +249,8 @@ func (m *Manager) SubmitExperiment(experiment string, spec RunSpec) (*Job, bool,
 	if spec.Scale == "" {
 		spec.Scale = m.opts.DefaultScale
 	}
-	if _, ok := ParseScale(spec.Scale); !ok {
-		return nil, false, fmt.Errorf("unknown scale %q (have %v)", spec.Scale, ScaleNames)
+	if _, ok := apps.ParseScale(spec.Scale); !ok {
+		return nil, false, fmt.Errorf("unknown scale %q (have %v)", spec.Scale, apps.ScaleNames)
 	}
 	id := ExperimentJobID(spec.Scale, experiment)
 	return m.submit(id, KindExperiment, spec, experiment)
@@ -487,28 +487,25 @@ func (m *Manager) runJob(j *Job) {
 
 	switch j.Kind {
 	case KindRun:
+		var res *sim.Result
+		var err error
 		if len(j.Spec.Jobs) > 0 {
-			m.runCoRun(ctx, suite, j)
-			return
+			res, err = suite.RunCoRunContext(ctx, j.Spec.coRunJobs(),
+				sim.PrefetcherKind(j.Spec.Prefetcher), j.Spec.CrossCore)
+		} else {
+			v, _ := bench.NamedVariant(j.Spec.Variant)
+			res, err = suite.RunContext(ctx, j.Spec.Workload, j.Spec.Input,
+				sim.PrefetcherKind(j.Spec.Prefetcher), v)
 		}
-		v, _ := bench.NamedVariant(j.Spec.Variant)
-		res, err := suite.RunContext(ctx, j.Spec.Workload, j.Spec.Input,
-			sim.PrefetcherKind(j.Spec.Prefetcher), v)
 		if err != nil {
 			m.finishErr(j, err)
 			return
 		}
-		payload, err := json.Marshal(RunResult{
+		m.finishDone(j, RunResult{
 			Key:        j.Spec.key(),
 			Scale:      j.Spec.Scale,
 			ResultJSON: res.Export(),
 		})
-		if err != nil {
-			m.finishErr(j, err)
-			return
-		}
-		j.finish(StateDone, payload, "")
-		m.cDone.Inc()
 	case KindExperiment:
 		if _, err := suite.PrewarmContext(ctx, suite.Plan(j.Experiment)); err != nil {
 			m.finishErr(j, err)
@@ -519,69 +516,27 @@ func (m *Manager) runJob(j *Job) {
 			m.finishErr(j, fmt.Errorf("unknown experiment %q", j.Experiment))
 			return
 		}
-		table := runner() // all cache hits after the prewarm
-		payload, err := json.Marshal(TableResult{
+		m.finishDone(j, TableResult{
 			Experiment: j.Experiment,
 			Scale:      j.Spec.Scale,
-			Table:      table,
+			Table:      runner(), // all cache hits after the prewarm
 		})
-		if err != nil {
-			m.finishErr(j, err)
-			return
-		}
-		j.finish(StateDone, payload, "")
-		m.cDone.Inc()
 	default:
 		m.finishErr(j, fmt.Errorf("unknown job kind %q", j.Kind))
 	}
 }
 
-// runCoRun executes a multi-programmed co-run job: the job list is
-// composed into one N-core app and simulated on the suite's machine
-// with the coherence directory, a 2-bank shared LLC and (optionally)
-// the cross-core prefetcher attached. Co-runs are bespoke — they bypass
-// the suite's memoisation, like the bench co-run experiment — but the
-// content-addressed job store still coalesces duplicate submissions
-// onto one job, and the suite's audit/obs configuration applies.
-func (m *Manager) runCoRun(ctx context.Context, suite *bench.Suite, j *Job) {
-	jobs := make([]multicore.JobSpec, len(j.Spec.Jobs))
-	for k, raw := range j.Spec.Jobs {
-		js, err := multicore.ParseJob(raw)
-		if err != nil { // normalize validated; defensive
-			m.finishErr(j, err)
-			return
-		}
-		jobs[k] = js
-	}
-	sc, _ := ParseScale(j.Spec.Scale)
-	app, err := multicore.Compose(sc, jobs)
+// finishDone records a successful job with result as its payload. Like
+// finishErr it counts the outcome before finishing the job, so a caller
+// woken by the job's completion already sees it counted.
+func (m *Manager) finishDone(j *Job, result any) {
+	payload, err := json.Marshal(result)
 	if err != nil {
 		m.finishErr(j, err)
 		return
 	}
-	cfg := suite.Config
-	cfg.Cores = len(jobs)
-	cfg.Prefetcher = sim.PrefetcherKind(j.Spec.Prefetcher)
-	cfg.Coherence = true
-	cfg.LLCBanks = 2
-	cfg.CrossCore = j.Spec.CrossCore
-	cfg.Name = j.Spec.key()
-	res, err := sim.RunContext(ctx, cfg, app)
-	if err != nil {
-		m.finishErr(j, err)
-		return
-	}
-	payload, err := json.Marshal(RunResult{
-		Key:        j.Spec.key(),
-		Scale:      j.Spec.Scale,
-		ResultJSON: res.Export(),
-	})
-	if err != nil {
-		m.finishErr(j, err)
-		return
-	}
-	j.finish(StateDone, payload, "")
 	m.cDone.Inc()
+	j.finish(StateDone, payload, "")
 }
 
 // finishErr records a terminal failure, distinguishing cancellation
@@ -589,13 +544,13 @@ func (m *Manager) runCoRun(ctx context.Context, suite *bench.Suite, j *Job) {
 // errors.
 func (m *Manager) finishErr(j *Job, err error) {
 	if bench.IsCancellation(err) {
-		j.finish(StateCanceled, nil, err.Error())
 		m.cCanceled.Inc()
+		j.finish(StateCanceled, nil, err.Error())
 		m.opts.Logf("job %s canceled: %v", j.ID, err)
 		return
 	}
-	j.finish(StateFailed, nil, err.Error())
 	m.cFailed.Inc()
+	j.finish(StateFailed, nil, err.Error())
 	m.opts.Logf("job %s failed: %v", j.ID, err)
 }
 

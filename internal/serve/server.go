@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"rnrsim/internal/apps"
 	"rnrsim/internal/bench"
 	"rnrsim/internal/sim"
 	"rnrsim/internal/telemetry"
@@ -273,7 +274,7 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 		DefaultScale  string           `json:"default_scale"`
 		Scales        []string         `json:"scales"`
 		Experiments   []ExperimentInfo `json:"experiments"`
-	}{schema, generated, s.m.Options().DefaultScale, ScaleNames, infos})
+	}{schema, generated, s.m.Options().DefaultScale, apps.ScaleNames, infos})
 }
 
 // MaxBodyBytes caps the JSON request bodies the daemons accept. Every

@@ -60,7 +60,7 @@ func (s *System) registerAudit() {
 				a.Check(report)
 				mono.Check(&eng.Stats, report)
 			})
-			if s.prefKind(c) == PFRnR && !s.cfg.RnRPrefetchToLLC {
+			if s.cfg.Prefetcher == PFRnR && !s.cfg.RnRPrefetchToLLC {
 				// With RnR alone prefetching into the L2, the engine's
 				// replay prefetches are the only prefetch traffic there,
 				// so the four timeliness classes partition a subset of

@@ -6,6 +6,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"rnrsim/internal/audit"
 	"rnrsim/internal/cache"
@@ -60,7 +61,6 @@ type Config struct {
 	Prefetcher PrefetcherKind
 	RnRControl rnr.TimingControl
 	RnRWindow  uint64 // 0 = half the L2 in lines (the paper's default)
-	RnRLead    int    // pace-control lead in entries; 0 = a quarter of the L2
 	// RnRRecordAll switches the record engine to the naive
 	// every-access recording §III rejects (ablation).
 	RnRRecordAll bool
@@ -71,12 +71,6 @@ type Config struct {
 	// IdealLLC replaces the LLC with an infinite cache (the "ideal" bar
 	// of Fig. 6: only cold misses reach memory).
 	IdealLLC bool
-
-	// PerCorePrefetchers assigns one prefetcher kind per core for
-	// multi-programmed runs (len must equal Cores); empty means every
-	// core runs Prefetcher. RnR tuning knobs (window, lead, control)
-	// stay global.
-	PerCorePrefetchers []PrefetcherKind
 
 	// Coherence attaches the MESI-lite directory (internal/coherence)
 	// in front of the shared LLC: stores invalidate remote private
@@ -96,8 +90,6 @@ type Config struct {
 	// per-core LLC demand-miss streams, issuing prefetches into the LLC
 	// on behalf of the predicted consumer. Requires a real LLC.
 	CrossCore bool
-	// CrossCoreEntries sizes the correlation table (0 = default 4096).
-	CrossCoreEntries int
 
 	// CtxSwitch enables periodic OS context switches (§IV-C): cache
 	// pollution plus prefetcher reset for conventional designs, pause /
@@ -229,26 +221,8 @@ func (c Config) validate() error {
 	if c.Cores < 1 {
 		return fmt.Errorf("sim: config %q has %d cores", c.Name, c.Cores)
 	}
-	isKnown := func(k PrefetcherKind) bool {
-		for _, p := range AllPrefetchers {
-			if k == p {
-				return true
-			}
-		}
-		return false
-	}
-	if !isKnown(c.Prefetcher) {
+	if !slices.Contains(AllPrefetchers, c.Prefetcher) {
 		return fmt.Errorf("sim: unknown prefetcher %q", c.Prefetcher)
-	}
-	if n := len(c.PerCorePrefetchers); n != 0 {
-		if n != c.Cores {
-			return fmt.Errorf("sim: config %q assigns %d per-core prefetchers to %d cores", c.Name, n, c.Cores)
-		}
-		for i, k := range c.PerCorePrefetchers {
-			if !isKnown(k) {
-				return fmt.Errorf("sim: unknown prefetcher %q for core %d", k, i)
-			}
-		}
 	}
 	if c.Coherence && c.Cores > coherence.MaxCores {
 		return fmt.Errorf("sim: config %q has %d cores, coherence supports at most %d",

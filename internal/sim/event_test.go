@@ -79,7 +79,7 @@ func telemetrySeries(t *testing.T, cfg Config, app *apps.App, stepped bool, inte
 
 // TestEventSteppedDifferentialMatrix sweeps the configurations whose
 // wakeup paths differ — every prefetcher family (demand-trained and
-// cycle-driven), mixed per-core assignments, audit sweeps, the
+// cycle-driven), audit sweeps, the
 // lifecycle observer, the ideal-LLC bar, context switching, banked LLCs,
 // the uncoherent co-run with the cross-core prefetcher and the 1-core
 // machine — and holds the two engines to byte-identical export
@@ -102,11 +102,6 @@ func TestEventSteppedDifferentialMatrix(t *testing.T) {
 		{name: "rnr-combined", cfg: testConfig().WithPrefetcher(PFRnRCombined)},
 	}
 
-	mixed := testConfig()
-	mixed.Name = "test+mixed"
-	mixed.PerCorePrefetchers = []PrefetcherKind{PFRnR, PFNextLine, PFStream, PFNone}
-	cases = append(cases, tcase{name: "mixed-per-core", cfg: mixed})
-
 	audited := testConfig().WithPrefetcher(PFRnR)
 	audited.Audit = &audit.Config{Interval: 256}
 	cases = append(cases, tcase{name: "rnr+audit", cfg: audited})
@@ -127,8 +122,8 @@ func TestEventSteppedDifferentialMatrix(t *testing.T) {
 	banked.LLCBanks = 2
 	cases = append(cases, tcase{name: "nextline+2banks", cfg: banked})
 
-	// The co-run machine minus the coherence directory: per-core
-	// prefetchers, a banked LLC and the cross-core prefetcher over two
+	// The co-run machine minus the coherence directory: RnR on both
+	// private L2s, a banked LLC and the cross-core prefetcher over two
 	// free-running jobs. TestCoRunEngineDifferential covers the coherent
 	// one.
 	uncoherent := coRunConfig()

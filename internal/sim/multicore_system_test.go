@@ -131,12 +131,12 @@ func coRunApp(t *testing.T) *apps.App {
 }
 
 // coRunConfig is the full multicore machine for the composed workload:
-// per-core prefetchers, coherence, a 2-bank LLC and the cooperative
+// RnR on both private L2s, coherence, a 2-bank LLC and the cooperative
 // cross-core prefetcher.
 func coRunConfig() Config {
 	cfg := Test()
 	cfg.Cores = 2
-	cfg.PerCorePrefetchers = []PrefetcherKind{PFRnR, PFNextLine}
+	cfg.Prefetcher = PFRnR
 	cfg.Coherence = true
 	cfg.LLCBanks = 2
 	cfg.CrossCore = true
@@ -274,13 +274,11 @@ func TestFuzzedCoherenceAuditClean(t *testing.T) {
 	}
 }
 
-// TestPerCorePrefetcherValidation covers the multicore config errors
+// TestMulticoreConfigValidation covers the multicore config errors
 // surfaced through New rather than panics.
-func TestPerCorePrefetcherValidation(t *testing.T) {
+func TestMulticoreConfigValidation(t *testing.T) {
 	app := coRunApp(t)
 	bad := []func(*Config){
-		func(c *Config) { c.PerCorePrefetchers = []PrefetcherKind{PFRnR} },
-		func(c *Config) { c.PerCorePrefetchers = []PrefetcherKind{PFRnR, "bogus"} },
 		func(c *Config) { c.LLCBanks = 3 },
 		func(c *Config) { c.LLCBanks = 2; c.IdealLLC = true; c.CrossCore = false; c.Coherence = false },
 		func(c *Config) { c.CrossCore = true; c.LLCBanks = 0; c.Coherence = false; c.IdealLLC = true },

@@ -42,10 +42,9 @@ func (s *System) registerObs() {
 			s.l2s[c].Lifecycle = s.obsRec.View(fmt.Sprintf("l2.%d", c))
 		}
 	}
-	maxCompare := s.obsRec.Config().DivergenceMaxCompare
 	for _, e := range s.engines {
 		if e != nil {
-			e.AttachDivergence(&rnr.DivergenceProbe{MaxCompare: maxCompare})
+			e.AttachDivergence(&rnr.DivergenceProbe{})
 		}
 	}
 }

@@ -275,19 +275,10 @@ func New(cfg Config, app *apps.App) (*System, error) {
 	return s, nil
 }
 
-// prefKind resolves core c's prefetcher kind: the per-core assignment
-// when Config.PerCorePrefetchers is set, the global kind otherwise.
-func (s *System) prefKind(c int) PrefetcherKind {
-	if len(s.cfg.PerCorePrefetchers) > 0 {
-		return s.cfg.PerCorePrefetchers[c]
-	}
-	return s.cfg.Prefetcher
-}
-
-// wirePrefetcher builds the per-core prefetcher stack for prefKind(c).
+// wirePrefetcher builds core c's prefetcher stack for Config.Prefetcher.
 func (s *System) wirePrefetcher(c int) {
 	cfg, app := s.cfg, s.app
-	kind := s.prefKind(c)
+	kind := cfg.Prefetcher
 	// Only these kinds do per-cycle work in OnCycle; for every other
 	// prefetcher the System.Tick loop skips the interface dispatch.
 	switch kind {
@@ -340,10 +331,7 @@ func (s *System) wirePrefetcher(c int) {
 		// Pace control's prefetch distance: a quarter of the L2, far
 		// enough to hide fill latency, small enough that pending lines
 		// survive until their demand.
-		e.LeadEntries = cfg.RnRLead
-		if e.LeadEntries == 0 {
-			e.LeadEntries = int(cfg.L2.SizeBytes / 64 / 4)
-		}
+		e.LeadEntries = int(cfg.L2.SizeBytes / 64 / 4)
 		// And in reads: at most one L2's worth of demand churn may pass
 		// between a prefetch and its demand.
 		e.LeadReadsCap = int(cfg.L2.SizeBytes / 64)
@@ -583,7 +571,7 @@ func (s *System) wireCoherence() {
 // scheduler only through the wake-dirty flags its TryPrefetch calls
 // set on the receiving banks.
 func (s *System) wireCrossCore() {
-	s.xcore = prefetch.NewCrossCore(s.cfg.Cores, s.cfg.CrossCoreEntries)
+	s.xcore = prefetch.NewCrossCore(s.cfg.Cores, 0)
 	s.xcore.Issue = func(core int, line mem.Addr) bool {
 		req := mem.NewRequest(mem.ReqPrefetch, line, 0, core, s.cycle)
 		return s.llcs[s.bankOf(line)].TryPrefetch(req)
@@ -668,13 +656,7 @@ func (s *System) step(gated bool) {
 	if s.ctxOn {
 		outBefore := s.ctx.out
 		switchedOut = s.ctx.tick(s, now)
-		if s.ctx.out != outBefore {
-			// A switch fired: fetch gating changed under every core.
-			for c := range s.cores {
-				s.wake[c].stale = true
-			}
-			busy = true
-		}
+		busy = s.ctx.out != outBefore // a switch fired
 	}
 	if !switchedOut {
 		// The process is descheduled while switched out: cores make no
@@ -1143,10 +1125,6 @@ func addRnRStats(dst *rnr.Stats, s rnr.Stats) {
 	dst.ReplayMissesCovered += s.ReplayMissesCovered
 	dst.SkippedEntries += s.SkippedEntries
 }
-
-// Engines exposes the per-core RnR engines (nil entries when RnR is not
-// configured); used by tests and debugging tools.
-func (s *System) Engines() []*rnr.Engine { return s.engines }
 
 // Occupancy returns a diagnostic line of queue occupancies for core c.
 func (s *System) Occupancy(c int) string {

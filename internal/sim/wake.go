@@ -7,9 +7,11 @@ package sim
 // A slot caches its component's wakeup until the slot goes stale. The
 // scheduler marks it stale when the component ticks. Cores also go stale
 // when an L1 tick frees demand capacity while the core is blocked on a
-// rejected request (only then does Core.Wakeup probe the L1), when the
-// iteration barrier releases them and when a context switch fires (both
-// change the fetch gate without touching the core). Components mark
+// rejected request (only then does Core.Wakeup probe the L1) and when
+// the iteration barrier releases them (that changes the fetch gate
+// without touching the core). A context switch marks no core: the
+// scheduler skips descheduled cores instead of gating them, and
+// Core.Wakeup reads nothing the switch changes. Components mark
 // their own slot stale on external input that can move their wakeup —
 // an enqueue from above, a fill from below, a completion that frees the
 // ROB head or a full LSQ, an invalidation — through the flag pointer

@@ -80,13 +80,6 @@ func (s *Sampler) Dropped() uint64 {
 	return s.dropped
 }
 
-// Columns returns the frozen column names (nil before the first sample).
-func (s *Sampler) Columns() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.cols...)
-}
-
 // WriteJSONL emits the retained rows, oldest first, one JSON object per
 // line: {"cycle":N,"<col>":v,...}. Values are finite by construction.
 func (s *Sampler) WriteJSONL(w io.Writer) error {
