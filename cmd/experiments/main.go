@@ -11,10 +11,11 @@
 //
 // Expect the full bench-scale suite to take tens of minutes on a laptop:
 // it simulates every workload x input x prefetcher combination. -j N
-// plans the selected experiments' runs up front and executes them over
-// N workers before the (serial, all-cache-hit) table assembly; the
-// printed tables are byte-identical to -j 1 because the plan only
-// changes when runs happen, never which results feed which cells.
+// plans the selected experiments' runs up front (a dry run of their
+// runners) and executes them over N workers before the (serial,
+// all-cache-hit) table assembly; the printed tables are byte-identical
+// to -j 1 because the plan only changes when runs happen, never which
+// results feed which cells.
 //
 // -json writes every simulated run's counters and derived metrics as a
 // machine-readable array next to the text tables. -metrics/-trace-out

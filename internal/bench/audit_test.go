@@ -51,10 +51,11 @@ func TestStateHashSerialVsParallel(t *testing.T) {
 
 	parallel := testSuite()
 	parallel.Parallelism = 8
-	var plan []PlannedRun
-	for _, k := range differentialKeys {
-		plan = append(plan, PlannedRun{k.workload, k.input, k.pf, Variant{}})
-	}
+	plan := parallel.dryRun(func(dry *Suite) {
+		for _, k := range differentialKeys {
+			dry.Run(k.workload, k.input, k.pf, Variant{})
+		}
+	})
 	if n := parallel.Prewarm(plan); n != len(plan) {
 		t.Fatalf("prewarm completed %d of %d runs", n, len(plan))
 	}

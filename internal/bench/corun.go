@@ -22,9 +22,9 @@ import (
 //
 // Every run, solo reference included, is a co-run through the suite's
 // memoised run path (RunCoRunContext), the same path rnrd's co-run jobs
-// take. The planner does not enumerate co-run keys, so the experiment
-// plans empty and simulates serially at assembly time; the table is
-// therefore byte-identical no matter the prewarm parallelism, which
+// take, so Plan records the experiment's 12 co-runs and Prewarm runs
+// them concurrently. Each co-run's result depends only on its key, so
+// the table is byte-identical no matter the prewarm parallelism, which
 // TestCoRunExperimentDeterministic pins.
 
 // coRunJobs is the composed workload pair, shared with the test.
@@ -84,9 +84,10 @@ func CoRunKey(jobs []multicore.JobSpec, pf sim.PrefetcherKind, crossCore bool) s
 // on CoRunMachine. Each fresh run composes its app anew; composed apps
 // are not memoised.
 func (s *Suite) RunCoRunContext(ctx context.Context, jobs []multicore.JobSpec, pf sim.PrefetcherKind, crossCore bool) (*sim.Result, error) {
-	cfg := CoRunMachine(s.Config, len(jobs), pf, crossCore)
-	return s.run(ctx, CoRunKey(jobs, pf, crossCore), cfg, func(context.Context) (*apps.App, error) {
-		return multicore.Compose(s.Scale, jobs)
+	return s.run(ctx, PlannedRun{
+		Key:     CoRunKey(jobs, pf, crossCore),
+		cfg:     CoRunMachine(s.Config, len(jobs), pf, crossCore),
+		compose: func(s *Suite) (*apps.App, error) { return multicore.Compose(s.Scale, jobs) },
 	})
 }
 
@@ -121,12 +122,8 @@ func jobFinish(r *sim.Result, g int) uint64 {
 // comment above): per-core accuracy, coverage and slowdown versus each
 // job's solo run, across the four prefetch configurations.
 func (s *Suite) CoRun() *Table {
-	t := &Table{
-		ID:    "corun",
-		Title: "Co-run interference: PageRank + spCG sharing a 2-core coherent LLC",
-		Header: []string{"variant", "core", "job", "accuracy", "coverage",
-			"slowdown vs solo", "xcore issued"},
-	}
+	t := newTable("corun", "variant", "core", "job", "accuracy", "coverage",
+		"slowdown vs solo", "xcore issued")
 
 	// Solo references: each job alone on the 1-core build of the same
 	// machine, once per variant (the prefetch configuration changes the

@@ -35,16 +35,15 @@ func TestCoRunTableShape(t *testing.T) {
 }
 
 // TestCoRunExperimentDeterministic pins the served/direct and -j
-// guarantee for the co-run experiment: the table is byte-identical on a
-// serial suite and an 8-wide one after a (deliberately empty) Prewarm —
-// the experiment's co-runs are not planned and never touch the parallel
-// pool, so determinism is structural, and this test keeps it that way.
+// guarantee for the co-run experiment: its 12 co-runs are planned, and
+// the table assembled after an 8-wide Prewarm of them is byte-identical
+// to a serial suite's.
 func TestCoRunExperimentDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the co-run grid twice")
 	}
-	if plan := testSuite().Plan("corun"); len(plan) != 0 {
-		t.Fatalf("corun planned %d runs; the planner cannot name co-run keys, so it must plan empty", len(plan))
+	if plan := testSuite().Plan("corun"); len(plan) != 12 {
+		t.Fatalf("corun planned %d runs, want 12 (one co-run and two solo runs per variant)", len(plan))
 	}
 
 	serial := testSuite()
@@ -54,7 +53,11 @@ func TestCoRunExperimentDeterministic(t *testing.T) {
 	par := testSuite()
 	par.Parallelism = 8
 	par.Prewarm(par.Plan("corun"))
+	warm := par.FreshRuns()
 	got := []byte(par.CoRun().Format())
+	if d := par.FreshRuns() - warm; d != 0 {
+		t.Errorf("corun assembly after Prewarm performed %d fresh runs; want 0", d)
+	}
 
 	if !bytes.Equal(want, got) {
 		t.Fatalf("corun diverged across Parallelism:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)

@@ -11,13 +11,11 @@ import (
 // Fig1 reproduces Figure 1: miss coverage vs prefetching accuracy of six
 // prefetcher classes on PageRank with the amazon graph.
 func (s *Suite) Fig1() *Table {
-	t := &Table{
-		ID:     "fig1",
-		Title:  "Prefetcher coverage and accuracy, PageRank on amazon",
-		Header: []string{"prefetcher", "coverage", "accuracy"},
-	}
+	t := newTable("fig1", "prefetcher", "coverage", "accuracy")
 	base := s.Baseline("pagerank", "amazon")
-	for _, pf := range fig1Prefetchers {
+	for _, pf := range []sim.PrefetcherKind{
+		sim.PFNextLine, sim.PFBingo, sim.PFMISB, sim.PFSteMS, sim.PFDroplet, sim.PFRnR,
+	} {
 		r := s.Run("pagerank", "amazon", pf, Variant{})
 		t.AddRow(string(pf), pct(r.Coverage(base)*100), pct(r.Accuracy()*100))
 	}
@@ -29,11 +27,7 @@ func (s *Suite) Fig1() *Table {
 // TableII reproduces Table II: the baseline machine configuration.
 func (s *Suite) TableII() *Table {
 	c := s.Config
-	t := &Table{
-		ID:     "tableII",
-		Title:  "Baseline configuration (paper values, scaled capacities in use)",
-		Header: []string{"component", "paper", "this run"},
-	}
+	t := newTable("tableII", "component", "paper", "this run")
 	paper := sim.Baseline()
 	t.AddRow("cores", fmt.Sprintf("%d x 4GHz 4-wide OoO", paper.Cores), fmt.Sprintf("%d", c.Cores))
 	t.AddRow("ROB/LSQ", fmt.Sprintf("%d/%d", paper.CPU.ROB, paper.CPU.LSQ), fmt.Sprintf("%d/%d", c.CPU.ROB, c.CPU.LSQ))
@@ -52,11 +46,7 @@ func (s *Suite) TableII() *Table {
 
 // TableIII reproduces Table III: the inputs and their characteristics.
 func (s *Suite) TableIII() *Table {
-	t := &Table{
-		ID:     "tableIII",
-		Title:  "Workload inputs (synthetic stand-ins, scaled)",
-		Header: []string{"input", "kind", "n", "edges/nnz", "avg deg", "MB"},
-	}
+	t := newTable("tableIII", "input", "kind", "n", "edges/nnz", "avg deg", "MB")
 	for _, name := range apps.GraphInputOrder {
 		g := apps.GraphInputs(s.Scale)[name]
 		st := g.Summary()
@@ -70,13 +60,11 @@ func (s *Suite) TableIII() *Table {
 	return t
 }
 
-// workloadTable runs metric over the full workload x input x prefetcher
-// grid, one row per prefetcher with a geomean column per workload as the
-// paper's bar charts present it.
-func (s *Suite) workloadTable(id, title, unit string, set func(string) []sim.PrefetcherKind,
-	metric func(r, base *sim.Result) float64) *Table {
-	t := &Table{ID: id, Title: title}
-	t.Header = []string{"prefetcher"}
+// workloadTable runs metric over the full workload x input x
+// comparison-set grid, one row per prefetcher with a geomean column per
+// workload as the paper's bar charts present it.
+func (s *Suite) workloadTable(id, unit string, metric func(r, base *sim.Result) float64) *Table {
+	t := newTable(id, "prefetcher")
 	type col struct{ w, in string }
 	var cols []col
 	for _, w := range apps.Workloads {
@@ -90,7 +78,7 @@ func (s *Suite) workloadTable(id, title, unit string, set func(string) []sim.Pre
 	union := map[sim.PrefetcherKind]bool{}
 	var order []sim.PrefetcherKind
 	for _, w := range apps.Workloads {
-		for _, pf := range set(w) {
+		for _, pf := range comparisonSet(w) {
 			if !union[pf] {
 				union[pf] = true
 				order = append(order, pf)
@@ -111,7 +99,7 @@ func (s *Suite) workloadTable(id, title, unit string, set func(string) []sim.Pre
 				continue
 			}
 			applies := false
-			for _, p := range set(c.w) {
+			for _, p := range comparisonSet(c.w) {
 				if p == pf {
 					applies = true
 				}
@@ -137,8 +125,7 @@ func (s *Suite) workloadTable(id, title, unit string, set func(string) []sim.Pre
 // Fig6 reproduces Figure 6: speedup over the no-prefetcher baseline,
 // composed to 100 iterations (record amortised over 99 replays).
 func (s *Suite) Fig6() *Table {
-	t := s.workloadTable("fig6", "Speedup over no-prefetch baseline (100 iterations)", "x",
-		comparisonSet,
+	t := s.workloadTable("fig6", "x",
 		func(r, base *sim.Result) float64 { return r.ComposedSpeedup(base, s.ComposeIters) })
 	// Append the ideal (infinite LLC) bound.
 	row := []string{"ideal-llc"}
@@ -162,7 +149,7 @@ func (s *Suite) Fig6() *Table {
 
 // Fig7 reproduces Figure 7: L2 MPKI.
 func (s *Suite) Fig7() *Table {
-	t := &Table{ID: "fig7", Title: "L2 demand MPKI", Header: []string{"config"}}
+	t := newTable("fig7", "config")
 	type col struct{ w, in string }
 	var cols []col
 	for _, w := range apps.Workloads {
@@ -188,8 +175,7 @@ func (s *Suite) Fig7() *Table {
 
 // Fig8 reproduces Figure 8: miss coverage.
 func (s *Suite) Fig8() *Table {
-	t := s.workloadTable("fig8", "Miss coverage vs baseline misses", "fraction",
-		comparisonSet,
+	t := s.workloadTable("fig8", "fraction",
 		func(r, base *sim.Result) float64 { return r.Coverage(base) })
 	t.Note("paper: RnR averages 91.4%%/84.5%%/88.7%% coverage")
 	return t
@@ -197,21 +183,21 @@ func (s *Suite) Fig8() *Table {
 
 // Fig9 reproduces Figure 9: prefetch accuracy.
 func (s *Suite) Fig9() *Table {
-	t := s.workloadTable("fig9", "Prefetch accuracy", "fraction",
-		comparisonSet,
+	t := s.workloadTable("fig9", "fraction",
 		func(r, base *sim.Result) float64 { return r.Accuracy() })
 	t.Note("paper: RnR averages 97.18%% accuracy; bingo/SteMS lowest on " +
 		"irregular inputs, ~50%% on roadUSA")
 	return t
 }
 
+// timingControls is the Fig. 10/11 control sweep.
+var timingControls = []rnr.TimingControl{
+	rnr.NoControl, rnr.WindowControl, rnr.WindowPaceControl,
+}
+
 // Fig10 reproduces Figure 10: effectiveness of replay timing control.
 func (s *Suite) Fig10() *Table {
-	t := &Table{
-		ID:     "fig10",
-		Title:  "Replay timing control ablation: speedup over baseline (100 iters)",
-		Header: []string{"control"},
-	}
+	t := newTable("fig10", "control")
 	type col struct{ w, in string }
 	var cols []col
 	for _, w := range apps.Workloads {
@@ -242,11 +228,7 @@ func (s *Suite) Fig10() *Table {
 // Fig11 reproduces Figure 11: prefetch timeliness breakdown under the
 // three control modes.
 func (s *Suite) Fig11() *Table {
-	t := &Table{
-		ID:     "fig11",
-		Title:  "RnR prefetch timeliness (fractions of issued prefetches)",
-		Header: []string{"workload/input", "control", "on-time", "early", "late", "out-of-window"},
-	}
+	t := newTable("fig11", "workload/input", "control", "on-time", "early", "late", "out-of-window")
 	for _, w := range apps.Workloads {
 		for _, in := range apps.InputsFor(w) {
 			for _, ctl := range timingControls {
@@ -264,11 +246,7 @@ func (s *Suite) Fig11() *Table {
 
 // Fig12 reproduces Figure 12: additional off-chip traffic.
 func (s *Suite) Fig12() *Table {
-	set := func(w string) []sim.PrefetcherKind {
-		return comparisonSet(w)
-	}
-	t := s.workloadTable("fig12", "Additional off-chip traffic vs baseline (%)", "%",
-		set,
+	t := s.workloadTable("fig12", "%",
 		func(r, base *sim.Result) float64 { return r.AdditionalTrafficPct(base) })
 	t.Note("paper averages: next-line 45.2%%, bingo 67.1%%, SteMS 58.4%%, " +
 		"MISB 19.7%%, DROPLET 12.2%%, RnR 12.0%%, RnR-Combined 27.6%%; " +
@@ -278,11 +256,7 @@ func (s *Suite) Fig12() *Table {
 
 // Fig13 reproduces Figure 13: RnR metadata storage overhead.
 func (s *Suite) Fig13() *Table {
-	t := &Table{
-		ID:     "fig13",
-		Title:  "RnR metadata storage overhead (% of input size)",
-		Header: []string{"workload", "input", "seq KB", "div KB", "input KB", "overhead"},
-	}
+	t := newTable("fig13", "workload", "input", "seq KB", "div KB", "input KB", "overhead")
 	for _, w := range apps.Workloads {
 		var gm []float64
 		for _, in := range apps.InputsFor(w) {
@@ -302,13 +276,6 @@ func (s *Suite) Fig13() *Table {
 	return t
 }
 
-// fig14Picks and fig14Windows define the Fig. 14 sweep grid, shared with
-// the run planner.
-var (
-	fig14Picks   = [][2]string{{"pagerank", "amazon"}, {"hyperanf", "urand"}, {"spcg", "bbmat"}}
-	fig14Windows = []uint64{16, 64, 128, 256, 512, 1024, 2048}
-)
-
 // WindowVariant sets the RnR window size in lines (Fig. 14 sweep).
 func WindowVariant(win uint64) Variant {
 	return Variant{
@@ -319,16 +286,13 @@ func WindowVariant(win uint64) Variant {
 
 // Fig14 reproduces Figure 14: speedup and storage vs window size.
 func (s *Suite) Fig14() *Table {
-	t := &Table{
-		ID:     "fig14",
-		Title:  "Window size sweep: geomean speedup and storage overhead",
-		Header: []string{"window (lines)", "geomean speedup", "avg storage overhead"},
-	}
+	t := newTable("fig14", "window (lines)", "geomean speedup", "avg storage overhead")
 	// Representative subset to keep the sweep tractable: one input per
 	// workload, as the paper's figure reports averages.
-	for _, win := range fig14Windows {
+	picks := [][2]string{{"pagerank", "amazon"}, {"hyperanf", "urand"}, {"spcg", "bbmat"}}
+	for _, win := range []uint64{16, 64, 128, 256, 512, 1024, 2048} {
 		var sps, ovs []float64
-		for _, p := range fig14Picks {
+		for _, p := range picks {
 			base := s.Baseline(p[0], p[1])
 			r := s.Run(p[0], p[1], sim.PFRnR, WindowVariant(win))
 			sps = append(sps, r.ComposedSpeedup(base, s.ComposeIters))
@@ -345,12 +309,8 @@ func (s *Suite) Fig14() *Table {
 
 // TableIV reproduces Table IV: qualitative comparison of design points.
 func (s *Suite) TableIV() *Table {
-	t := &Table{
-		ID:    "tableIV",
-		Title: "Design comparison with the most related prefetchers",
-		Header: []string{"design", "class", "trigger", "metadata", "software hint",
-			"timing control"},
-	}
+	t := newTable("tableIV", "design", "class", "trigger", "metadata", "software hint",
+		"timing control")
 	t.AddRow("MISB", "temporal", "miss+PC", "off-chip + 49KB cache", "none", "degree<=8")
 	t.AddRow("Bingo", "spatial", "region trigger", "on-chip tables", "none", "footprint burst")
 	t.AddRow("SteMS", "spatio-temporal", "stream match", "on-chip tables", "none", "stream rate")
@@ -361,11 +321,7 @@ func (s *Suite) TableIV() *Table {
 
 // RecordOverhead reproduces §VII-A.6: the record iteration's slowdown.
 func (s *Suite) RecordOverhead() *Table {
-	t := &Table{
-		ID:     "record-overhead",
-		Title:  "Record iteration overhead vs baseline iteration (%)",
-		Header: []string{"workload", "input", "overhead"},
-	}
+	t := newTable("record-overhead", "workload", "input", "overhead")
 	var all []float64
 	for _, w := range apps.Workloads {
 		for _, in := range apps.InputsFor(w) {
@@ -383,11 +339,7 @@ func (s *Suite) RecordOverhead() *Table {
 
 // HardwareOverhead reproduces §VII-B: the per-core hardware budget.
 func (s *Suite) HardwareOverhead() *Table {
-	t := &Table{
-		ID:     "hw-overhead",
-		Title:  "RnR per-core hardware budget",
-		Header: []string{"item", "bits", "arch", "saved on switch"},
-	}
+	t := newTable("hw-overhead", "item", "bits", "arch", "saved on switch")
 	b := rnr.Budget()
 	for _, it := range b.Items {
 		t.AddRow(it.Name, fmt.Sprint(it.Bits), yn(it.Arch), yn(it.Saved))
@@ -396,16 +348,6 @@ func (s *Suite) HardwareOverhead() *Table {
 	t.AddRow("SAVE/RESTORE", fmt.Sprintf("%.1f B", b.SavedBytes()), "", "")
 	t.Note("paper: < 1KB per core total, 86.5 B of save/restore state")
 	return t
-}
-
-// All runs every experiment in paper order, then the extensions.
-func (s *Suite) All() []*Table {
-	return []*Table{
-		s.Fig1(), s.TableII(), s.TableIII(), s.Fig6(), s.Fig7(), s.Fig8(),
-		s.Fig9(), s.Fig10(), s.Fig11(), s.Fig12(), s.Fig13(), s.Fig14(),
-		s.TableIV(), s.RecordOverhead(), s.HardwareOverhead(),
-		s.CtxSwitch(), s.CoreScaling(), s.DesignChoices(), s.CoRun(),
-	}
 }
 
 func mean(vals []float64) float64 {

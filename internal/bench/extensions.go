@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"rnrsim/internal/apps"
@@ -13,11 +14,6 @@ import (
 // claims the paper makes in prose: §IV-C (context-switch resilience) and
 // §V-E (multicore scalability).
 
-// ctxSwitchPrefetchers is the ctx-switch line-up, shared with the planner.
-var ctxSwitchPrefetchers = []sim.PrefetcherKind{
-	sim.PFGHB, sim.PFMISB, sim.PFBingo, sim.PFRnR,
-}
-
 // CtxSwitchVariant enables the §IV-C periodic-descheduling injection.
 func CtxSwitchVariant() Variant {
 	sw := sim.CtxSwitchConfig{Period: 150_000, Duration: 10_000}
@@ -28,18 +24,14 @@ func CtxSwitchVariant() Variant {
 // resumes from its in-memory metadata while conventional prefetchers
 // retrain from scratch.
 func (s *Suite) CtxSwitch() *Table {
-	t := &Table{
-		ID:    "ctx-switch",
-		Title: "Context-switch resilience (PageRank/urand, periodic descheduling)",
-		Header: []string{"prefetcher", "no-switch speedup", "switching speedup",
-			"accuracy kept"},
-	}
+	t := newTable("ctx-switch", "prefetcher", "no-switch speedup", "switching speedup",
+		"accuracy kept")
 	const w, in = "pagerank", "urand"
 
 	base := s.Baseline(w, in)
 	baseSw := s.Run(w, in, sim.PFNone, CtxSwitchVariant())
 
-	for _, pf := range ctxSwitchPrefetchers {
+	for _, pf := range []sim.PrefetcherKind{sim.PFGHB, sim.PFMISB, sim.PFBingo, sim.PFRnR} {
 		plain := s.Run(w, in, pf, Variant{})
 		switched := s.Run(w, in, pf, CtxSwitchVariant())
 		t.AddRow(string(pf),
@@ -55,28 +47,12 @@ func (s *Suite) CtxSwitch() *Table {
 // CoreScaling measures §V-E: hardware and metadata overhead growth with
 // core count, and whether the speedup survives partitioned execution.
 func (s *Suite) CoreScaling() *Table {
-	t := &Table{
-		ID:    "core-scaling",
-		Title: "Multicore scalability (PageRank/amazon)",
-		Header: []string{"cores", "speedup", "metadata KB total", "metadata % of input",
-			"HW bytes total"},
-	}
+	t := newTable("core-scaling", "cores", "speedup", "metadata KB total", "metadata % of input",
+		"HW bytes total")
 	budget := rnr.Budget().TotalBytes()
 	for _, cores := range []int{1, 2, 4, 8} {
-		g := s.scalingGraph()
-		app := apps.PageRank(g, "amazon", apps.PageRankConfig{Cores: cores, Iterations: 5})
-		cfg := s.Config
-		cfg.Cores = cores
-		cfg.Prefetcher = sim.PFNone
-		base, err := sim.Run(cfg, app)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Prefetcher = sim.PFRnR
-		r, err := sim.Run(cfg, app)
-		if err != nil {
-			panic(err)
-		}
+		base := s.scalingRun(cores, sim.PFNone)
+		r := s.scalingRun(cores, sim.PFRnR)
 		t.AddRow(fmt.Sprint(cores),
 			f2(r.ComposedSpeedup(base, s.ComposeIters)),
 			f1(float64(r.RnR.MetadataBytes())/1024),
@@ -87,6 +63,25 @@ func (s *Suite) CoreScaling() *Table {
 		"partitioning keeps the per-core metadata roughly constant, so the " +
 		"total tracks the miss count, not the core count")
 	return t
+}
+
+// scalingRun runs the core-scaling sweep's PageRank, partitioned over
+// cores, under pf. It is memoised under "scaling:<cores>/<pf>".
+func (s *Suite) scalingRun(cores int, pf sim.PrefetcherKind) *sim.Result {
+	cfg := s.Config
+	cfg.Cores = cores
+	cfg.Prefetcher = pf
+	r, err := s.run(context.Background(), PlannedRun{
+		Key: fmt.Sprintf("scaling:%d/%s", cores, pf),
+		cfg: cfg,
+		compose: func(s *Suite) (*apps.App, error) {
+			return apps.PageRank(s.scalingGraph(), "amazon", apps.PageRankConfig{Cores: cores, Iterations: 5}), nil
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // scalingGraph returns the shared input of the core-scaling sweep,
@@ -120,12 +115,8 @@ func LLCDestVariant() Variant {
 // every-access recording (vs L2-miss recording) and prefetching into the
 // shared LLC (vs the private L2).
 func (s *Suite) DesignChoices() *Table {
-	t := &Table{
-		ID:    "design-choices",
-		Title: "§III design-choice ablation (PageRank/urand)",
-		Header: []string{"variant", "speedup", "accuracy", "metadata KB",
-			"storage overhead"},
-	}
+	t := newTable("design-choices", "variant", "speedup", "accuracy", "metadata KB",
+		"storage overhead")
 	const w, in = "pagerank", "urand"
 	base := s.Baseline(w, in)
 	row := func(name string, r *sim.Result) {

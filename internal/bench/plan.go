@@ -1,17 +1,20 @@
-// Run planning: each experiment declares, ahead of execution, the exact
-// set of (workload, input, prefetcher, variant) simulations its table
-// needs. Prewarm fans a plan out over a bounded worker pool (one
-// goroutine per in-flight simulation, at most Suite.Parallelism); the
-// singleflight memoisation in Suite.Run guarantees shared keys (the
-// baselines feed most figures) are simulated exactly once. Table
-// assembly afterwards is serial and entirely cache hits, so the rendered
-// tables are byte-identical to a serial run — the plan only changes
-// *when* runs happen, never which results feed which cells.
+// Run planning. An experiment's runner is the only list of the runs its
+// table needs: Plan finds them by dry-running the runner on a throwaway
+// Suite whose run path records each request (key, machine, app builder)
+// and answers it with a zero placeholder result instead of simulating.
+// Prewarm replays the recorded runs on the real suite over a bounded
+// worker pool (at most Suite.Parallelism wide); the singleflight
+// memoisation in Suite.run guarantees shared keys (the baselines feed
+// most figures) are simulated exactly once. Table assembly afterwards
+// is serial and entirely cache hits, so the rendered tables are
+// byte-identical to a serial run — the plan only changes *when* runs
+// happen, never which results feed which cells.
 //
-// The planner-completeness tests in plan_test.go assert, for every
-// experiment id, that the planned key set equals the keys the runner
-// actually requests during assembly, so the two enumerations cannot
-// drift apart silently.
+// A dry run is exact as long as which runs a runner requests does not
+// depend on the results of earlier ones. The planner-completeness tests
+// in plan_test.go hold every experiment to that: after
+// Prewarm(Plan(id)), assembly requests exactly the planned keys and
+// simulates nothing fresh.
 package bench
 
 import (
@@ -20,233 +23,152 @@ import (
 	"sync"
 
 	"rnrsim/internal/apps"
-	"rnrsim/internal/rnr"
+	"rnrsim/internal/cache"
 	"rnrsim/internal/sim"
 )
 
-// PlannedRun is one simulation an experiment needs.
-type PlannedRun struct {
-	Workload, Input string
-	PF              sim.PrefetcherKind
-	Variant         Variant
+// experiment is one entry of the experiment registry.
+type experiment struct {
+	id  string
+	run func(*Suite) *Table
+	// static marks the tables that simulate nothing. Plan never
+	// dry-runs them: tableIII would build every input.
+	static bool
+	title  string
 }
 
-// Key returns the memoisation key the run resolves to.
-func (p PlannedRun) Key() string {
-	return runKey(p.Workload, p.Input, p.PF, p.Variant.Tag)
+// registry lists every experiment in presentation order (the order
+// cmd/experiments emits them in). init fills it rather than its
+// declaration because the runners read their titles from it.
+var registry []experiment
+
+// ExperimentIDs lists the registry's ids in presentation order.
+var ExperimentIDs []string
+
+func init() {
+	registry = []experiment{
+		{"tableII", (*Suite).TableII, true, "Baseline configuration (paper values, scaled capacities in use)"},
+		{"tableIII", (*Suite).TableIII, true, "Workload inputs (synthetic stand-ins, scaled)"},
+		{"fig1", (*Suite).Fig1, false, "Prefetcher coverage and accuracy, PageRank on amazon"},
+		{"fig6", (*Suite).Fig6, false, "Speedup over no-prefetch baseline (100 iterations)"},
+		{"fig7", (*Suite).Fig7, false, "L2 demand MPKI"},
+		{"fig8", (*Suite).Fig8, false, "Miss coverage vs baseline misses"},
+		{"fig9", (*Suite).Fig9, false, "Prefetch accuracy"},
+		{"fig10", (*Suite).Fig10, false, "Replay timing control ablation: speedup over baseline (100 iters)"},
+		{"fig11", (*Suite).Fig11, false, "RnR prefetch timeliness (fractions of issued prefetches)"},
+		{"fig12", (*Suite).Fig12, false, "Additional off-chip traffic vs baseline (%)"},
+		{"fig13", (*Suite).Fig13, false, "RnR metadata storage overhead (% of input size)"},
+		{"fig14", (*Suite).Fig14, false, "Window size sweep: geomean speedup and storage overhead"},
+		{"tableIV", (*Suite).TableIV, true, "Design comparison with the most related prefetchers"},
+		{"record-overhead", (*Suite).RecordOverhead, false, "Record iteration overhead vs baseline iteration (%)"},
+		{"hw-overhead", (*Suite).HardwareOverhead, true, "RnR per-core hardware budget"},
+		{"ctx-switch", (*Suite).CtxSwitch, false, "Context-switch resilience (PageRank/urand, periodic descheduling)"},
+		{"core-scaling", (*Suite).CoreScaling, false, "Multicore scalability (PageRank/amazon)"},
+		{"design-choices", (*Suite).DesignChoices, false, "§III design-choice ablation (PageRank/urand)"},
+		{"corun", (*Suite).CoRun, false, "Co-run interference: PageRank + spCG sharing a 2-core coherent LLC"},
+	}
+	for _, e := range registry {
+		ExperimentIDs = append(ExperimentIDs, e.id)
+	}
 }
 
-// ExperimentIDs lists every experiment in presentation order (the order
-// cmd/experiments emits them in).
-var ExperimentIDs = []string{
-	"tableII", "tableIII", "fig1", "fig6", "fig7", "fig8", "fig9",
-	"fig10", "fig11", "fig12", "fig13", "fig14", "tableIV",
-	"record-overhead", "hw-overhead", "ctx-switch", "core-scaling",
-	"design-choices", "corun",
+func lookup(id string) (experiment, bool) {
+	for _, e := range registry {
+		if e.id == id {
+			return e, true
+		}
+	}
+	return experiment{}, false
 }
 
-// experimentTitles names each experiment for discovery listings (the
-// serving layer's GET /v1/experiments) without having to run anything.
-var experimentTitles = map[string]string{
-	"tableII":         "Baseline configuration (paper values, scaled capacities in use)",
-	"tableIII":        "Workload inputs (synthetic stand-ins, scaled)",
-	"fig1":            "Prefetcher coverage and accuracy, PageRank on amazon",
-	"fig6":            "Speedup over no-prefetching baseline",
-	"fig7":            "L2 demand MPKI",
-	"fig8":            "Prefetch coverage",
-	"fig9":            "Prefetch accuracy",
-	"fig10":           "Replay timing control ablation: speedup over baseline (100 iters)",
-	"fig11":           "RnR prefetch timeliness (fractions of issued prefetches)",
-	"fig12":           "DRAM traffic relative to baseline",
-	"fig13":           "RnR metadata storage overhead (% of input size)",
-	"fig14":           "Window size sweep: geomean speedup and storage overhead",
-	"tableIV":         "Design comparison with the most related prefetchers",
-	"record-overhead": "Record iteration overhead vs baseline iteration (%)",
-	"hw-overhead":     "RnR per-core hardware budget",
-	"ctx-switch":      "Context-switch resilience (PageRank/urand, periodic descheduling)",
-	"core-scaling":    "Multicore scalability (PageRank/amazon)",
-	"design-choices":  "§III design-choice ablation (PageRank/urand)",
-	"corun":           "Co-run interference: PageRank + spCG on a 2-core coherent LLC",
+// ExperimentTitle returns an experiment's title ("" for unknown ids).
+func ExperimentTitle(id string) string {
+	e, _ := lookup(id)
+	return e.title
 }
-
-// ExperimentTitle returns a human-readable title for an experiment id
-// ("" for unknown ids).
-func ExperimentTitle(id string) string { return experimentTitles[id] }
 
 // Runner returns the table runner for an experiment id.
 func (s *Suite) Runner(id string) (func() *Table, bool) {
-	switch id {
-	case "fig1":
-		return s.Fig1, true
-	case "tableII":
-		return s.TableII, true
-	case "tableIII":
-		return s.TableIII, true
-	case "fig6":
-		return s.Fig6, true
-	case "fig7":
-		return s.Fig7, true
-	case "fig8":
-		return s.Fig8, true
-	case "fig9":
-		return s.Fig9, true
-	case "fig10":
-		return s.Fig10, true
-	case "fig11":
-		return s.Fig11, true
-	case "fig12":
-		return s.Fig12, true
-	case "fig13":
-		return s.Fig13, true
-	case "fig14":
-		return s.Fig14, true
-	case "tableIV":
-		return s.TableIV, true
-	case "record-overhead":
-		return s.RecordOverhead, true
-	case "hw-overhead":
-		return s.HardwareOverhead, true
-	case "ctx-switch":
-		return s.CtxSwitch, true
-	case "core-scaling":
-		return s.CoreScaling, true
-	case "design-choices":
-		return s.DesignChoices, true
-	case "corun":
-		return s.CoRun, true
+	e, ok := lookup(id)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	return func() *Table { return e.run(s) }, true
 }
 
-// Plan enumerates the runs the given experiments need, deduplicated by
-// key, in deterministic first-seen order. Unknown ids plan nothing
-// (Runner reports them; the CLI validates before planning).
+// newTable starts experiment id's table under its registry title.
+func newTable(id string, header ...string) *Table {
+	return &Table{ID: id, Title: ExperimentTitle(id), Header: header}
+}
+
+// PlannedRun is one simulation, as Suite.run receives it: the
+// memoisation key, the machine and the app to run on it.
+type PlannedRun struct {
+	Key string
+	// Workload and Input name a solo run's app, which the suite builds
+	// once and shares. Runs whose app is composed per run (co-runs,
+	// core-scaling) leave them empty and set compose, which takes the
+	// suite that simulates the run: a run recorded on a dry-run suite
+	// builds on the real one.
+	Workload, Input string
+	cfg             sim.Config
+	compose         func(*Suite) (*apps.App, error)
+}
+
+// app returns the run's app on the suite that simulates it.
+func (p PlannedRun) app(ctx context.Context, s *Suite) (*apps.App, error) {
+	if p.compose != nil {
+		return p.compose(s)
+	}
+	return s.AppContext(ctx, p.Workload, p.Input)
+}
+
+// planLog is a dry-run suite's record of the runs it was asked for,
+// deduplicated by key in first-seen order.
+type planLog struct {
+	seen map[string]struct{}
+	runs []PlannedRun
+}
+
+// record logs p and returns the placeholder a dry run answers with: a
+// zero result, with one private-L2 entry per core for the runners that
+// index them. Every Result metric guards its zero denominators.
+func (l *planLog) record(p PlannedRun) *sim.Result {
+	if _, dup := l.seen[p.Key]; !dup {
+		l.seen[p.Key] = struct{}{}
+		l.runs = append(l.runs, p)
+	}
+	return &sim.Result{CoreL2: make([]cache.Stats, p.cfg.Cores)}
+}
+
+// Plan returns the runs the given experiments need, deduplicated by
+// key, in deterministic first-seen order, by dry-running each
+// simulating experiment's runner. Planning simulates nothing and builds
+// no app. Unknown ids plan nothing (Runner reports them; the CLI validates
+// before planning).
 func (s *Suite) Plan(ids ...string) []PlannedRun {
-	seen := make(map[string]struct{})
-	var out []PlannedRun
-	add := func(runs ...PlannedRun) {
-		for _, r := range runs {
-			k := r.Key()
-			if _, dup := seen[k]; dup {
-				continue
+	return s.dryRun(func(dry *Suite) {
+		for _, id := range ids {
+			if e, ok := lookup(id); ok && !e.static {
+				e.run(dry)
 			}
-			seen[k] = struct{}{}
-			out = append(out, r)
 		}
-	}
-	for _, id := range ids {
-		add(s.planOne(id)...)
-	}
-	return out
+	})
 }
 
-// eachInput invokes f over the full workload × input grid in
-// presentation order.
-func eachInput(f func(w, in string)) {
-	for _, w := range apps.Workloads {
-		for _, in := range apps.InputsFor(w) {
-			f(w, in)
-		}
-	}
-}
-
-// planOne enumerates one experiment's runs, mirroring its runner. The
-// static tables (tableII/III/IV, hw-overhead) simulate nothing.
-// core-scaling builds per-core-count machines outside the memoised key
-// space, and corun's co-runs are memoised under co-run keys
-// (RunCoRunContext) that PlannedRun cannot name, so both plan empty and
-// simulate at assembly time.
-func (s *Suite) planOne(id string) []PlannedRun {
-	var p []PlannedRun
-	base := func(w, in string) {
-		p = append(p, PlannedRun{w, in, sim.PFNone, Variant{}})
-	}
-	switch id {
-	case "fig1":
-		base("pagerank", "amazon")
-		for _, pf := range fig1Prefetchers {
-			p = append(p, PlannedRun{"pagerank", "amazon", pf, Variant{}})
-		}
-	case "fig6":
-		eachInput(func(w, in string) {
-			base(w, in)
-			for _, pf := range comparisonSet(w) {
-				p = append(p, PlannedRun{w, in, pf, Variant{}})
-			}
-			p = append(p, PlannedRun{w, in, sim.PFNone, IdealVariant()})
-		})
-	case "fig7":
-		eachInput(func(w, in string) {
-			base(w, in)
-			p = append(p, PlannedRun{w, in, sim.PFRnR, Variant{}})
-			p = append(p, PlannedRun{w, in, sim.PFRnRCombined, Variant{}})
-		})
-	case "fig8", "fig9", "fig12":
-		eachInput(func(w, in string) {
-			base(w, in)
-			for _, pf := range comparisonSet(w) {
-				p = append(p, PlannedRun{w, in, pf, Variant{}})
-			}
-		})
-	case "fig10":
-		eachInput(func(w, in string) {
-			base(w, in)
-			for _, ctl := range timingControls {
-				p = append(p, PlannedRun{w, in, sim.PFRnR, ControlVariant(ctl)})
-			}
-		})
-	case "fig11":
-		eachInput(func(w, in string) {
-			for _, ctl := range timingControls {
-				p = append(p, PlannedRun{w, in, sim.PFRnR, ControlVariant(ctl)})
-			}
-		})
-	case "fig13":
-		eachInput(func(w, in string) {
-			p = append(p, PlannedRun{w, in, sim.PFRnR, Variant{}})
-		})
-	case "fig14":
-		for _, win := range fig14Windows {
-			for _, pick := range fig14Picks {
-				p = append(p, PlannedRun{pick[0], pick[1], sim.PFNone, Variant{}})
-				p = append(p, PlannedRun{pick[0], pick[1], sim.PFRnR, WindowVariant(win)})
-			}
-		}
-	case "record-overhead":
-		eachInput(func(w, in string) {
-			base(w, in)
-			p = append(p, PlannedRun{w, in, sim.PFRnR, Variant{}})
-		})
-	case "ctx-switch":
-		base("pagerank", "urand")
-		p = append(p, PlannedRun{"pagerank", "urand", sim.PFNone, CtxSwitchVariant()})
-		for _, pf := range ctxSwitchPrefetchers {
-			p = append(p, PlannedRun{"pagerank", "urand", pf, Variant{}})
-			p = append(p, PlannedRun{"pagerank", "urand", pf, CtxSwitchVariant()})
-		}
-	case "design-choices":
-		base("pagerank", "urand")
-		p = append(p, PlannedRun{"pagerank", "urand", sim.PFRnR, Variant{}})
-		p = append(p, PlannedRun{"pagerank", "urand", sim.PFRnR, RecordAllVariant()})
-		p = append(p, PlannedRun{"pagerank", "urand", sim.PFRnR, LLCDestVariant()})
-	}
-	return p
-}
-
-// fig1Prefetchers is the Fig. 1 line-up, shared between runner and plan.
-var fig1Prefetchers = []sim.PrefetcherKind{
-	sim.PFNextLine, sim.PFBingo, sim.PFMISB, sim.PFSteMS, sim.PFDroplet, sim.PFRnR,
-}
-
-// timingControls is the Fig. 10/11 control sweep, shared with the plan.
-var timingControls = []rnr.TimingControl{
-	rnr.NoControl, rnr.WindowControl, rnr.WindowPaceControl,
+// dryRun calls f on a throwaway dry-run suite with s's Scale, Config
+// and ComposeIters, and returns the runs f asked it for.
+func (s *Suite) dryRun(f func(dry *Suite)) []PlannedRun {
+	log := &planLog{seen: make(map[string]struct{})}
+	f(&Suite{Scale: s.Scale, Config: s.Config, ComposeIters: s.ComposeIters, plan: log})
+	return log.runs
 }
 
 // Prewarm executes every planned run over a bounded worker pool
-// (Suite.Parallelism wide). It first builds the distinct workloads the
-// plan touches — workload construction is itself expensive at
-// bench/large scale — then fans out the simulations. Returns the number
+// (Suite.Parallelism wide), each through the suite's memoised run path.
+// It first builds the distinct solo workloads the plan touches —
+// workload construction is itself expensive at bench/large scale — then
+// fans out the simulations. Returns the number
 // of distinct keys prewarmed. Errors surface as panics exactly as they
 // do on the serial path.
 func (s *Suite) Prewarm(plan []PlannedRun) int {
@@ -270,15 +192,15 @@ func (s *Suite) PrewarmContext(ctx context.Context, plan []PlannedRun) (int, err
 	}
 	workers := s.parallelism()
 
-	// Phase 1: distinct apps in parallel, so the run fan-out below does
-	// not serialize on a thundering herd of workers all waiting for the
-	// first app build.
+	// Phase 1: the distinct solo-run apps in parallel, so the run
+	// fan-out below does not serialize on a thundering herd of workers
+	// all waiting for the first app build. Composed apps build per run.
 	type wi struct{ w, in string }
 	appSet := make(map[wi]struct{})
 	var appsNeeded []wi
 	for _, r := range plan {
 		k := wi{r.Workload, r.Input}
-		if _, ok := appSet[k]; !ok {
+		if _, ok := appSet[k]; !ok && r.compose == nil {
 			appSet[k] = struct{}{}
 			appsNeeded = append(appsNeeded, k)
 		}
@@ -292,10 +214,9 @@ func (s *Suite) PrewarmContext(ctx context.Context, plan []PlannedRun) (int, err
 	}
 
 	// Phase 2: the simulations. Duplicate keys were removed by Plan;
-	// singleflight in Run protects against callers racing Prewarm.
+	// singleflight in run protects against callers racing Prewarm.
 	err = runPoolCtx(ctx, workers, len(plan), func(i int) error {
-		r := plan[i]
-		_, err := s.RunContext(ctx, r.Workload, r.Input, r.PF, r.Variant)
+		_, err := s.run(ctx, plan[i])
 		return err
 	})
 	if err != nil {
@@ -409,7 +330,7 @@ dispatch:
 func PlanKeys(plan []PlannedRun) []string {
 	keys := make([]string, 0, len(plan))
 	for _, r := range plan {
-		keys = append(keys, r.Key())
+		keys = append(keys, r.Key)
 	}
 	sort.Strings(keys)
 	return keys

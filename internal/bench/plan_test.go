@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,7 +82,7 @@ func TestPlanCoversEveryExperiment(t *testing.T) {
 	plan := s.Plan(ExperimentIDs...)
 	seen := make(map[string]struct{}, len(plan))
 	for _, r := range plan {
-		k := r.Key()
+		k := r.Key
 		if _, dup := seen[k]; dup {
 			t.Errorf("Plan emitted duplicate key %s", k)
 		}
@@ -100,69 +99,79 @@ func TestPlanCoversEveryExperiment(t *testing.T) {
 	}
 }
 
+// TestPlanSimulatesNothing pins that planning is a dry run: planning
+// every experiment on a cold suite performs no fresh run, builds no app
+// and calls no Progress hook, yet names the co-run and core-scaling
+// runs that assembly will request.
+func TestPlanSimulatesNothing(t *testing.T) {
+	s := testSuite()
+	var progress atomic.Int64
+	s.Progress = func(string) { progress.Add(1) }
+	plan := s.Plan(ExperimentIDs...)
+	if len(plan) == 0 {
+		t.Fatal("empty plan")
+	}
+	if n := s.FreshRuns(); n != 0 {
+		t.Errorf("planning performed %d fresh runs", n)
+	}
+	if n := len(s.apps); n != 0 || s.scaleG != nil {
+		t.Errorf("planning built %d apps (core-scaling graph built: %v)", n, s.scaleG != nil)
+	}
+	if n := progress.Load(); n != 0 {
+		t.Errorf("planning called Progress %d times", n)
+	}
+	for id, want := range map[string]int{"corun": 12, "core-scaling": 8, "tableIII": 0} {
+		if got := len(s.Plan(id)); got != want {
+			t.Errorf("%s planned %d runs, want %d", id, got, want)
+		}
+	}
+}
+
 // TestPlannerCompleteness verifies, for every experiment, the planner's
 // contract: after Prewarm(Plan(id)) the table assembly (a) performs zero
 // fresh simulations and (b) requests exactly the planned key set —
-// neither a cold miss nor an over-planned run the table never uses.
-// The one exception is corun, whose co-run keys PlannedRun cannot name:
-// it plans empty, and its co-runs (and nothing else) simulate fresh at
-// assembly time, once per distinct co-run key.
+// neither a cold miss nor an over-planned run the table never uses. It
+// also holds each rendered table to its registry id and title.
 func TestPlannerCompleteness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the full suite")
 	}
 	s := testSuite()
 	s.Parallelism = 4
-	var fresh, freshCoRuns atomic.Int64
-	isCoRun := func(key string) bool { return strings.HasPrefix(key, "corun:") }
-	s.Progress = func(key string) {
-		if isCoRun(key) {
-			freshCoRuns.Add(1)
-		} else {
-			fresh.Add(1)
-		}
-	}
+	var fresh atomic.Int64
+	s.Progress = func(string) { fresh.Add(1) }
 
-	for _, id := range ExperimentIDs {
-		plan := s.Plan(id)
+	for _, e := range registry {
+		plan := s.Plan(e.id)
 		s.Prewarm(plan)
 
-		before, beforeCoRuns := fresh.Load(), freshCoRuns.Load()
+		before := fresh.Load()
 		s.resetRequested()
-		run, ok := s.Runner(id)
+		run, ok := s.Runner(e.id)
 		if !ok {
-			t.Fatalf("no runner for %q", id)
+			t.Fatalf("no runner for %q", e.id)
 		}
-		run()
+		tb := run()
 
+		if tb.ID != e.id || tb.Title != e.title {
+			t.Errorf("%s: table renders as %q %q, registry says %q %q", e.id, tb.ID, tb.Title, e.id, e.title)
+		}
 		if d := fresh.Load() - before; d != 0 {
-			t.Errorf("%s: assembly performed %d fresh simulations after Prewarm; want 0", id, d)
+			t.Errorf("%s: assembly performed %d fresh simulations after Prewarm; want 0", e.id, d)
 		}
 		requested := s.RequestedKeys()
 		planned := make(map[string]struct{}, len(plan))
 		for _, k := range PlanKeys(plan) {
 			planned[k] = struct{}{}
 		}
-		coRunKeys := 0
 		for k := range requested {
-			if id == "corun" && isCoRun(k) {
-				coRunKeys++
-				continue
-			}
 			if _, ok := planned[k]; !ok {
-				t.Errorf("%s: assembly requested unplanned key %s", id, k)
+				t.Errorf("%s: assembly requested unplanned key %s", e.id, k)
 			}
-		}
-		if id == "corun" && coRunKeys == 0 {
-			t.Errorf("corun: assembly requested no co-run keys")
-		}
-		if d := freshCoRuns.Load() - beforeCoRuns; d != int64(coRunKeys) {
-			t.Errorf("%s: assembly performed %d fresh co-runs over %d co-run keys; want one per key",
-				id, d, coRunKeys)
 		}
 		for k := range planned {
 			if _, ok := requested[k]; !ok {
-				t.Errorf("%s: planned key %s never requested by assembly", id, k)
+				t.Errorf("%s: planned key %s never requested by assembly", e.id, k)
 			}
 		}
 	}

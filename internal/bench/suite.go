@@ -26,9 +26,10 @@ import (
 // is simulated exactly once no matter how many goroutines ask for it, in
 // any order.
 // Combined with the run planner (plan.go) this is what makes the parallel
-// experiment engine deterministic: Prewarm fans the planned keys out over
-// a bounded worker pool, and the subsequent serial table assembly is all
-// cache hits, producing byte-identical output to a fully serial run.
+// experiment engine deterministic: Prewarm fans the runs Plan recorded
+// out over a bounded worker pool, and the subsequent serial table
+// assembly is all cache hits, producing byte-identical output to a fully
+// serial run.
 type Suite struct {
 	Scale  apps.Scale
 	Config sim.Config
@@ -47,6 +48,10 @@ type Suite struct {
 	results   map[string]*runCall
 	requested map[string]struct{} // every run key ever asked for (hit or miss)
 	scaleG    *graph.Graph        // memoised core-scaling input
+
+	// plan, when set, makes this a dry-run suite (see Plan): run logs
+	// each request here and answers it with a placeholder result.
+	plan *planLog
 
 	// freshRuns counts completed fresh simulations (memoised hits and
 	// cancelled runs excluded). The serving layer's coalescing tests
@@ -171,27 +176,36 @@ func RunKey(workload, input string, pf sim.PrefetcherKind, tag string) string {
 	return runKey(workload, input, pf, tag)
 }
 
+// fixedVariants are the variants with a fixed wire name: the tag, or
+// "plain" for the plain variant's empty one.
+var fixedVariants = func() []Variant {
+	vs := []Variant{{}, IdealVariant(), CtxSwitchVariant(), RecordAllVariant(), LLCDestVariant()}
+	for _, ctl := range timingControls {
+		vs = append(vs, ControlVariant(ctl))
+	}
+	return vs
+}()
+
+// wireName is a fixed variant's wire name.
+func wireName(v Variant) string {
+	if v.Tag == "" {
+		return "plain"
+	}
+	return v.Tag
+}
+
 // NamedVariant resolves a stable wire name to a run variant — the
 // subset of Variant configurations expressible over the HTTP API
 // (functions don't serialise; tags do). The names are exactly the
 // Variant tags, so a resolved variant reproduces the memoisation key
-// its tag appears in. The empty name is the plain variant. Window
-// sweeps use "winN" (N in cache lines).
+// its tag appears in. The plain variant is "plain" or the empty name.
+// Window sweeps use "winN" (N in cache lines).
 func NamedVariant(name string) (Variant, bool) {
-	switch name {
-	case "", "plain":
+	if name == "" {
 		return Variant{}, true
-	case "ideal":
-		return IdealVariant(), true
-	case "ctxsw":
-		return CtxSwitchVariant(), true
-	case "recordall":
-		return RecordAllVariant(), true
-	case "llcdest":
-		return LLCDestVariant(), true
 	}
-	for _, ctl := range timingControls {
-		if v := ControlVariant(ctl); v.Tag == name {
+	for _, v := range fixedVariants {
+		if wireName(v) == name {
 			return v, true
 		}
 	}
@@ -205,11 +219,11 @@ func NamedVariant(name string) (Variant, bool) {
 }
 
 // VariantNames lists the fixed wire names NamedVariant accepts (the
-// parametric "window-N" family excluded), for API discovery.
+// parametric "winN" family excluded), for API discovery.
 func VariantNames() []string {
-	names := []string{"plain", "ideal", "ctxsw", "recordall", "llcdest"}
-	for _, ctl := range timingControls {
-		names = append(names, ControlVariant(ctl).Tag)
+	names := make([]string, len(fixedVariants))
+	for i, v := range fixedVariants {
+		names[i] = wireName(v)
 	}
 	return names
 }
@@ -254,16 +268,23 @@ func (s *Suite) RunContext(ctx context.Context, workload, input string, pf sim.P
 	if v.Mutate != nil {
 		v.Mutate(&cfg)
 	}
-	return s.run(ctx, runKey(workload, input, pf, v.Tag), cfg, func(ctx context.Context) (*apps.App, error) {
-		return s.AppContext(ctx, workload, input)
+	return s.run(ctx, PlannedRun{
+		Key:      runKey(workload, input, pf, v.Tag),
+		Workload: workload,
+		Input:    input,
+		cfg:      cfg,
 	})
 }
 
 // run is the one memoised, singleflight run path: the solo runs of
-// RunContext and the co-runs of RunCoRunContext both simulate here,
-// keyed by their run key, on cfg (whose Name becomes the key) over the
-// app that build returns.
-func (s *Suite) run(ctx context.Context, key string, cfg sim.Config, build func(context.Context) (*apps.App, error)) (*sim.Result, error) {
+// RunContext, the co-runs of RunCoRunContext and the core-scaling runs
+// all simulate here, keyed by p.Key, on p.cfg (whose Name becomes the
+// key) over p's app. A dry-run suite only logs p.
+func (s *Suite) run(ctx context.Context, p PlannedRun) (*sim.Result, error) {
+	if s.plan != nil {
+		return s.plan.record(p), nil
+	}
+	key := p.Key
 	for {
 		s.mu.Lock()
 		s.requested[key] = struct{}{}
@@ -275,7 +296,7 @@ func (s *Suite) run(ctx context.Context, key string, cfg sim.Config, build func(
 		s.mu.Unlock()
 
 		if !ok {
-			s.runFresh(ctx, c, key, cfg, build)
+			s.runFresh(ctx, c, p)
 		} else {
 			select {
 			case <-c.done:
@@ -296,24 +317,25 @@ func (s *Suite) run(ctx context.Context, key string, cfg sim.Config, build func(
 // outcome on c, wake the waiters. A cancelled run deletes its map entry
 // *before* close(c.done) so retrying waiters cannot re-adopt the dead
 // entry.
-func (s *Suite) runFresh(ctx context.Context, c *runCall, key string, cfg sim.Config, build func(context.Context) (*apps.App, error)) {
+func (s *Suite) runFresh(ctx context.Context, c *runCall, p PlannedRun) {
 	defer close(c.done) // never leave waiters hanging, even on panic
-	c.res, c.err = s.simulate(ctx, key, cfg, build)
+	c.res, c.err = s.simulate(ctx, p)
 	if IsCancellation(c.err) {
 		s.mu.Lock()
-		if s.results[key] == c {
-			delete(s.results, key)
+		if s.results[p.Key] == c {
+			delete(s.results, p.Key)
 		}
 		s.mu.Unlock()
 	}
 }
 
 // simulate performs one fresh run (the singleflight winner's path).
-func (s *Suite) simulate(ctx context.Context, key string, cfg sim.Config, build func(context.Context) (*apps.App, error)) (*sim.Result, error) {
-	app, err := build(ctx)
+func (s *Suite) simulate(ctx context.Context, p PlannedRun) (*sim.Result, error) {
+	app, err := p.app(ctx, s)
 	if err != nil {
 		return nil, err
 	}
+	key, cfg := p.Key, p.cfg
 	cfg.Name = key
 	if fn := progressFrom(ctx); fn != nil {
 		cfg.OnIteration = func(iter int, cycle uint64) {

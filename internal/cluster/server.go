@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -56,39 +55,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-type errorBody struct {
-	SchemaVersion string `json:"schema_version"`
-	GeneratedAt   string `json:"generated_at"`
-	Error         string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	schema, generated := sim.Stamp()
-	writeJSON(w, status, errorBody{
-		SchemaVersion: schema,
-		GeneratedAt:   generated,
-		Error:         fmt.Sprintf(format, args...),
-	})
-}
-
 // writeUnavailable degrades gracefully: 503 with a jittered
 // Retry-After so a thinned-out ring sheds load instead of timing out,
 // and the retry herd arrives spread out.
 func (s *Server) writeUnavailable(w http.ResponseWriter, err error) {
-	secs := int(s.c.RetryAfterJittered().Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusServiceUnavailable, "%v", err)
+	w.Header().Set("Retry-After", strconv.Itoa(int(s.c.RetryAfterJittered().Seconds())))
+	serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -121,10 +93,10 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.c.AddWorker(req.ID, req.URL); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Joined  string `json:"joined"`
 		Workers int    `json:"workers"`
 	}{req.ID, s.c.LiveWorkers()})
@@ -133,10 +105,10 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.c.RemoveWorker(id); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		serve.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Left    string `json:"left"`
 		Workers int    `json:"workers"`
 	}{id, s.c.LiveWorkers()})
@@ -144,7 +116,7 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	schema, generated := sim.Stamp()
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		SchemaVersion string       `json:"schema_version"`
 		GeneratedAt   string       `json:"generated_at"`
 		Workers       []WorkerInfo `json:"workers"`
@@ -167,18 +139,18 @@ func (s *Server) handleDispatch(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrNoWorkers):
 			s.writeUnavailable(w, err)
 		case errors.Is(err, ErrHashMismatch):
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			serve.WriteError(w, http.StatusInternalServerError, "%v", err)
 		case errors.Is(err, ErrJobFailed):
-			writeError(w, http.StatusBadRequest, "%v", err)
+			serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		case errors.Is(err, context.Canceled):
 			// Client went away; nothing useful to write.
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		default:
-			writeError(w, http.StatusBadGateway, "%v", err)
+			serve.WriteError(w, http.StatusBadGateway, "%v", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	serve.WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
@@ -192,10 +164,10 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	sw, err := s.c.StartSweep(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, sw.View(false))
+	serve.WriteJSON(w, http.StatusAccepted, sw.View(false))
 }
 
 func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
@@ -205,7 +177,7 @@ func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
 		views[i] = sw.View(false)
 	}
 	schema, generated := sim.Stamp()
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		SchemaVersion string      `json:"schema_version"`
 		GeneratedAt   string      `json:"generated_at"`
 		Sweeps        []SweepView `json:"sweeps"`
@@ -215,10 +187,10 @@ func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 	sw, err := s.c.SweepByID(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		serve.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sw.View(true))
+	serve.WriteJSON(w, http.StatusOK, sw.View(true))
 }
 
 // handleSweepEvents streams the sweep's aggregate progress over SSE:
@@ -227,7 +199,7 @@ func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	sw, err := s.c.SweepByID(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		serve.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	serve.StreamSSE(w, r, sw.EventLog())

@@ -183,7 +183,7 @@ func lastEventID(r *http.Request) int {
 func StreamSSE(w http.ResponseWriter, r *http.Request, l *EventLog) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	history, live, cancel := l.SubscribeFrom(lastEventID(r))

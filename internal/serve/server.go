@@ -59,7 +59,8 @@ type errorBody struct {
 	Error         string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as indented JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -67,9 +68,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+// WriteError answers with status and the formatted message in the
+// stamped JSON error envelope.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	schema, generated := sim.Stamp()
-	writeJSON(w, status, errorBody{
+	WriteJSON(w, status, errorBody{
 		SchemaVersion: schema,
 		GeneratedAt:   generated,
 		Error:         fmt.Sprintf(format, args...),
@@ -81,22 +84,18 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		secs := int(s.m.RetryAfterJittered().Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		w.Header().Set("Retry-After", strconv.Itoa(int(s.m.RetryAfterJittered().Seconds())))
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.m.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -143,14 +142,14 @@ func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, j *Job
 		if !s.waitForJob(w, r, j) {
 			return
 		}
-		writeJSON(w, http.StatusOK, j.View(true))
+		WriteJSON(w, http.StatusOK, j.View(true))
 		return
 	}
 	status := http.StatusOK
 	if fresh {
 		status = http.StatusAccepted
 	}
-	writeJSON(w, status, j.View(false))
+	WriteJSON(w, status, j.View(false))
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
@@ -160,7 +159,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		views[i] = j.View(false)
 	}
 	schema, generated := sim.Stamp()
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		SchemaVersion string    `json:"schema_version"`
 		GeneratedAt   string    `json:"generated_at"`
 		Jobs          []JobView `json:"jobs"`
@@ -170,7 +169,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j, err := s.m.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	if wantWait(r) && !j.State().Terminal() {
@@ -178,21 +177,21 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, j.View(true))
+	WriteJSON(w, http.StatusOK, j.View(true))
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.m.Cancel(id); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	j, err := s.m.Job(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.View(false))
+	WriteJSON(w, http.StatusOK, j.View(false))
 }
 
 // waitForJob blocks until the job is terminal or the client goes away.
@@ -219,7 +218,7 @@ func (s *Server) waitForJob(w http.ResponseWriter, r *http.Request, j *Job) bool
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, err := s.m.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	release := s.m.Watch(j)
@@ -233,11 +232,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRenewLease(w http.ResponseWriter, r *http.Request) {
 	renewed, err := s.m.RenewLease(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	if !renewed {
-		writeError(w, http.StatusConflict, "job holds no live lease")
+		WriteError(w, http.StatusConflict, "job holds no live lease")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -247,7 +246,7 @@ func (s *Server) handleRenewLease(w http.ResponseWriter, r *http.Request) {
 // handleWorkerStatus is the cluster heartbeat responder: one cheap GET
 // a coordinator polls to judge this worker's health and load.
 func (s *Server) handleWorkerStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.m.WorkerStatus())
+	WriteJSON(w, http.StatusOK, s.m.WorkerStatus())
 }
 
 // ExperimentInfo is one row of the experiment registry listing.
@@ -268,7 +267,7 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	schema, generated := sim.Stamp()
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		SchemaVersion string           `json:"schema_version"`
 		GeneratedAt   string           `json:"generated_at"`
 		DefaultScale  string           `json:"default_scale"`
@@ -299,9 +298,9 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooLarge.Limit)
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooLarge.Limit)
 	} else {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
 	return false
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rnrsim/internal/bench"
 	"rnrsim/internal/sim"
 	"rnrsim/internal/telemetry"
 )
@@ -339,6 +340,16 @@ func TestHTTPExperiments(t *testing.T) {
 	}
 	if e, ok := byID["tableII"]; !ok || e.Runs != 0 {
 		t.Errorf("tableII entry = %+v (static tables plan no runs)", e)
+	}
+	// Co-runs and core-scaling runs go through the planned run path too.
+	if e := byID["corun"]; e.Runs != 12 {
+		t.Errorf("corun entry = %+v, want 12 runs", e)
+	}
+	if e := byID["core-scaling"]; e.Runs != 8 {
+		t.Errorf("core-scaling entry = %+v, want 8 runs", e)
+	}
+	if len(doc.Experiments) != len(bench.ExperimentIDs) {
+		t.Errorf("listed %d experiments, want %d", len(doc.Experiments), len(bench.ExperimentIDs))
 	}
 
 	// Run the static tableII as a job, waiting inline.
