@@ -40,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -64,7 +65,7 @@ func main() {
 	crosscore := flag.Bool("crosscore", false,
 		"attach the cooperative cross-core LLC prefetcher (trained on LLC miss streams, issues across cores)")
 	pfs := flag.String("prefetchers", "rnr,rnr-combined,nextline",
-		"comma-separated prefetchers (none,nextline,stream,ghb,misb,bingo,stems,droplet,imp,rnr,rnr-combined)")
+		"comma-separated prefetchers ("+allPrefetchers()+")")
 	window := flag.Uint64("window", 0, "RnR window size in lines (0 = half the L2)")
 	control := flag.String("control", "window+pace", "RnR timing control: nocontrol, window, window+pace")
 	iters := flag.Int("iters", 100, "iterations speedups are composed to")
@@ -86,10 +87,11 @@ func main() {
 	flag.Parse()
 
 	if err := validateFlags(flagValues{
-		Cores:     *cores,
-		CoRun:     *corun,
-		CrossCore: *crosscore,
-		Jobs:      *jobs,
+		Prefetchers: *pfs,
+		Cores:       *cores,
+		CoRun:       *corun,
+		CrossCore:   *crosscore,
+		Jobs:        *jobs,
 	}); err != nil {
 		fatal("%v", err)
 	}
@@ -299,10 +301,11 @@ func main() {
 // flagValues carries the command-line values cross-flag validation
 // needs, so the rules are testable without running main.
 type flagValues struct {
-	Cores     int
-	CoRun     string
-	CrossCore bool
-	Jobs      int
+	Prefetchers string
+	Cores       int
+	CoRun       string
+	CrossCore   bool
+	Jobs        int
 }
 
 // validateFlags rejects flag misuse at parse time, naming the offending
@@ -312,8 +315,16 @@ type flagValues struct {
 // default" (the build switch only tested > 0), and -crosscore without a
 // -corun job list only made sense by accident (the cross-core prefetcher
 // trains on multiple cores' LLC miss streams; with one SPMD program the
-// serving layer rejects the same combination at submission time).
+// serving layer rejects the same combination at submission time). An
+// unknown -prefetchers name is rejected here too, before the no-prefetch
+// baseline spends a whole simulation ahead of sim.New's check.
 func validateFlags(v flagValues) error {
+	for _, name := range strings.Split(v.Prefetchers, ",") {
+		pf := sim.PrefetcherKind(strings.TrimSpace(name))
+		if pf != "" && !slices.Contains(sim.AllPrefetchers, pf) {
+			return fmt.Errorf("-prefetchers: unknown prefetcher %q (have %s)", pf, allPrefetchers())
+		}
+	}
 	if v.Cores < 0 {
 		return fmt.Errorf("-cores must be positive (got %d); omit it for the machine default", v.Cores)
 	}
@@ -327,6 +338,15 @@ func validateFlags(v flagValues) error {
 		return fmt.Errorf("-j must be >= 1 (got %d)", v.Jobs)
 	}
 	return nil
+}
+
+// allPrefetchers lists sim.AllPrefetchers in -prefetchers syntax.
+func allPrefetchers() string {
+	names := make([]string, len(sim.AllPrefetchers))
+	for i, pf := range sim.AllPrefetchers {
+		names[i] = string(pf)
+	}
+	return strings.Join(names, ",")
 }
 
 // writeResultJSON writes one run's stamped export.

@@ -10,7 +10,8 @@ import (
 // through the `> 0` build switch and silently run the machine default,
 // and -crosscore on a single-program single-core run attached a shared
 // prefetcher that can never train. Both must now fail fast, naming the
-// offending flag.
+// offending flag. An unknown -prefetchers name used to fail only in
+// sim.New, after the no-prefetch baseline had fully simulated.
 func TestValidateFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -21,11 +22,13 @@ func TestValidateFlags(t *testing.T) {
 		{"crosscore without corun or cores", flagValues{CrossCore: true, Jobs: 1}, "-crosscore"},
 		{"cores conflicts with corun", flagValues{Cores: 2, CoRun: "pagerank.urand,spcg.bbmat", Jobs: 1}, "-cores"},
 		{"zero jobs", flagValues{Jobs: 0}, "-j"},
+		{"unknown prefetcher", flagValues{Prefetchers: "rnr,nextlin", Jobs: 1}, "-prefetchers"},
 
 		{"defaults pass", flagValues{Jobs: 1}, ""},
 		{"cores pass", flagValues{Cores: 4, Jobs: 8}, ""},
 		{"crosscore with corun", flagValues{CoRun: "pagerank.urand,spcg.bbmat", CrossCore: true, Jobs: 1}, ""},
 		{"crosscore with cores", flagValues{Cores: 2, CrossCore: true, Jobs: 1}, ""},
+		{"blank prefetcher entries", flagValues{Prefetchers: " rnr , ,bestoffset,domino", Jobs: 1}, ""},
 	} {
 		err := validateFlags(tc.v)
 		if tc.wantErr == "" {

@@ -162,18 +162,13 @@ type Variant struct {
 	Mutate func(*sim.Config)
 }
 
-// runKey is the canonical memoisation key format.
-func runKey(workload, input string, pf sim.PrefetcherKind, tag string) string {
-	return fmt.Sprintf("%s/%s/%s/%s", workload, input, pf, tag)
-}
-
-// RunKey exposes the canonical memoisation key
+// RunKey is the canonical memoisation key
 // ("workload/input/prefetcher/tag"). The serving layer derives its
 // content-addressed job IDs from it, so a duplicate HTTP submission
 // lands on the same job and, underneath, the same singleflight cache
 // entry as every other request for that simulation.
 func RunKey(workload, input string, pf sim.PrefetcherKind, tag string) string {
-	return runKey(workload, input, pf, tag)
+	return fmt.Sprintf("%s/%s/%s/%s", workload, input, pf, tag)
 }
 
 // fixedVariants are the variants with a fixed wire name: the tag, or
@@ -269,7 +264,7 @@ func (s *Suite) RunContext(ctx context.Context, workload, input string, pf sim.P
 		v.Mutate(&cfg)
 	}
 	return s.run(ctx, PlannedRun{
-		Key:      runKey(workload, input, pf, v.Tag),
+		Key:      RunKey(workload, input, pf, v.Tag),
 		Workload: workload,
 		Input:    input,
 		cfg:      cfg,

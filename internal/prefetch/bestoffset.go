@@ -47,9 +47,6 @@ func NewBestOffset() *BestOffset {
 	return p
 }
 
-// Name implements Prefetcher.
-func (p *BestOffset) Name() string { return "bestoffset" }
-
 const boRecentCap = 256
 
 // OnAccess implements Prefetcher: learn on every demand miss, prefetch
@@ -128,9 +125,3 @@ func (p *BestOffset) remember(line mem.Addr) {
 	}
 	p.recent[line] = struct{}{}
 }
-
-// OnFill implements Prefetcher.
-func (p *BestOffset) OnFill(mem.Addr, bool, uint64) {}
-
-// OnCycle implements Prefetcher.
-func (p *BestOffset) OnCycle(uint64, IssueFunc) {}

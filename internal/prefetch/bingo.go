@@ -49,9 +49,6 @@ func NewBingo() *Bingo {
 	return &Bingo{RegionBytes: 2048, HistEntries: 16 * 1024}
 }
 
-// Name implements Prefetcher.
-func (p *Bingo) Name() string { return "bingo" }
-
 func (p *Bingo) init() {
 	p.regionShift = 0
 	for s := p.RegionBytes; s > 1; s >>= 1 {
@@ -141,9 +138,3 @@ func (p *Bingo) put(histp *map[uint64]uint64, fifo *[]uint64, pos *int, key, fp 
 	}
 	hist[key] = fp
 }
-
-// OnFill implements Prefetcher.
-func (p *Bingo) OnFill(mem.Addr, bool, uint64) {}
-
-// OnCycle implements Prefetcher.
-func (p *Bingo) OnCycle(uint64, IssueFunc) {}

@@ -77,9 +77,6 @@ func NewCrossCore(cores, entries int) *CrossCore {
 	}
 }
 
-// Name identifies the prefetcher in reports and audit classification.
-func (p *CrossCore) Name() string { return "crosscore" }
-
 // OnMiss observes one LLC demand miss (the simulator filters the bank's
 // access stream to Hit == false, demand-type requests). It first trains
 // the previous→current successor pair for the missing core, then looks

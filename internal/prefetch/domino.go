@@ -31,9 +31,6 @@ type Domino struct {
 // NewDomino returns a Domino prefetcher with a typical configuration.
 func NewDomino() *Domino { return &Domino{Size: 8192, Degree: 4} }
 
-// Name implements Prefetcher.
-func (p *Domino) Name() string { return "domino" }
-
 // OnAccess implements Prefetcher.
 func (p *Domino) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if ev.Hit {
@@ -106,9 +103,3 @@ func (p *Domino) valid(at int) bool {
 	}
 	return at < p.pos
 }
-
-// OnFill implements Prefetcher.
-func (p *Domino) OnFill(mem.Addr, bool, uint64) {}
-
-// OnCycle implements Prefetcher.
-func (p *Domino) OnCycle(uint64, IssueFunc) {}

@@ -44,9 +44,6 @@ func NewDroplet() *Droplet {
 	return &Droplet{StreamAhead: 4, MaxIndirect: 32}
 }
 
-// Name implements Prefetcher.
-func (p *Droplet) Name() string { return "droplet" }
-
 // OnAccess implements Prefetcher: stream the edge array ahead of demand.
 func (p *Droplet) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if p.EdgeRegion == nil || !p.EdgeRegion(ev.Line) {
@@ -63,7 +60,7 @@ func (p *Droplet) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	p.decode(ev.Line, issue)
 }
 
-// OnFill implements Prefetcher: when an edge line arrives, decode the
+// OnFill implements FillObserver: when an edge line arrives, decode the
 // vertex indices it carries and prefetch the vertex data.
 func (p *Droplet) OnFill(line mem.Addr, prefetch bool, cycle uint64) {
 	// Decoding on fill requires an issue path; the simulator delivers
@@ -74,7 +71,7 @@ func (p *Droplet) OnFill(line mem.Addr, prefetch bool, cycle uint64) {
 	p.pendingFills = append(p.pendingFills, line)
 }
 
-// OnCycle implements Prefetcher.
+// OnCycle implements CycleDriven: decode the edge lines buffered by OnFill.
 func (p *Droplet) OnCycle(cycle uint64, issue IssueFunc) {
 	for _, line := range p.pendingFills {
 		p.decode(line, issue)

@@ -30,9 +30,6 @@ type GHB struct {
 // NewGHB returns a GHB prefetcher with a typical configuration.
 func NewGHB() *GHB { return &GHB{Size: 4096, Degree: 4} }
 
-// Name implements Prefetcher.
-func (p *GHB) Name() string { return "ghb" }
-
 // OnAccess implements Prefetcher. Training and triggering happen on demand
 // misses, as in the original design.
 func (p *GHB) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
@@ -60,12 +57,6 @@ func (p *GHB) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 		issue(p.buf[at])
 	}
 }
-
-// OnFill implements Prefetcher.
-func (p *GHB) OnFill(mem.Addr, bool, uint64) {}
-
-// OnCycle implements Prefetcher.
-func (p *GHB) OnCycle(uint64, IssueFunc) {}
 
 func (p *GHB) record(line mem.Addr) {
 	if p.count == p.Size {

@@ -37,9 +37,6 @@ type IMP struct {
 // IndexRegion.
 func NewIMP() *IMP { return &IMP{Lookahead: 2, Confidence: 2} }
 
-// Name implements Prefetcher.
-func (p *IMP) Name() string { return "imp" }
-
 // OnAccess implements Prefetcher.
 func (p *IMP) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if p.IndexRegion == nil || !p.IndexRegion(ev.Line) {
@@ -72,9 +69,3 @@ func (p *IMP) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 		}
 	}
 }
-
-// OnFill implements Prefetcher.
-func (p *IMP) OnFill(mem.Addr, bool, uint64) {}
-
-// OnCycle implements Prefetcher.
-func (p *IMP) OnCycle(uint64, IssueFunc) {}

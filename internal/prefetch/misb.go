@@ -48,9 +48,6 @@ func NewMISB() *MISB {
 	}
 }
 
-// Name implements Prefetcher.
-func (p *MISB) Name() string { return "misb" }
-
 const misbRegion = 256 // structural addresses per allocated region
 
 // OnAccess implements Prefetcher.
@@ -157,9 +154,3 @@ func (p *MISB) touchMeta(key mem.Addr, dirty bool) {
 	}
 	p.metaCache[metaLine] = struct{}{}
 }
-
-// OnFill implements Prefetcher.
-func (p *MISB) OnFill(mem.Addr, bool, uint64) {}
-
-// OnCycle implements Prefetcher.
-func (p *MISB) OnCycle(uint64, IssueFunc) {}

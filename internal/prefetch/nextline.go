@@ -23,9 +23,6 @@ func NewNextLine(degree int) *NextLine {
 	return &NextLine{Degree: degree}
 }
 
-// Name implements Prefetcher.
-func (p *NextLine) Name() string { return "nextline" }
-
 // OnAccess implements Prefetcher.
 func (p *NextLine) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if p.OnMissOnly && ev.Hit {
@@ -35,9 +32,3 @@ func (p *NextLine) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 		issue(ev.Line + mem.Addr(i*mem.LineSize))
 	}
 }
-
-// OnFill implements Prefetcher.
-func (p *NextLine) OnFill(mem.Addr, bool, uint64) {}
-
-// OnCycle implements Prefetcher.
-func (p *NextLine) OnCycle(uint64, IssueFunc) {}

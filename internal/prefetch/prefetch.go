@@ -9,6 +9,10 @@
 // All prefetchers observe demand traffic at the private L2 and prefetch
 // into the private L2, matching the paper's methodology (§VII-A: "all of
 // the evaluated prefetchers are prefetching data into the private L2").
+// Prefetcher's one method, OnAccess, is that demand hook. The two other
+// attachment points are optional interfaces: FillObserver for the L2
+// fill stream (only DROPLET decodes fills) and CycleDriven for issuing
+// from the cycle loop (DROPLET's fill drain and the RnR replay engine).
 package prefetch
 
 import (
@@ -23,55 +27,42 @@ import (
 type IssueFunc func(line mem.Addr) bool
 
 // Prefetcher is a hardware prefetcher attached to one private L2 cache.
+// OnAccess is the one hook every prefetcher needs. The simulator finds
+// the optional hooks below by a type assertion on the instance, so a
+// prefetcher implements only the hooks it uses.
 type Prefetcher interface {
-	// Name identifies the prefetcher in reports.
-	Name() string
 	// OnAccess is invoked for every demand lookup the L2 performs.
 	OnAccess(ev cache.AccessInfo, issue IssueFunc)
-	// OnFill is invoked when a line (demand or prefetch) fills the L2.
-	OnFill(line mem.Addr, prefetch bool, cycle uint64)
-	// OnCycle is invoked once per cycle for prefetchers that issue
-	// autonomously (streaming engines, replay engines).
-	OnCycle(cycle uint64, issue IssueFunc)
 }
 
-// CycleDriven is implemented by prefetchers whose OnCycle does real work
-// (replay engines, fill-buffer drains). Wakeup reports the earliest
-// future cycle at which OnCycle could change state — mem.WakeupNever
-// when quiescent — under the contract documented in internal/mem.
-// Prefetchers that do not implement CycleDriven are assumed to have a
-// no-op OnCycle and are never a reason to simulate a cycle.
+// FillObserver is implemented by prefetchers that react to lines
+// (demand or prefetch) filling the L2.
+type FillObserver interface {
+	OnFill(line mem.Addr, prefetch bool, cycle uint64)
+}
+
+// CycleDriven is implemented by prefetchers that issue autonomously from
+// the cycle loop (replay engines, fill-buffer drains). Wakeup reports the
+// earliest future cycle at which OnCycle could change state —
+// mem.WakeupNever when quiescent — under the contract documented in
+// internal/mem; the simulator calls OnCycle only at cycles its wakeup
+// has come due (or every cycle when stepping). Prefetchers that do not
+// implement CycleDriven are never a reason to simulate a cycle.
 type CycleDriven interface {
+	OnCycle(cycle uint64, issue IssueFunc)
 	Wakeup(now uint64) uint64
 }
-
-// Nop is a Prefetcher that never issues; it is the no-prefetch baseline.
-type Nop struct{}
-
-// Name implements Prefetcher.
-func (Nop) Name() string { return "none" }
-
-// OnAccess implements Prefetcher.
-func (Nop) OnAccess(cache.AccessInfo, IssueFunc) {}
-
-// OnFill implements Prefetcher.
-func (Nop) OnFill(mem.Addr, bool, uint64) {}
-
-// OnCycle implements Prefetcher.
-func (Nop) OnCycle(uint64, IssueFunc) {}
 
 // RegionFilter wraps a prefetcher and suppresses its training and issuing
 // inside a set of excluded address ranges. The paper uses this shape twice:
 // the baseline L2 stream prefetcher is "trained by L2 misses outside of the
 // Record-and-Replay address range" (§V-D), and RnR-Combined pairs RnR with
-// a next-line prefetcher for all other data.
+// a next-line prefetcher for all other data. It forwards FillObserver and
+// CycleDriven hooks only when the wrapped prefetcher has them.
 type RegionFilter struct {
 	Inner    Prefetcher
 	Excluded func(line mem.Addr) bool
 }
-
-// Name implements Prefetcher.
-func (f *RegionFilter) Name() string { return f.Inner.Name() + "+filter" }
 
 // OnAccess implements Prefetcher, dropping events inside excluded ranges
 // and fencing issued prefetches out of them as well.
@@ -82,17 +73,20 @@ func (f *RegionFilter) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	f.Inner.OnAccess(ev, f.guard(issue))
 }
 
-// OnFill implements Prefetcher.
+// OnFill implements FillObserver.
 func (f *RegionFilter) OnFill(line mem.Addr, prefetch bool, cycle uint64) {
-	if f.Excluded != nil && f.Excluded(line) {
+	fo, ok := f.Inner.(FillObserver)
+	if !ok || f.Excluded != nil && f.Excluded(line) {
 		return
 	}
-	f.Inner.OnFill(line, prefetch, cycle)
+	fo.OnFill(line, prefetch, cycle)
 }
 
-// OnCycle implements Prefetcher.
+// OnCycle implements CycleDriven.
 func (f *RegionFilter) OnCycle(cycle uint64, issue IssueFunc) {
-	f.Inner.OnCycle(cycle, f.guard(issue))
+	if cd, ok := f.Inner.(CycleDriven); ok {
+		cd.OnCycle(cycle, f.guard(issue))
+	}
 }
 
 // Wakeup implements CycleDriven by delegating to the wrapped prefetcher;
@@ -114,19 +108,9 @@ func (f *RegionFilter) guard(issue IssueFunc) IssueFunc {
 }
 
 // Combine runs several prefetchers side by side on the same cache level.
+// It forwards FillObserver and CycleDriven hooks only to the members that
+// have them.
 type Combine []Prefetcher
-
-// Name implements Prefetcher.
-func (c Combine) Name() string {
-	s := ""
-	for i, p := range c {
-		if i > 0 {
-			s += "+"
-		}
-		s += p.Name()
-	}
-	return s
-}
 
 // OnAccess implements Prefetcher.
 func (c Combine) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
@@ -135,23 +119,25 @@ func (c Combine) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	}
 }
 
-// OnFill implements Prefetcher.
+// OnFill implements FillObserver.
 func (c Combine) OnFill(line mem.Addr, prefetch bool, cycle uint64) {
 	for _, p := range c {
-		p.OnFill(line, prefetch, cycle)
+		if fo, ok := p.(FillObserver); ok {
+			fo.OnFill(line, prefetch, cycle)
+		}
 	}
 }
 
-// OnCycle implements Prefetcher.
+// OnCycle implements CycleDriven.
 func (c Combine) OnCycle(cycle uint64, issue IssueFunc) {
 	for _, p := range c {
-		p.OnCycle(cycle, issue)
+		if cd, ok := p.(CycleDriven); ok {
+			cd.OnCycle(cycle, issue)
+		}
 	}
 }
 
-// Wakeup implements CycleDriven as the minimum over cycle-driven members;
-// members that do not implement CycleDriven have no-op OnCycle bodies and
-// contribute nothing.
+// Wakeup implements CycleDriven as the minimum over cycle-driven members.
 func (c Combine) Wakeup(now uint64) uint64 {
 	w := mem.WakeupNever
 	for _, p := range c {

@@ -352,21 +352,39 @@ func TestCombineFansOut(t *testing.T) {
 	if len(col.lines) != 3 {
 		t.Errorf("combine issued %d lines, want 3", len(col.lines))
 	}
-	if comb.Name() != "nextline+nextline" {
-		t.Errorf("Name = %q", comb.Name())
+	if w := comb.Wakeup(5); w != mem.WakeupNever {
+		t.Errorf("combine of access-only members wakes at %d", w)
 	}
 }
 
-func TestNopIsSilent(t *testing.T) {
-	var p Nop
-	c := &collector{}
-	p.OnAccess(access(1, 0x1000, false), c.issue)
-	p.OnFill(0x1000, true, 1)
-	p.OnCycle(2, c.issue)
-	if len(c.lines) != 0 {
-		t.Errorf("nop issued %v", c.lines)
+// TestWrappersForwardOptionalHooks: Combine and RegionFilter hand fills
+// and cycles only to members that implement FillObserver/CycleDriven,
+// and the filter still fences what the forwarded hooks issue.
+func TestWrappersForwardOptionalHooks(t *testing.T) {
+	edgeBase, edgeEnd := mem.Addr(0x100000), mem.Addr(0x110000)
+	d := NewDroplet()
+	d.EdgeRegion = func(l mem.Addr) bool { return l >= edgeBase && l < edgeEnd }
+	d.Resolve = func(mem.Addr) []mem.Addr { return []mem.Addr{0x1800, 0x3000} }
+	f := &RegionFilter{Inner: d, Excluded: func(l mem.Addr) bool { return l >= 0x1000 && l < 0x2000 }}
+	comb := Combine{NewNextLine(1), f}
+	col := &collector{}
+
+	comb.OnFill(edgeBase, true, 1)
+	if w := comb.Wakeup(1); w != 2 {
+		t.Fatalf("buffered fill: combine wakes at %d, want 2", w)
 	}
-	if p.Name() != "none" {
-		t.Errorf("Name = %q", p.Name())
+	comb.OnCycle(2, col.issue)
+	if !col.has(0x3000) || col.has(0x1800) {
+		t.Errorf("forwarded OnCycle issued %v, want 0x3000 and not the fenced 0x1800", col.lines)
+	}
+	if w := comb.Wakeup(2); w != mem.WakeupNever {
+		t.Errorf("drained combine wakes at %d", w)
+	}
+	// A fill inside the excluded range never reaches the wrapped member.
+	col.lines = nil
+	f.Excluded = func(mem.Addr) bool { return true }
+	comb.OnFill(edgeBase+mem.LineSize, true, 3)
+	if w := comb.Wakeup(3); w != mem.WakeupNever {
+		t.Errorf("excluded fill reached the droplet (wakeup %d)", w)
 	}
 }

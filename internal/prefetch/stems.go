@@ -36,9 +36,6 @@ func NewSteMS() *SteMS {
 	return &SteMS{RegionBytes: 2048, HistEntries: 16 * 1024, StreamDepth: 4}
 }
 
-// Name implements Prefetcher.
-func (p *SteMS) Name() string { return "stems" }
-
 func (p *SteMS) init() {
 	for s := p.RegionBytes; s > 1; s >>= 1 {
 		p.regionShift++
@@ -149,9 +146,3 @@ func (p *SteMS) retire(region mem.Addr, gen *bingoGen) {
 	}
 	p.footHist[k] = gen.footprint
 }
-
-// OnFill implements Prefetcher.
-func (p *SteMS) OnFill(mem.Addr, bool, uint64) {}
-
-// OnCycle implements Prefetcher.
-func (p *SteMS) OnCycle(uint64, IssueFunc) {}

@@ -37,9 +37,6 @@ func NewStream() *Stream {
 	return &Stream{Entries: 64, Confidence: 2, Degree: 2, Distance: 4}
 }
 
-// Name implements Prefetcher.
-func (p *Stream) Name() string { return "stream" }
-
 // OnAccess implements Prefetcher.
 func (p *Stream) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if p.table == nil {
@@ -76,12 +73,6 @@ func (p *Stream) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 		issue(mem.Addr(target) << mem.LineShift)
 	}
 }
-
-// OnFill implements Prefetcher.
-func (p *Stream) OnFill(mem.Addr, bool, uint64) {}
-
-// OnCycle implements Prefetcher.
-func (p *Stream) OnCycle(uint64, IssueFunc) {}
 
 func (p *Stream) insert(pc uint64, e *streamEntry) {
 	if len(p.table) >= p.Entries && len(p.order) > 0 {

@@ -74,9 +74,10 @@ const (
 )
 
 // Engine is one core's RnR prefetcher. It implements prefetch.Prefetcher
-// (the replay side) and additionally hooks the core's PreAccess (boundary
-// check), the L2's access/evict events (recording and timeliness) and the
-// core's marker stream (the software interface).
+// (recording, and replay timeliness, on the L2 access stream) and
+// prefetch.CycleDriven (the paced replay loop), and additionally hooks the core's PreAccess (boundary
+// check), the L2's evict events (timeliness) and the core's marker
+// stream (the software interface).
 type Engine struct {
 	Arch           ArchState
 	Control        TimingControl
@@ -158,9 +159,6 @@ func NewEngine(core int, meta mem.Backend) *Engine {
 	}
 }
 
-// Name implements prefetch.Prefetcher.
-func (e *Engine) Name() string { return "rnr" }
-
 // InRange reports whether a line falls inside any *valid* boundary slot
 // (enabled or not). The conventional prefetchers running alongside RnR are
 // filtered with this predicate (§V-D): the stream prefetcher is trained by
@@ -241,9 +239,6 @@ func (e *Engine) OnEvict(line mem.Addr, wasPrefetchedUnused bool, cycle uint64) 
 		e.track[line] = trackEvicted
 	}
 }
-
-// OnFill implements prefetch.Prefetcher.
-func (e *Engine) OnFill(line mem.Addr, prefetchFill bool, cycle uint64) {}
 
 // recordMiss appends one sequence-table entry (Fig. 4(a), steps 5-8).
 func (e *Engine) recordMiss(line mem.Addr) {
@@ -462,7 +457,7 @@ func (e *Engine) closeIteration() {
 	}
 }
 
-// OnCycle implements prefetch.Prefetcher: the replay engine (Fig. 4(b)).
+// OnCycle implements prefetch.CycleDriven: the replay engine (Fig. 4(b)).
 func (e *Engine) OnCycle(cycle uint64, issue prefetch.IssueFunc) {
 	if e.Arch.State != StateReplay || len(e.seq) == 0 {
 		return

@@ -28,7 +28,7 @@ func coRunSpec() RunSpec {
 }
 
 // TestCoRunSpecValidation pins the submission-time rejections: every
-// malformed co-run must fail normalize (and therefore answer 400 over
+// malformed co-run must fail Normalize (and therefore answer 400 over
 // the wire) instead of panicking a worker later.
 func TestCoRunSpecValidation(t *testing.T) {
 	overMax := make([]string, coherence.MaxCores+1)
@@ -53,8 +53,8 @@ func TestCoRunSpecValidation(t *testing.T) {
 	for _, tc := range bad {
 		sp := coRunSpec()
 		tc.mutate(&sp)
-		if err := sp.normalize("test"); err == nil {
-			t.Errorf("%s: normalize accepted %+v", tc.name, sp)
+		if err := sp.Normalize("test"); err == nil {
+			t.Errorf("%s: Normalize accepted %+v", tc.name, sp)
 		} else {
 			t.Logf("%s: %v", tc.name, err)
 		}
@@ -65,13 +65,13 @@ func TestCoRunSpecValidation(t *testing.T) {
 	dot, slash, mixed := coRunSpec(), coRunSpec(), coRunSpec()
 	slash.Jobs = []string{"pagerank/urand", "spcg/bbmat"}
 	mixed.Jobs = []string{"pagerank/urand", "spcg.bbmat"}
-	if err := dot.normalize("test"); err != nil {
+	if err := dot.Normalize("test"); err != nil {
 		t.Fatalf("canonical spec rejected: %v", err)
 	}
-	if err := slash.normalize("test"); err != nil {
+	if err := slash.Normalize("test"); err != nil {
 		t.Fatalf("slash-separated spec rejected: %v", err)
 	}
-	if err := mixed.normalize("test"); err != nil {
+	if err := mixed.Normalize("test"); err != nil {
 		t.Fatalf("mixed-separator spec rejected: %v", err)
 	}
 	if RunJobID(dot) != RunJobID(slash) {
@@ -157,7 +157,7 @@ func TestHTTPCoRunServedVsDirect(t *testing.T) {
 	}
 
 	sp := coRunSpec()
-	if err := sp.normalize("test"); err != nil {
+	if err := sp.Normalize("test"); err != nil {
 		t.Fatal(err)
 	}
 	jobs := make([]multicore.JobSpec, len(sp.Jobs))

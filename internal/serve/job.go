@@ -98,18 +98,11 @@ type RunSpec struct {
 	LeaseSeconds int `json:"lease_seconds,omitempty"`
 }
 
-// Normalize validates the spec and fills defaults (the exported form
-// the cluster coordinator uses before dispatching). It is deliberately
-// strict: everything a job would panic or spin on later is rejected at
-// submission time with a client error.
+// Normalize validates the spec and fills defaults; the manager and the
+// cluster coordinator both run it before accepting a spec. It is
+// deliberately strict: everything a job would panic or spin on later is
+// rejected at submission time with a client error.
 func (sp *RunSpec) Normalize(defaultScale string) error {
-	return sp.normalize(defaultScale)
-}
-
-// normalize validates the spec and fills defaults. It is deliberately
-// strict: everything a job would panic or spin on later is rejected at
-// submission time with a client error.
-func (sp *RunSpec) normalize(defaultScale string) error {
 	if sp.Scale == "" {
 		sp.Scale = defaultScale
 	}
@@ -180,7 +173,7 @@ func (sp RunSpec) key() string {
 }
 
 // coRunJobs returns a normalized spec's co-run job list, one entry per
-// core. normalize has parsed every entry, so none fails here.
+// core. Normalize has parsed every entry, so none fails here.
 func (sp RunSpec) coRunJobs() []multicore.JobSpec {
 	jobs := make([]multicore.JobSpec, len(sp.Jobs))
 	for k, raw := range sp.Jobs {

@@ -232,7 +232,7 @@ func (m *Manager) FreshRuns() uint64 {
 // A failed or cancelled previous generation is replaced by a fresh
 // one, so transient failures don't wedge a content address.
 func (m *Manager) SubmitRun(spec RunSpec) (*Job, bool, error) {
-	if err := spec.normalize(m.opts.DefaultScale); err != nil {
+	if err := spec.Normalize(m.opts.DefaultScale); err != nil {
 		return nil, false, err
 	}
 	id := RunJobID(spec)

@@ -31,8 +31,8 @@ type System struct {
 	ideal    *idealLLC
 	mc       *dram.Controller
 	engines  []*rnr.Engine
-	prefs    []prefetch.Prefetcher
-	droplets []*prefetch.Droplet // for resolver rebinding on base swaps
+	prefs    []prefetch.Prefetcher // nil under PFNone
+	droplets []*prefetch.Droplet   // for resolver rebinding on base swaps
 
 	// Multicore extensions (nil when the config leaves them off).
 	dir   *coherence.Directory // MESI-lite directory over the private caches
@@ -74,19 +74,14 @@ type System struct {
 	// pointer compare). See internal/obs and registerObs.
 	obsRec *obs.Recorder
 
-	// Tick fast-path gates, fixed at construction: ctxOn skips the
-	// context-switch state machine when injection is disabled, and
-	// cycleDriven[c] skips the per-cycle prefetcher dispatch for the many
-	// prefetchers whose OnCycle is a no-op (only DROPLET and the RnR
-	// engine issue from the cycle loop). Context switches swap prefetcher
-	// *instances*, never kinds, so the flags stay valid across swaps.
-	ctxOn       bool
-	cycleDriven []bool
+	// ctxOn, fixed at construction, skips the context-switch state
+	// machine on the Tick fast path when injection is disabled.
+	ctxOn bool
 
-	// Event-driven scheduler state (see run). pfWake caches
-	// the CycleDriven assertion per core (refreshed whenever the
-	// prefetcher instance is swapped); nil with cycleDriven set means the
-	// prefetcher's wakeup is unknown and every cycle must be simulated.
+	// Event-driven scheduler state (see run). pfWake caches the
+	// CycleDriven assertion on each core's prefetcher (refreshed whenever
+	// the instance is swapped); nil means the prefetcher never acts from
+	// the cycle loop, so it is neither ticked nor polled.
 	pfWake       []prefetch.CycleDriven
 	nextSampleAt uint64 // next telemetry sample event (WakeupNever when off)
 	nextAuditAt  uint64 // next audit sweep event (WakeupNever when off)
@@ -223,7 +218,6 @@ func New(cfg Config, app *apps.App) (*System, error) {
 	s.prefs = make([]prefetch.Prefetcher, cfg.Cores)
 	s.droplets = make([]*prefetch.Droplet, cfg.Cores)
 	s.issueFns = make([]prefetch.IssueFunc, cfg.Cores)
-	s.cycleDriven = make([]bool, cfg.Cores)
 	s.pfWake = make([]prefetch.CycleDriven, cfg.Cores)
 
 	for c := 0; c < cfg.Cores; c++ {
@@ -275,21 +269,12 @@ func New(cfg Config, app *apps.App) (*System, error) {
 	return s, nil
 }
 
-// wirePrefetcher builds core c's prefetcher stack for Config.Prefetcher.
+// wirePrefetcher builds core c's prefetcher stack for Config.Prefetcher
+// (none under PFNone).
 func (s *System) wirePrefetcher(c int) {
 	cfg, app := s.cfg, s.app
 	kind := cfg.Prefetcher
-	// Only these kinds do per-cycle work in OnCycle; for every other
-	// prefetcher the System.Tick loop skips the interface dispatch.
 	switch kind {
-	case PFDroplet, PFRnR, PFRnRCombined:
-		s.cycleDriven[c] = true
-	default:
-		s.cycleDriven[c] = false
-	}
-	switch kind {
-	case PFNone:
-		s.prefs[c] = prefetch.Nop{}
 	case PFNextLine:
 		s.prefs[c] = prefetch.NewNextLine(1)
 	case PFStream:
@@ -358,12 +343,7 @@ func (s *System) wirePrefetcher(c int) {
 	// Cache the CycleDriven assertion for the scheduler. wirePrefetcher
 	// also runs on context switch-in (instance swap), so the cache stays
 	// in sync with s.prefs[c].
-	s.pfWake[c] = nil
-	if s.cycleDriven[c] {
-		if cd, ok := s.prefs[c].(prefetch.CycleDriven); ok {
-			s.pfWake[c] = cd
-		}
-	}
+	s.pfWake[c], _ = s.prefs[c].(prefetch.CycleDriven)
 }
 
 // wireCore connects the core's hooks, the L2's hooks and the prefetcher.
@@ -374,10 +354,15 @@ func (s *System) wireCore(c int) {
 	issue := s.issueFunc(c)
 	s.issueFns[c] = issue
 	// The hooks resolve s.prefs[c] at call time so a context switch can
-	// swap in a freshly-reset prefetcher (see ctxswitch.go).
-	l2.OnAccess = func(ev cache.AccessInfo) { s.prefs[c].OnAccess(ev, issue) }
-	l2.OnFill = func(line mem.Addr, prefetchFill bool, cycle uint64) {
-		s.prefs[c].OnFill(line, prefetchFill, cycle)
+	// swap in a freshly-reset prefetcher (see ctxswitch.go). Swaps keep
+	// the kind, so PFNone never needs the hooks.
+	if s.prefs[c] != nil {
+		l2.OnAccess = func(ev cache.AccessInfo) { s.prefs[c].OnAccess(ev, issue) }
+		l2.OnFill = func(line mem.Addr, prefetchFill bool, cycle uint64) {
+			if fo, ok := s.prefs[c].(prefetch.FillObserver); ok {
+				fo.OnFill(line, prefetchFill, cycle)
+			}
+		}
 	}
 	if engine != nil {
 		core.PreAccess = engine.PreAccess
@@ -625,7 +610,7 @@ func (s *System) Tick() { s.step(false) }
 
 // step simulates one cycle. Both engines share this body, and so the
 // per-cycle tick order: ctx switch, every core, then each core's L1, L2
-// and cycle-driven prefetcher, then the LLC banks (or the ideal LLC),
+// and CycleDriven prefetcher, then the LLC banks (or the ideal LLC),
 // then DRAM, then the end-of-cycle events.
 //
 // The gate policy decides which components tick. With gated false
@@ -692,13 +677,9 @@ func (s *System) step(gated bool) {
 		} else {
 			s.l2s[c].AdvanceClock(now)
 		}
-		// Only cycle-driven prefetchers do per-cycle work in OnCycle; one
-		// without a Wakeup (pfWake nil) runs every cycle.
-		if s.cycleDriven[c] {
-			if !gated || s.pfWake[c] == nil || s.pfWakeAt(c, prev) <= now {
-				s.prefs[c].OnCycle(now, s.issueFns[c])
-				busy = true
-			}
+		if s.pfWake[c] != nil && (!gated || s.pfWakeAt(c, prev) <= now) {
+			s.pfWake[c].OnCycle(now, s.issueFns[c])
+			busy = true
 		}
 	}
 	for b := range s.llcs {
@@ -986,17 +967,9 @@ func (s *System) nextWakeup(limit uint64) uint64 {
 			return min
 		}
 	}
-	for c := range s.prefs {
-		if !s.cycleDriven[c] {
-			continue
-		}
-		if s.pfWake[c] != nil {
-			if consider(s.pfWakeAt(c, now)) {
-				return min
-			}
-		} else {
-			// Cycle-driven prefetcher without a Wakeup: simulate densely.
-			return now + 1
+	for c := range s.pfWake {
+		if s.pfWake[c] != nil && consider(s.pfWakeAt(c, now)) {
+			return min
 		}
 	}
 	for b := range s.llcs {
