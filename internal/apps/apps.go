@@ -11,10 +11,34 @@
 package apps
 
 import (
+	"rnrsim/internal/graph"
 	"rnrsim/internal/mem"
 	"rnrsim/internal/prefetch"
 	"rnrsim/internal/trace"
 )
+
+// Config parameterises a workload.
+type Config struct {
+	Cores      int // SPMD workers, one trace each (>= 1)
+	Iterations int // total kernel iterations in the trace (>= 3)
+}
+
+// DefaultConfig is every workload's evaluation configuration: 4 SPMD
+// cores, 1 warm-up + 1 record + 3 replay iterations.
+func DefaultConfig() Config { return Config{Cores: 4, Iterations: 5} }
+
+// DefaultPageRank and DefaultSpCG are DefaultConfig under the names
+// callers that build one workload directly use.
+func DefaultPageRank() Config { return DefaultConfig() }
+func DefaultSpCG() Config     { return DefaultConfig() }
+
+// withFloors raises cfg to at least one core and the three iterations
+// Algorithm 1 needs: warm-up, record and one replay.
+func (cfg Config) withFloors() Config {
+	cfg.Cores = max(cfg.Cores, 1)
+	cfg.Iterations = max(cfg.Iterations, 3)
+	return cfg
+}
 
 // App is one workload instance: per-core traces plus the layout metadata
 // the domain prefetchers and the evaluation need.
@@ -105,13 +129,105 @@ type layout struct {
 func newLayout() *layout { return &layout{al: mem.NewAllocator(0x1000_0000)} }
 
 // metaTables allocates per-core RnR metadata (sequence + division tables),
-// as RnR.init() does from the heap.
-func (l *layout) metaTables(cores int, seqBytes, divBytes uint64) (seq, div []mem.Region) {
+// as RnR.init() does from the heap, sized for perCore recorded misses.
+func (l *layout) metaTables(cores int, perCore uint64) (seq, div []mem.Region) {
 	seq = make([]mem.Region, cores)
 	div = make([]mem.Region, cores)
 	for c := 0; c < cores; c++ {
-		seq[c] = l.al.AllocPage("rnr.seq", seqBytes)
-		div[c] = l.al.AllocPage("rnr.div", divBytes)
+		seq[c] = l.al.AllocPage("rnr.seq", perCore*4)
+		div[c] = l.al.AllocPage("rnr.div", perCore/16*8+4096)
 	}
 	return seq, div
+}
+
+// partitionVertices splits g's vertices over cores (graph.PartitionGraph)
+// and lists each core's share.
+func partitionVertices(g *graph.Graph, cores int) [][]int {
+	part := graph.PartitionGraph(g, cores)
+	parts := make([][]int, cores)
+	for c := range parts {
+		parts[c] = part.Vertices(c)
+	}
+	return parts
+}
+
+// algorithm1 emits Algorithm 1's SPMD program, one trace per core. It is
+// the one place the RnR software interface (Table I) is driven; a
+// workload supplies only its metadata tables, its targets and kernel,
+// which emits one iteration of core's share reading cur and writing next.
+// With one target (spCG's p) the boundary never moves and next is the
+// zero Region. With two (PageRank's p_curr/p_next) they ping-pong: after
+// every iteration but the last, slot 0 is re-pointed at the array the
+// next iteration reads (Alg. 1 lines 31-33).
+func algorithm1(cfg Config, seq, div, targets []mem.Region,
+	kernel func(b *trace.Builder, core int, cur, next mem.Region)) [][]trace.Record {
+	builders := make([]*trace.Builder, cfg.Cores)
+	for c := range builders {
+		b := trace.NewBuilder(1 << 16)
+		b.Exec(64) // Init(): allocate and zero
+		b.RnRInit(seq[c], div[c], 0)
+		for slot, t := range targets { // slot 0 = read target, slot 1 = write target
+			b.AddrBaseSet(slot, t.Base, t.Size)
+		}
+		b.ROIBegin()
+		builders[c] = b
+	}
+	swap := len(targets) == 2
+	cur, next := targets[0], mem.Region{}
+	if swap {
+		next = targets[1]
+	}
+	for it := 0; it < cfg.Iterations; it++ {
+		for c, b := range builders {
+			b.IterBegin(it)
+			switch it {
+			case 0: // warm-up iteration, RnR disabled
+			case 1: // first target iteration: record (lines 24-25)
+				b.AddrBaseEnable(0)
+				b.RecordStart()
+			default: // replay iterations
+				b.Replay()
+			}
+			kernel(b, c, cur, next)
+			b.IterEnd(it)
+			if swap && it < cfg.Iterations-1 {
+				b.AddrBaseSet(0, next.Base, next.Size)
+				b.AddrBaseSet(1, cur.Base, cur.Size)
+				b.AddrBaseEnable(0)
+			}
+		}
+		if swap {
+			cur, next = next, cur
+		}
+	}
+	traces := make([][]trace.Record, cfg.Cores)
+	for c, b := range builders {
+		b.PrefetchEnd() // line 35
+		b.RnREnd()      // line 36
+		b.ROIEnd()
+		traces[c] = b.Records()
+	}
+	return traces
+}
+
+// indirectResolver is the DROPLET/IMP resolver of a gather through an
+// index array: the line of index holding idx[first:first+16] resolves to
+// the distinct consecutive data lines of base[idx[i]], elem bytes each.
+func indirectResolver(index mem.Region, idx []uint32, base mem.Addr, elem uint64) prefetch.IndirectResolver {
+	return func(line mem.Addr) []mem.Addr {
+		if !index.Contains(line) {
+			return nil
+		}
+		first := int(uint64(line-index.Base) / 4)
+		var out []mem.Addr
+		var last mem.Addr
+		for i := first; i < first+16 && i < len(idx); i++ {
+			t := mem.LineAddr(base + mem.Addr(idx[i])*mem.Addr(elem))
+			if t != last {
+				out = append(out, t)
+				last = t
+			}
+		}
+		return out
+	}
 }

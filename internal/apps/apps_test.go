@@ -105,7 +105,7 @@ func countKind(recs []trace.Record, k trace.Kind) int {
 
 func TestPageRankTraceStructure(t *testing.T) {
 	g := testGraph()
-	app := PageRank(g, "urand", PageRankConfig{Cores: 2, Iterations: 4, Damping: 0.85})
+	app := PageRank(g, "urand", Config{Cores: 2, Iterations: 4})
 	if len(app.Traces) != 2 {
 		t.Fatalf("%d traces for 2 cores", len(app.Traces))
 	}
@@ -146,7 +146,7 @@ func TestPageRankTraceStructure(t *testing.T) {
 
 func TestPageRankComputesRealRanks(t *testing.T) {
 	g := testGraph()
-	app := PageRank(g, "urand", PageRankConfig{Cores: 2, Iterations: 4})
+	app := PageRank(g, "urand", Config{Cores: 2, Iterations: 4})
 	// Total PageRank mass stays ~1 under the pull iteration.
 	if math.Abs(app.Check-1) > 0.05 {
 		t.Errorf("rank mass = %f, want ~1", app.Check)
@@ -155,7 +155,7 @@ func TestPageRankComputesRealRanks(t *testing.T) {
 
 func TestPageRankIrregularLoadsCoverTarget(t *testing.T) {
 	g := testGraph()
-	app := PageRank(g, "urand", PageRankConfig{Cores: 1, Iterations: 3})
+	app := PageRank(g, "urand", Config{Cores: 1, Iterations: 3})
 	pcurr := app.Targets[0]
 	pnext := app.Targets[1]
 	inTarget := 0
@@ -173,7 +173,7 @@ func TestPageRankIrregularLoadsCoverTarget(t *testing.T) {
 
 func TestPageRankBaseSwapMarkers(t *testing.T) {
 	g := testGraph()
-	app := PageRank(g, "urand", PageRankConfig{Cores: 1, Iterations: 4})
+	app := PageRank(g, "urand", Config{Cores: 1, Iterations: 4})
 	pcurr, pnext := app.Targets[0], app.Targets[1]
 	// Collect slot-0 base sets in order; they must alternate between the
 	// two buffers starting with pcurr.
@@ -196,7 +196,7 @@ func TestPageRankBaseSwapMarkers(t *testing.T) {
 
 func TestPageRankResolver(t *testing.T) {
 	g := testGraph()
-	app := PageRank(g, "urand", PageRankConfig{Cores: 1, Iterations: 3})
+	app := PageRank(g, "urand", Config{Cores: 1, Iterations: 3})
 	edge0 := app.EdgeRegion.Base
 	targets := app.Resolve(mem.LineAddr(edge0))
 	if len(targets) == 0 {
@@ -223,7 +223,7 @@ func TestPageRankResolver(t *testing.T) {
 
 func TestHyperANFTraceAndEstimate(t *testing.T) {
 	g := testGraph()
-	app := HyperANF(g, "urand", HyperANFConfig{Cores: 2, Iterations: 4})
+	app := HyperANF(g, "urand", Config{Cores: 2, Iterations: 4})
 	if len(app.Traces) != 2 {
 		t.Fatalf("%d traces", len(app.Traces))
 	}
@@ -241,7 +241,7 @@ func TestHyperANFTraceAndEstimate(t *testing.T) {
 
 func TestSpCGTraceAndConvergence(t *testing.T) {
 	m := sparse.Stencil3D(8, 8, 8)
-	app := SpCG(m, "atmosmodj", SpCGConfig{Cores: 2, Iterations: 4})
+	app := SpCG(m, "atmosmodj", Config{Cores: 2, Iterations: 4})
 	if app.Check > 1e-10 {
 		t.Errorf("CG residual %g, want <= 1e-10", app.Check)
 	}
@@ -263,7 +263,7 @@ func TestSpCGTraceAndConvergence(t *testing.T) {
 
 func TestSpCGNoBaseSwap(t *testing.T) {
 	m := sparse.Stencil3D(6, 6, 6)
-	app := SpCG(m, "atmosmodj", SpCGConfig{Cores: 1, Iterations: 4})
+	app := SpCG(m, "atmosmodj", Config{Cores: 1, Iterations: 4})
 	sets := 0
 	for _, r := range app.Traces[0] {
 		if r.Kind == trace.KindMarker && r.Marker == trace.MarkAddrBaseSet {
@@ -299,12 +299,14 @@ func TestBuildCatalog(t *testing.T) {
 }
 
 func TestInputCatalogsValid(t *testing.T) {
-	for name, g := range GraphInputs(ScaleTest) {
+	for _, name := range GraphInputOrder {
+		g, _ := GraphInput(ScaleTest, name)
 		if err := g.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	for name, m := range MatrixInputs(ScaleTest) {
+	for _, name := range MatrixInputOrder {
+		m, _ := MatrixInput(ScaleTest, name)
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -314,7 +316,7 @@ func TestInputCatalogsValid(t *testing.T) {
 func TestTraceSharingIsSafe(t *testing.T) {
 	// Two Sources over the same app must iterate independently.
 	g := testGraph()
-	app := PageRank(g, "urand", PageRankConfig{Cores: 1, Iterations: 3})
+	app := PageRank(g, "urand", Config{Cores: 1, Iterations: 3})
 	s1 := app.Sources()[0]
 	s2 := app.Sources()[0]
 	r1, _ := s1.Next()

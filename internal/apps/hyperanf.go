@@ -7,30 +7,13 @@ import (
 	"rnrsim/internal/trace"
 )
 
-// HyperANFConfig parameterises the HyperANF workload.
-type HyperANFConfig struct {
-	Cores      int
-	Iterations int
-	WindowSize uint64
-}
-
-// DefaultHyperANF returns the evaluation configuration.
-func DefaultHyperANF() HyperANFConfig {
-	return HyperANFConfig{Cores: 4, Iterations: 5}
-}
-
 // HyperANF builds the edge-centric HyperANF workload (X-Stream style
 // [44]): per iteration each worker streams its partition's edge list and,
 // for each edge (s -> v), unions the source sketch hll_curr[s] into the
 // destination sketch hll_next[v]. The sketch arrays are the irregular RnR
 // targets; the edge list is the stream DROPLET is configured with.
-func HyperANF(g *graph.Graph, input string, cfg HyperANFConfig) *App {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
-	if cfg.Iterations < 3 {
-		cfg.Iterations = 3
-	}
+func HyperANF(g *graph.Graph, input string, cfg Config) *App {
+	cfg = cfg.withFloors()
 	n := g.N
 	const sketchBytes = hllRegisters // 16 B per vertex
 
@@ -39,18 +22,9 @@ func HyperANF(g *graph.Graph, input string, cfg HyperANFConfig) *App {
 	edges := l.al.AllocPage("anf.edges", uint64(g.M())*4)
 	hcurr := l.al.AllocPage("anf.hcurr", uint64(n)*sketchBytes)
 	hnext := l.al.AllocPage("anf.hnext", uint64(n)*sketchBytes)
-	perCore := uint64(g.M())/uint64(cfg.Cores)*2 + uint64(n) + 1024
-	seqT, divT := l.metaTables(cfg.Cores, perCore*4, perCore/16*8+4096)
+	seqT, divT := l.metaTables(cfg.Cores, uint64(g.M())/uint64(cfg.Cores)*2+uint64(n)+1024)
 
-	part := graph.PartitionGraph(g, cfg.Cores)
-
-	// Real sketches.
-	cur := make([]HLL, n)
-	nxt := make([]HLL, n)
-	for v := 0; v < n; v++ {
-		cur[v].Add(uint64(v))
-	}
-
+	parts := partitionVertices(g, cfg.Cores)
 	app := &App{
 		Name: "hyperanf", Input: input, Cores: cfg.Cores,
 		InputBytes: g.InputBytes() + uint64(n)*sketchBytes,
@@ -58,64 +32,22 @@ func HyperANF(g *graph.Graph, input string, cfg HyperANFConfig) *App {
 		EdgeRegion: edges,
 		Iterations: cfg.Iterations,
 	}
-	mk := func(base mem.Addr) prefetch.IndirectResolver {
-		return func(line mem.Addr) []mem.Addr {
-			if !edges.Contains(line) {
-				return nil
-			}
-			first := int(uint64(line-edges.Base) / 4)
-			var out []mem.Addr
-			var last mem.Addr
-			for i := first; i < first+16 && i < len(g.Edges); i++ {
-				t := mem.LineAddr(base + mem.Addr(g.Edges[i])*sketchBytes)
-				if t != last {
-					out = append(out, t)
-					last = t
-				}
-			}
-			return out
-		}
+	app.MakeResolver = func(base mem.Addr) prefetch.IndirectResolver {
+		return indirectResolver(edges, g.Edges, base, sketchBytes)
 	}
-	app.Resolve = mk(hcurr.Base)
-	app.MakeResolver = mk
+	app.Resolve = app.MakeResolver(hcurr.Base)
 
-	builders := make([]*trace.Builder, cfg.Cores)
-	for c := range builders {
-		b := trace.NewBuilder(1 << 16)
-		b.Exec(64)
-		b.RnRInit(seqT[c], divT[c], cfg.WindowSize)
-		b.AddrBaseSet(0, hcurr.Base, hcurr.Size)
-		b.AddrBaseSet(1, hnext.Base, hnext.Size)
-		b.ROIBegin()
-		builders[c] = b
+	app.Traces = algorithm1(cfg, seqT, divT, app.Targets, func(b *trace.Builder, c int, cur, next mem.Region) {
+		emitHyperANFIteration(b, g, parts[c], cur, next, offsets, edges, sketchBytes)
+	})
+
+	// Real sketches: each iteration unions every vertex's in-neighbours.
+	cur := make([]HLL, n)
+	nxt := make([]HLL, n)
+	for v := 0; v < n; v++ {
+		cur[v].Add(uint64(v))
 	}
-
-	parts := make([][]int, cfg.Cores)
-	for c := range parts {
-		parts[c] = part.Vertices(c)
-	}
-
-	curR, nxtR := hcurr, hnext
 	for it := 0; it < cfg.Iterations; it++ {
-		for c, b := range builders {
-			b.IterBegin(it)
-			switch it {
-			case 0:
-			case 1:
-				b.AddrBaseEnable(0)
-				b.RecordStart()
-			default:
-				b.Replay()
-			}
-			emitHyperANFIteration(b, g, parts[c], curR, nxtR, offsets, edges, sketchBytes)
-			b.IterEnd(it)
-			if it < cfg.Iterations-1 {
-				b.AddrBaseSet(0, nxtR.Base, nxtR.Size)
-				b.AddrBaseSet(1, curR.Base, curR.Size)
-				b.AddrBaseEnable(0)
-			}
-		}
-		// Real computation: nxt = cur unioned over in-neighbours.
 		copy(nxt, cur)
 		for v := 0; v < n; v++ {
 			for _, s := range g.Neighbors(v) {
@@ -123,13 +55,6 @@ func HyperANF(g *graph.Graph, input string, cfg HyperANFConfig) *App {
 			}
 		}
 		cur, nxt = nxt, cur
-		curR, nxtR = nxtR, curR
-	}
-	for _, b := range builders {
-		b.PrefetchEnd()
-		b.RnREnd()
-		b.ROIEnd()
-		app.Traces = append(app.Traces, b.Records())
 	}
 
 	// Neighbourhood function estimate at the final radius.

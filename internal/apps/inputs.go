@@ -64,17 +64,6 @@ func GraphInput(s Scale, name string) (*graph.Graph, bool) {
 	return nil, false
 }
 
-// GraphInputs returns the paper's four graph inputs (Table III) at the
-// given scale, in the paper's presentation order.
-func GraphInputs(s Scale) map[string]*graph.Graph {
-	out := make(map[string]*graph.Graph, len(GraphInputOrder))
-	for _, name := range GraphInputOrder {
-		g, _ := GraphInput(s, name)
-		out[name] = g
-	}
-	return out
-}
-
 // GraphInputOrder is the paper's column order for graph figures.
 var GraphInputOrder = []string{"urand", "amazon", "com-orkut", "roadUSA"}
 
@@ -129,17 +118,6 @@ func MatrixInput(s Scale, name string) (*sparse.Matrix, bool) {
 	return nil, false
 }
 
-// MatrixInputs returns the paper's four spCG inputs (Table III) at the
-// given scale, in the paper's presentation order.
-func MatrixInputs(s Scale) map[string]*sparse.Matrix {
-	out := make(map[string]*sparse.Matrix, len(MatrixInputOrder))
-	for _, name := range MatrixInputOrder {
-		m, _ := MatrixInput(s, name)
-		out[name] = m
-	}
-	return out
-}
-
 // MatrixInputOrder is the paper's column order for spCG figures.
 var MatrixInputOrder = []string{"atmosmodj", "bbmat", "nlpkkt80", "pdb1HYS"}
 
@@ -155,35 +133,24 @@ func Build(workload, input string, s Scale) (*App, error) {
 // keeps each workload's default partitioning. The multicore composer
 // uses cores == 1 to obtain single-core programs it can co-schedule.
 func BuildCores(workload, input string, s Scale, cores int) (*App, error) {
+	cfg := DefaultConfig()
+	if cores > 0 {
+		cfg.Cores = cores
+	}
 	switch workload {
-	case "pagerank":
+	case "pagerank", "hyperanf":
 		g, ok := GraphInput(s, input)
 		if !ok {
 			return nil, fmt.Errorf("apps: unknown graph input %q", input)
 		}
-		cfg := DefaultPageRank()
-		if cores > 0 {
-			cfg.Cores = cores
-		}
-		return PageRank(g, input, cfg), nil
-	case "hyperanf":
-		g, ok := GraphInput(s, input)
-		if !ok {
-			return nil, fmt.Errorf("apps: unknown graph input %q", input)
-		}
-		cfg := DefaultHyperANF()
-		if cores > 0 {
-			cfg.Cores = cores
+		if workload == "pagerank" {
+			return PageRank(g, input, cfg), nil
 		}
 		return HyperANF(g, input, cfg), nil
 	case "spcg":
 		m, ok := MatrixInput(s, input)
 		if !ok {
 			return nil, fmt.Errorf("apps: unknown matrix input %q", input)
-		}
-		cfg := DefaultSpCG()
-		if cores > 0 {
-			cfg.Cores = cores
 		}
 		return SpCG(m, input, cfg), nil
 	}

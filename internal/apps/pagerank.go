@@ -7,34 +7,12 @@ import (
 	"rnrsim/internal/trace"
 )
 
-// PageRankConfig parameterises the PageRank workload.
-type PageRankConfig struct {
-	Cores      int
-	Iterations int     // total kernel iterations in the trace (>= 3)
-	Damping    float64 // alpha, 0.85 by default
-	WindowSize uint64  // RnR window size; 0 = engine default
-}
-
-// DefaultPageRank returns the evaluation configuration: 4 SPMD cores,
-// 1 warm-up + 1 record + 3 replay iterations.
-func DefaultPageRank() PageRankConfig {
-	return PageRankConfig{Cores: 4, Iterations: 5, Damping: 0.85}
-}
-
 // PageRank builds the vertex-centric pull PageRank workload of Algorithm 1
 // over g: it computes real PageRank values while emitting, per SPMD
 // worker, the kernel's memory trace with RnR markers placed exactly as the
 // paper's listing places them.
-func PageRank(g *graph.Graph, input string, cfg PageRankConfig) *App {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
-	if cfg.Iterations < 3 {
-		cfg.Iterations = 3
-	}
-	if cfg.Damping == 0 {
-		cfg.Damping = 0.85
-	}
+func PageRank(g *graph.Graph, input string, cfg Config) *App {
+	cfg = cfg.withFloors()
 	n := g.N
 
 	// Memory layout (master process, §VI).
@@ -45,12 +23,30 @@ func PageRank(g *graph.Graph, input string, cfg PageRankConfig) *App {
 	pnext := l.al.AllocPage("pr.pnext", uint64(n)*8)
 	_ = l.al.AllocPage("pr.deg", uint64(n)*8) // deg array: normalisation reads fold into pnext sweeps
 	// Per-core metadata: capacity for every edge to miss, plus slack.
-	perCore := uint64(g.M())/uint64(cfg.Cores) + uint64(n) + 1024
-	seqT, divT := l.metaTables(cfg.Cores, perCore*4, perCore/16*8+4096)
+	seqT, divT := l.metaTables(cfg.Cores, uint64(g.M())/uint64(cfg.Cores)+uint64(n)+1024)
 
-	part := graph.PartitionGraph(g, cfg.Cores)
+	parts := partitionVertices(g, cfg.Cores)
+	app := &App{
+		Name: "pagerank", Input: input, Cores: cfg.Cores,
+		InputBytes: g.InputBytes(),
+		Targets:    []mem.Region{pcurr, pnext},
+		EdgeRegion: edges,
+		Iterations: cfg.Iterations,
+	}
 
-	// Real computation state.
+	// DROPLET/IMP resolver: an edge line holds 16 uint32 sources; their
+	// rank values live in the *current* pcurr array. The simulator
+	// rebuilds the resolver on each pointer swap via MakeResolver.
+	app.MakeResolver = func(base mem.Addr) prefetch.IndirectResolver {
+		return indirectResolver(edges, g.Edges, base, 8)
+	}
+	app.Resolve = app.MakeResolver(pcurr.Base)
+
+	app.Traces = algorithm1(cfg, seqT, divT, app.Targets, func(b *trace.Builder, c int, cur, next mem.Region) {
+		emitPageRankIteration(b, g, parts[c], cur, next, offsets, edges)
+	})
+
+	// Real computation: one pull iteration + normalisation per iteration.
 	rank := make([]float64, n)
 	next := make([]float64, n)
 	outdeg := make([]float64, n)
@@ -66,78 +62,10 @@ func PageRank(g *graph.Graph, input string, cfg PageRankConfig) *App {
 			outdeg[v] = 1
 		}
 	}
-
-	app := &App{
-		Name: "pagerank", Input: input, Cores: cfg.Cores,
-		InputBytes: g.InputBytes(),
-		Targets:    []mem.Region{pcurr, pnext},
-		EdgeRegion: edges,
-		Iterations: cfg.Iterations,
-	}
-
-	// DROPLET/IMP resolver: an edge line holds 16 uint32 sources; their
-	// rank values live in the *current* pcurr array. The simulator
-	// rebuilds the resolver on each pointer swap via MakeResolver.
-	app.Resolve = makeResolver(g, edges, pcurr.Base)
-	app.MakeResolver = func(base mem.Addr) prefetch.IndirectResolver {
-		return makeResolver(g, edges, base)
-	}
-
-	builders := make([]*trace.Builder, cfg.Cores)
-	for c := range builders {
-		builders[c] = trace.NewBuilder(1 << 16)
-	}
-
-	// Program setup, per core (Algorithm 1 lines 1-10).
-	bases := [2]mem.Region{pcurr, pnext} // slot 0 = read target, slot 1 = write target
-	for c, b := range builders {
-		b.Exec(64) // Init(): allocate and zero
-		b.RnRInit(seqT[c], divT[c], cfg.WindowSize)
-		b.AddrBaseSet(0, bases[0].Base, bases[0].Size)
-		b.AddrBaseSet(1, bases[1].Base, bases[1].Size)
-		b.ROIBegin()
-	}
-
-	parts := make([][]int, cfg.Cores)
-	for c := 0; c < cfg.Cores; c++ {
-		parts[c] = part.Vertices(c)
-	}
-
-	curr, nxt := pcurr, pnext
 	for it := 0; it < cfg.Iterations; it++ {
-		for c, b := range builders {
-			b.IterBegin(it)
-			switch it {
-			case 0: // warm-up iteration, RnR disabled
-			case 1: // first target iteration: record (lines 24-25)
-				b.AddrBaseEnable(0)
-				b.RecordStart()
-			default: // replay iterations (line 31-33 already swapped bases)
-				b.Replay()
-			}
-			emitPageRankIteration(b, g, parts[c], curr, nxt, offsets, edges)
-			b.IterEnd(it)
-			if it < cfg.Iterations-1 {
-				// Swap the bases for the next iteration (Alg. 1 lines
-				// 31-33): slot 0 must track the array that will be read.
-				b.AddrBaseSet(0, nxt.Base, nxt.Size)
-				b.AddrBaseSet(1, curr.Base, curr.Size)
-				b.AddrBaseEnable(0)
-			}
-		}
-		// Real computation: one pull iteration + normalisation.
-		pullIteration(g, rank, next, outdeg, cfg.Damping)
+		pullIteration(g, rank, next, outdeg)
 		rank, next = next, rank
-		curr, nxt = nxt, curr
 	}
-	for c, b := range builders {
-		b.PrefetchEnd() // line 35
-		b.RnREnd()      // line 36
-		b.ROIEnd()
-		app.Traces = append(app.Traces, b.Records())
-		_ = c
-	}
-
 	var mass float64
 	for _, r := range rank {
 		mass += r
@@ -146,28 +74,11 @@ func PageRank(g *graph.Graph, input string, cfg PageRankConfig) *App {
 	return app
 }
 
-// makeResolver rebuilds the DROPLET resolver against the current base.
-func makeResolver(g *graph.Graph, edges mem.Region, base mem.Addr) prefetch.IndirectResolver {
-	return func(line mem.Addr) []mem.Addr {
-		if !edges.Contains(line) {
-			return nil
-		}
-		first := int(uint64(line-edges.Base) / 4)
-		var out []mem.Addr
-		var lastLine mem.Addr
-		for i := first; i < first+16 && i < len(g.Edges); i++ {
-			t := mem.LineAddr(base + mem.Addr(g.Edges[i])*8)
-			if t != lastLine {
-				out = append(out, t)
-				lastLine = t
-			}
-		}
-		return out
-	}
-}
-
 // pullIteration runs the real numerics: next[v] = (1-a)/n + a*sum(rank[s]/outdeg[s]).
-func pullIteration(g *graph.Graph, rank, next, outdeg []float64, damping float64) {
+func pullIteration(g *graph.Graph, rank, next, outdeg []float64) {
+	// A variable, not a constant: 1-damping must round in float64 as it
+	// always has, where a constant would fold it exactly.
+	damping := 0.85
 	n := g.N
 	base := (1 - damping) / float64(n)
 	for v := 0; v < n; v++ {

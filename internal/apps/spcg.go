@@ -8,30 +8,13 @@ import (
 	"rnrsim/internal/trace"
 )
 
-// SpCGConfig parameterises the spCG workload.
-type SpCGConfig struct {
-	Cores      int
-	Iterations int // CG iterations in the trace (>= 3)
-	WindowSize uint64
-}
-
-// DefaultSpCG returns the evaluation configuration.
-func DefaultSpCG() SpCGConfig {
-	return SpCGConfig{Cores: 4, Iterations: 5}
-}
-
 // SpCG builds the sparse conjugate-gradient workload (Adept's sparse CG
 // [23]): each CG iteration is dominated by SpMV, whose access to the dense
 // direction vector p through the column-index array is the irregular RnR
 // target. Unlike PageRank, the target vector's *base* never moves — only
 // its values change — so the recorded pattern replays without swaps.
-func SpCG(m *sparse.Matrix, input string, cfg SpCGConfig) *App {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
-	if cfg.Iterations < 3 {
-		cfg.Iterations = 3
-	}
+func SpCG(m *sparse.Matrix, input string, cfg Config) *App {
+	cfg = cfg.withFloors()
 	n := m.N
 
 	l := newLayout()
@@ -42,8 +25,7 @@ func SpCG(m *sparse.Matrix, input string, cfg SpCGConfig) *App {
 	apvec := l.al.AllocPage("cg.Ap", uint64(n)*8)
 	rvec := l.al.AllocPage("cg.r", uint64(n)*8)
 	xvec := l.al.AllocPage("cg.x", uint64(n)*8)
-	perCore := uint64(m.NNZ())/uint64(cfg.Cores) + uint64(n) + 1024
-	seqT, divT := l.metaTables(cfg.Cores, perCore*4, perCore/16*8+4096)
+	seqT, divT := l.metaTables(cfg.Cores, uint64(m.NNZ())/uint64(cfg.Cores)+uint64(n)+1024)
 
 	// Row partitioning: contiguous row blocks balanced by nnz, the usual
 	// SPMD decomposition for CSR SpMV.
@@ -55,55 +37,11 @@ func SpCG(m *sparse.Matrix, input string, cfg SpCGConfig) *App {
 		Targets:    []mem.Region{pvec},
 		EdgeRegion: cols,
 		Iterations: cfg.Iterations,
+		Resolve:    indirectResolver(cols, m.Cols, pvec.Base, 8),
 	}
-	app.Resolve = func(line mem.Addr) []mem.Addr {
-		if !cols.Contains(line) {
-			return nil
-		}
-		first := int(uint64(line-cols.Base) / 4)
-		var out []mem.Addr
-		var last mem.Addr
-		for i := first; i < first+16 && i < int(m.NNZ()); i++ {
-			t := mem.LineAddr(pvec.Base + mem.Addr(m.Cols[i])*8)
-			if t != last {
-				out = append(out, t)
-				last = t
-			}
-		}
-		return out
-	}
-
-	builders := make([]*trace.Builder, cfg.Cores)
-	for c := range builders {
-		b := trace.NewBuilder(1 << 16)
-		b.Exec(64)
-		b.RnRInit(seqT[c], divT[c], cfg.WindowSize)
-		b.AddrBaseSet(0, pvec.Base, pvec.Size)
-		b.ROIBegin()
-		builders[c] = b
-	}
-
-	for it := 0; it < cfg.Iterations; it++ {
-		for c, b := range builders {
-			b.IterBegin(it)
-			switch it {
-			case 0:
-			case 1:
-				b.AddrBaseEnable(0)
-				b.RecordStart()
-			default:
-				b.Replay()
-			}
-			emitSpCGIteration(b, m, rowsOf[c], rowptr, cols, vals, pvec, apvec, rvec, xvec)
-			b.IterEnd(it)
-		}
-	}
-	for _, b := range builders {
-		b.PrefetchEnd()
-		b.RnREnd()
-		b.ROIEnd()
-		app.Traces = append(app.Traces, b.Records())
-	}
+	app.Traces = algorithm1(cfg, seqT, divT, app.Targets, func(b *trace.Builder, c int, _, _ mem.Region) {
+		emitSpCGIteration(b, m, rowsOf[c], rowptr, cols, vals, pvec, apvec, rvec, xvec)
+	})
 
 	// Real numerics: solve a system and keep the residual as the check.
 	rng := rand.New(rand.NewSource(77))

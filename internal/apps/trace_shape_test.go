@@ -49,7 +49,7 @@ func TestPageRankIterationsRepeatModuloBaseSwap(t *testing.T) {
 	// With the p_curr/p_next double buffer, loads of iteration k and k+2
 	// must be identical, and k vs k+1 identical after swapping the bases.
 	g := graph.Uniform(300, 5, 11)
-	app := PageRank(g, "urand", PageRankConfig{Cores: 1, Iterations: 4})
+	app := PageRank(g, "urand", Config{Cores: 1, Iterations: 4})
 	iters := iterSlices(app.Traces[0])
 	if len(iters) != 4 {
 		t.Fatalf("found %d iterations", len(iters))
@@ -94,7 +94,7 @@ func TestPageRankIterationsRepeatModuloBaseSwap(t *testing.T) {
 func TestSpCGIterationsIdentical(t *testing.T) {
 	// spCG's p vector never moves: every iteration's loads are identical.
 	m := sparse.Banded(300, 40, 0.05, 5)
-	app := SpCG(m, "bbmat", SpCGConfig{Cores: 1, Iterations: 4})
+	app := SpCG(m, "bbmat", Config{Cores: 1, Iterations: 4})
 	iters := iterSlices(app.Traces[0])
 	l0 := loadsOf(iters[0])
 	for k := 1; k < len(iters); k++ {
@@ -112,7 +112,7 @@ func TestSpCGIterationsIdentical(t *testing.T) {
 
 func TestHyperANFBaseSwapMarkers(t *testing.T) {
 	g := graph.Uniform(200, 5, 3)
-	app := HyperANF(g, "urand", HyperANFConfig{Cores: 1, Iterations: 4})
+	app := HyperANF(g, "urand", Config{Cores: 1, Iterations: 4})
 	hcurr, hnext := app.Targets[0], app.Targets[1]
 	var bases []mem.Addr
 	for _, r := range app.Traces[0] {
@@ -133,7 +133,7 @@ func TestHyperANFBaseSwapMarkers(t *testing.T) {
 
 func TestRegionTaggingMatchesAllocator(t *testing.T) {
 	g := graph.Uniform(200, 4, 9)
-	app := PageRank(g, "urand", PageRankConfig{Cores: 1, Iterations: 3})
+	app := PageRank(g, "urand", Config{Cores: 1, Iterations: 3})
 	// Every load/store must carry the region id of the region containing
 	// its address (Aux), for the whole trace.
 	regions := map[int32]mem.Region{}
@@ -156,7 +156,7 @@ func TestMetadataTablesSizedForWorstCase(t *testing.T) {
 	// The programmer allocates the sequence table to survive a 100% miss
 	// rate: capacity must be at least the per-core edge count.
 	g := graph.Uniform(500, 6, 21)
-	app := PageRank(g, "urand", PageRankConfig{Cores: 2, Iterations: 3})
+	app := PageRank(g, "urand", Config{Cores: 2, Iterations: 3})
 	for c, recs := range app.Traces {
 		var seqBytes uint64
 		for _, r := range recs {

@@ -48,12 +48,12 @@ func (s *Suite) TableII() *Table {
 func (s *Suite) TableIII() *Table {
 	t := newTable("tableIII", "input", "kind", "n", "edges/nnz", "avg deg", "MB")
 	for _, name := range apps.GraphInputOrder {
-		g := apps.GraphInputs(s.Scale)[name]
+		g, _ := apps.GraphInput(s.Scale, name)
 		st := g.Summary()
 		t.AddRow(name, "graph", fmt.Sprint(st.Vertices), fmt.Sprint(st.Edges), f1(st.AvgDegree), f2(st.InputMB))
 	}
 	for _, name := range apps.MatrixInputOrder {
-		m := apps.MatrixInputs(s.Scale)[name]
+		m, _ := apps.MatrixInput(s.Scale, name)
 		st := m.Summary()
 		t.AddRow(name, "matrix", fmt.Sprint(st.N), fmt.Sprint(st.NNZ), f1(st.AvgPerRow), f2(st.InputMB))
 	}

@@ -75,7 +75,7 @@ func (s *Suite) scalingRun(cores int, pf sim.PrefetcherKind) *sim.Result {
 		Key: fmt.Sprintf("scaling:%d/%s", cores, pf),
 		cfg: cfg,
 		compose: func(s *Suite) (*apps.App, error) {
-			return apps.PageRank(s.scalingGraph(), "amazon", apps.PageRankConfig{Cores: cores, Iterations: 5}), nil
+			return apps.PageRank(s.scalingGraph(), "amazon", apps.Config{Cores: cores, Iterations: 5}), nil
 		},
 	})
 	if err != nil {
@@ -90,7 +90,7 @@ func (s *Suite) scalingGraph() *graph.Graph {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.scaleG == nil {
-		s.scaleG = apps.GraphInputs(s.Scale)["amazon"]
+		s.scaleG, _ = apps.GraphInput(s.Scale, "amazon")
 	}
 	return s.scaleG
 }

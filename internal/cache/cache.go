@@ -219,9 +219,6 @@ func New(cfg Config) *Cache {
 // controller).
 func (c *Cache) SetLower(b mem.Backend) { c.lower = b }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 func (c *Cache) setIndex(lineAddr mem.Addr) int {
 	return int((lineAddr >> mem.LineShift) & c.setMask)
 }

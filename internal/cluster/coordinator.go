@@ -293,9 +293,6 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// Config returns the effective (default-filled) configuration.
-func (c *Coordinator) Config() Config { return c.cfg }
-
 // Registry returns the telemetry registry the coordinator reports into.
 func (c *Coordinator) Registry() *telemetry.Registry { return c.cfg.Registry }
 

@@ -175,9 +175,6 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // addressing: [row | bank | channel | column]; column covers one row
 // buffer, lines interleave across channels at row granularity.
 func (c *Controller) channelOf(line mem.Addr) int {
@@ -249,9 +246,6 @@ func (c *Controller) entry(r *mem.Request) queued {
 // scheduler owns the flag (a slot of its wake table) and clears it when
 // it recomputes the cached wakeup.
 func (c *Controller) BindWakeFlag(p *bool) { c.wakeDirty = p }
-
-// ReadQLen and WriteQLen expose occupancy for tests and adaptive clients.
-func (c *Controller) ReadQLen() int { return len(c.readQ) }
 
 // WriteQLen returns the current write-queue occupancy.
 func (c *Controller) WriteQLen() int { return len(c.writeQ) }

@@ -325,10 +325,6 @@ func (m *Manager) Watch(j *Job) (release func()) {
 	return func() { once.Do(j.removeWatcher) }
 }
 
-// RetryAfter returns the configured base backpressure hint for 429
-// responses (before jitter).
-func (m *Manager) RetryAfter() time.Duration { return m.opts.RetryAfter }
-
 // RetryAfterJitterFrac is the relative spread applied to every
 // Retry-After hint: the served value is uniform in base ± 25%.
 const RetryAfterJitterFrac = 0.25

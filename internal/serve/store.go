@@ -46,12 +46,3 @@ func (st *store) list() []*Job {
 	}
 	return out
 }
-
-// all returns the jobs without ordering guarantees (drain paths).
-func (st *store) all() []*Job {
-	out := make([]*Job, 0, len(st.jobs))
-	for _, j := range st.jobs {
-		out = append(out, j)
-	}
-	return out
-}

@@ -431,10 +431,3 @@ func (r *Result) String() string {
 	return fmt.Sprintf("%s %s/%s: %d cycles, IPC %.3f, L2 MPKI %.1f, acc %.2f",
 		r.Prefetcher, r.App, r.Input, r.Cycles, r.IPC(), r.L2MPKI(), r.Accuracy())
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

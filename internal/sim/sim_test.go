@@ -15,7 +15,7 @@ func testConfig() Config { return Test() }
 func testApp(t *testing.T) *apps.App {
 	t.Helper()
 	g := graph.Uniform(1200, 6, 99)
-	return apps.PageRank(g, "urand", apps.PageRankConfig{Cores: 4, Iterations: 4})
+	return apps.PageRank(g, "urand", apps.Config{Cores: 4, Iterations: 4})
 }
 
 func runOne(t *testing.T, cfg Config, app *apps.App) *Result {
@@ -134,7 +134,7 @@ func TestIdealLLCBoundsEveryone(t *testing.T) {
 
 func TestSpCGWithRnR(t *testing.T) {
 	m := sparse.Stencil3D(8, 8, 8)
-	app := apps.SpCG(m, "atmosmodj", apps.SpCGConfig{Cores: 4, Iterations: 4})
+	app := apps.SpCG(m, "atmosmodj", apps.Config{Cores: 4, Iterations: 4})
 	base := runOne(t, testConfig(), app)
 	res := runOne(t, testConfig().WithPrefetcher(PFRnR), app)
 	if res.RnR.RecordedEntries == 0 {

@@ -1013,22 +1013,6 @@ func (s *System) advanceTo(next uint64) {
 	s.step(true)
 }
 
-// Snapshot returns a one-line progress dump for debugging stalled runs.
-func (s *System) Snapshot() string {
-	s.settleCores()
-	out := fmt.Sprintf("cycle=%d", s.cycle)
-	for c := range s.cores {
-		out += fmt.Sprintf(" core%d[done=%v instr=%d gated=%v l1p=%d l2p=%d]",
-			c, s.cores[c].Done(), s.cores[c].Stats.Instructions,
-			s.barriers[s.coreGrp[c]].gated(s.coreSlot[c]), s.l1s[c].Pending(), s.l2s[c].Pending())
-	}
-	for b, llc := range s.llcs {
-		out += fmt.Sprintf(" llcp%d=%d", b, llc.Pending())
-	}
-	out += fmt.Sprintf(" mcp=%d rq=%d wq=%d", s.mc.Pending(), s.mc.ReadQLen(), s.mc.WriteQLen())
-	return out
-}
-
 func (s *System) collect() *Result {
 	s.settleCores()
 	r := &Result{
@@ -1097,19 +1081,4 @@ func addRnRStats(dst *rnr.Stats, s rnr.Stats) {
 	dst.ReplayStructMisses += s.ReplayStructMisses
 	dst.ReplayMissesCovered += s.ReplayMissesCovered
 	dst.SkippedEntries += s.SkippedEntries
-}
-
-// Occupancy returns a diagnostic line of queue occupancies for core c.
-func (s *System) Occupancy(c int) string {
-	rob, lsq := s.cores[c].Occupancy()
-	r1, p1, w1, m1 := s.l1s[c].Occupancy()
-	r2, p2, w2, m2 := s.l2s[c].Occupancy()
-	out := fmt.Sprintf("rob=%d lsq=%d L1[r%d p%d w%d m%d] L2[r%d p%d w%d m%d]",
-		rob, lsq, r1, p1, w1, m1, r2, p2, w2, m2)
-	for _, llc := range s.llcs {
-		r3, p3, w3, m3 := llc.Occupancy()
-		out += fmt.Sprintf(" LLC[r%d p%d w%d m%d]", r3, p3, w3, m3)
-	}
-	out += fmt.Sprintf(" DRAM[r%d w%d]", s.mc.ReadQLen(), s.mc.WriteQLen())
-	return out
 }

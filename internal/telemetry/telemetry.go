@@ -190,80 +190,61 @@ func (r *Registry) Snapshot(cycle uint64) []Metric {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	probes := sortedProbes(r.probes)
-	gnames := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		gnames = append(gnames, n)
-	}
-	sort.Strings(gnames)
-	gauges := make([]*Gauge, len(gnames))
-	for i, n := range gnames {
-		gauges[i] = r.gauges[n]
-	}
-	cnames := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		cnames = append(cnames, n)
-	}
-	sort.Strings(cnames)
-	counters := make([]*Counter, len(cnames))
-	for i, n := range cnames {
-		counters[i] = r.counters[n]
-	}
-	r.mu.Unlock()
-
-	out := make([]Metric, 0, len(probes)+len(gauges)+len(counters))
-	for _, p := range probes {
-		out = append(out, Metric{Name: p.name, Kind: "probe", Value: p.fn(cycle)})
-	}
-	for i, g := range gauges {
-		out = append(out, Metric{Name: gnames[i], Kind: "gauge", Value: g.Load()})
-	}
-	for i, c := range counters {
-		out = append(out, Metric{Name: cnames[i], Kind: "counter", Value: float64(c.Load())})
+	insts := r.instruments()
+	out := make([]Metric, len(insts))
+	for i, in := range insts {
+		out[i] = Metric{Name: in.name, Kind: in.kind, Value: in.read(cycle)}
 	}
 	return out
 }
 
-// sortedProbes returns a name-sorted copy of probes. The sort is
-// stable so same-named probes keep their registration order, which
-// preserves the later-shadows-earlier contract of Probe.
-func sortedProbes(probes []namedProbe) []namedProbe {
-	out := make([]namedProbe, len(probes))
-	copy(out, probes)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+// instrument is one registered instrument: a Snapshot entry and a
+// sample-row column.
+type instrument struct {
+	name, kind string
+	read       func(cycle uint64) float64
 }
 
-// columns returns the sample-row schema: probes sorted by name, then
-// gauges and counters sorted by name (map iteration is not stable).
-func (r *Registry) columns() (names []string, read []func(cycle uint64) float64) {
+// instruments lists every registered instrument in the one column
+// order Snapshot and columns share: probes sorted by name, then gauges
+// and counters sorted by name (map iteration is not stable). The probe
+// sort is stable so same-named probes keep their registration order,
+// which preserves the later-shadows-earlier contract of Probe. The lock
+// is held only while listing, so callers read probes outside it.
+func (r *Registry) instruments() []instrument {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, p := range sortedProbes(r.probes) {
-		p := p
-		names = append(names, p.name)
-		read = append(read, p.fn)
+	out := make([]instrument, 0, len(r.probes)+len(r.gauges)+len(r.counters))
+	probes := append([]namedProbe(nil), r.probes...)
+	sort.SliceStable(probes, func(i, j int) bool { return probes[i].name < probes[j].name })
+	for _, p := range probes {
+		out = append(out, instrument{p.name, "probe", p.fn})
 	}
-	gnames := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		gnames = append(gnames, n)
-	}
-	sort.Strings(gnames)
-	for _, n := range gnames {
+	for _, n := range sortedKeys(r.gauges) {
 		g := r.gauges[n]
-		names = append(names, n)
-		read = append(read, func(uint64) float64 { return g.Load() })
+		out = append(out, instrument{n, "gauge", func(uint64) float64 { return g.Load() }})
 	}
-	cnames := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		cnames = append(cnames, n)
-	}
-	sort.Strings(cnames)
-	for _, n := range cnames {
+	for _, n := range sortedKeys(r.counters) {
 		c := r.counters[n]
-		names = append(names, n)
-		read = append(read, func(uint64) float64 { return float64(c.Load()) })
+		out = append(out, instrument{n, "counter", func(uint64) float64 { return float64(c.Load()) }})
+	}
+	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// columns returns the sample-row schema in instruments order.
+func (r *Registry) columns() (names []string, read []func(cycle uint64) float64) {
+	for _, in := range r.instruments() {
+		names = append(names, in.name)
+		read = append(read, in.read)
 	}
 	return names, read
 }

@@ -97,9 +97,6 @@ func (b *Builder) AddrBaseSet(slot int, base mem.Addr, size uint64) {
 // AddrBaseEnable emits AddrBase.enable(addr) for the boundary slot.
 func (b *Builder) AddrBaseEnable(slot int) { b.Mark(MarkAddrBaseEnable, 0, 0, int32(slot)) }
 
-// WindowSize emits WindowSize.set(size).
-func (b *Builder) WindowSize(size uint64) { b.Mark(MarkWindowSize, 0, size, 0) }
-
 // RecordStart emits PrefetchState.start().
 func (b *Builder) RecordStart() { b.Mark(MarkRecordStart, 0, 0, 0) }
 
