@@ -11,7 +11,6 @@
 package apps
 
 import (
-	"rnrsim/internal/graph"
 	"rnrsim/internal/mem"
 	"rnrsim/internal/prefetch"
 	"rnrsim/internal/trace"
@@ -138,17 +137,6 @@ func (l *layout) metaTables(cores int, perCore uint64) (seq, div []mem.Region) {
 		div[c] = l.al.AllocPage("rnr.div", perCore/16*8+4096)
 	}
 	return seq, div
-}
-
-// partitionVertices splits g's vertices over cores (graph.PartitionGraph)
-// and lists each core's share.
-func partitionVertices(g *graph.Graph, cores int) [][]int {
-	part := graph.PartitionGraph(g, cores)
-	parts := make([][]int, cores)
-	for c := range parts {
-		parts[c] = part.Vertices(c)
-	}
-	return parts
 }
 
 // algorithm1 emits Algorithm 1's SPMD program, one trace per core. It is

@@ -24,7 +24,7 @@ func HyperANF(g *graph.Graph, input string, cfg Config) *App {
 	hnext := l.al.AllocPage("anf.hnext", uint64(n)*sketchBytes)
 	seqT, divT := l.metaTables(cfg.Cores, uint64(g.M())/uint64(cfg.Cores)*2+uint64(n)+1024)
 
-	parts := partitionVertices(g, cfg.Cores)
+	parts := graph.PartitionGraph(g, cfg.Cores).Parts()
 	app := &App{
 		Name: "hyperanf", Input: input, Cores: cfg.Cores,
 		InputBytes: g.InputBytes() + uint64(n)*sketchBytes,

@@ -25,7 +25,7 @@ func PageRank(g *graph.Graph, input string, cfg Config) *App {
 	// Per-core metadata: capacity for every edge to miss, plus slack.
 	seqT, divT := l.metaTables(cfg.Cores, uint64(g.M())/uint64(cfg.Cores)+uint64(n)+1024)
 
-	parts := partitionVertices(g, cfg.Cores)
+	parts := graph.PartitionGraph(g, cfg.Cores).Parts()
 	app := &App{
 		Name: "pagerank", Input: input, Cores: cfg.Cores,
 		InputBytes: g.InputBytes(),

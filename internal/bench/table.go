@@ -65,7 +65,7 @@ func (t *Table) Format() string {
 	for _, w := range widths {
 		total += w + 2
 	}
-	b.WriteString(strings.Repeat("-", maxInt(4, total-2)))
+	b.WriteString(strings.Repeat("-", max(4, total-2)))
 	b.WriteByte('\n')
 	for _, row := range t.Rows {
 		line(row)
@@ -115,10 +115,3 @@ func geomean(vals []float64) float64 {
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

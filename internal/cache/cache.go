@@ -787,11 +787,6 @@ func (s Stats) Accuracy() float64 {
 	return float64(s.PrefetchUseful) / float64(total)
 }
 
-// Occupancy reports queue and MSHR occupancy for diagnostics.
-func (c *Cache) Occupancy() (readQ, prefQ, writeQ, mshrs int) {
-	return c.readQ.len(), c.prefQ.len(), c.writeQ.len(), len(c.mshrs)
-}
-
 // RegisterProbes registers this cache level's sampled series under
 // prefix (e.g. "l2.0."): instantaneous MSHR and input-queue occupancy
 // plus the demand miss rate over the previous sample interval. Pull-style

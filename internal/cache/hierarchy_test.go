@@ -6,6 +6,11 @@ import (
 	"rnrsim/internal/mem"
 )
 
+// Occupancy reports queue and MSHR occupancy.
+func (c *Cache) Occupancy() (readQ, prefQ, writeQ, mshrs int) {
+	return c.readQ.len(), c.prefQ.len(), c.writeQ.len(), len(c.mshrs)
+}
+
 // twoLevel builds an L1 -> L2 -> fakeMemory stack for hierarchy tests.
 func twoLevel(l1Size, l2Size uint64, lat uint64) (*Cache, *Cache, *fakeMemory) {
 	l2 := New(Config{

@@ -247,9 +247,6 @@ func (c *Controller) entry(r *mem.Request) queued {
 // it recomputes the cached wakeup.
 func (c *Controller) BindWakeFlag(p *bool) { c.wakeDirty = p }
 
-// WriteQLen returns the current write-queue occupancy.
-func (c *Controller) WriteQLen() int { return len(c.writeQ) }
-
 // Pending returns outstanding work (queued plus in service).
 func (c *Controller) Pending() int {
 	return len(c.readQ) + len(c.writeQ) + len(c.inService)

@@ -6,6 +6,9 @@ import (
 	"rnrsim/internal/mem"
 )
 
+// WriteQLen returns the current write-queue occupancy.
+func (c *Controller) WriteQLen() int { return len(c.writeQ) }
+
 func testConfig() Config {
 	c := Default()
 	c.MaxInFlight = 4

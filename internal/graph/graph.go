@@ -104,10 +104,3 @@ func (g *Graph) Summary() Stats {
 func (g *Graph) InputBytes() uint64 {
 	return uint64(len(g.Offsets))*8 + uint64(g.M())*4 + uint64(g.N)*8
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

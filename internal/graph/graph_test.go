@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -210,14 +211,21 @@ func TestPartitionVerticesRoundTrip(t *testing.T) {
 	g := Uniform(200, 4, 17)
 	p := PartitionGraph(g, 3)
 	seen := make([]bool, g.N)
-	for part := 0; part < 3; part++ {
-		for _, v := range p.Vertices(part) {
+	parts := p.Parts()
+	if len(parts) != 3 {
+		t.Fatalf("Parts() returned %d parts, want 3", len(parts))
+	}
+	for part, vs := range parts {
+		if !slices.IsSorted(vs) {
+			t.Errorf("Parts()[%d] is not ascending", part)
+		}
+		for _, v := range vs {
 			if seen[v] {
 				t.Fatalf("vertex %d in two parts", v)
 			}
 			seen[v] = true
 			if int(p.Assign[v]) != part {
-				t.Fatalf("Vertices(%d) returned vertex of part %d", part, p.Assign[v])
+				t.Fatalf("Parts()[%d] holds a vertex of part %d", part, p.Assign[v])
 			}
 		}
 	}

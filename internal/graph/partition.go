@@ -135,15 +135,17 @@ func (p *Partition) CutEdges(g *Graph) int64 {
 	return cut
 }
 
-// Vertices returns the vertex list of one part, ascending.
-func (p *Partition) Vertices(part int) []int {
-	out := make([]int, 0, p.Sizes[part])
-	for v, a := range p.Assign {
-		if int(a) == part {
-			out = append(out, v)
-		}
+// Parts returns every part's vertex list, each ascending, in one pass
+// over Assign.
+func (p *Partition) Parts() [][]int {
+	parts := make([][]int, p.K)
+	for part, size := range p.Sizes {
+		parts[part] = make([]int, 0, size)
 	}
-	return out
+	for v, a := range p.Assign {
+		parts[a] = append(parts[a], v)
+	}
+	return parts
 }
 
 // Imbalance returns maxPartSize / idealSize - 1.

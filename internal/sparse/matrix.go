@@ -98,7 +98,7 @@ func (m *Matrix) Summary() Stats {
 	return Stats{
 		N:         m.N,
 		NNZ:       m.NNZ(),
-		AvgPerRow: float64(m.NNZ()) / float64(maxi(1, m.N)),
+		AvgPerRow: float64(m.NNZ()) / float64(max(1, m.N)),
 		Bandwidth: band,
 		InputMB:   float64(m.InputBytes()) / (1 << 20),
 	}
@@ -121,11 +121,4 @@ func Axpy(y []float64, alpha float64, x []float64) {
 	for i := range y {
 		y[i] += alpha * x[i]
 	}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,13 +2,7 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 	"os"
-
-	"rnrsim/internal/mem"
 )
 
 // FileSource streams records from a binary trace file without loading it
@@ -29,53 +23,32 @@ func OpenFile(path string) (*FileSource, error) {
 		return nil, err
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
-	var head [headerSize]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
+	count, err := readHeader(br)
+	if err != nil {
 		f.Close()
-		if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("%w: short header: %w", ErrBadTrace, err)
+		return nil, err
 	}
-	if [4]byte(head[0:4]) != magic {
-		f.Close()
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, head[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(head[4:8]); v != formatVersion {
-		f.Close()
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, v)
-	}
-	return &FileSource{
-		f:         f,
-		br:        br,
-		remaining: binary.LittleEndian.Uint64(head[8:16]),
-	}, nil
+	return &FileSource{f: f, br: br, remaining: count}, nil
 }
 
 // Next implements Source. The first read error latches and ends the
-// stream; check Err after draining. A truncated or corrupt file latches
-// a *TruncatedError carrying the failing byte offset and record index
+// stream; check Err after draining. A truncated file latches a
+// *TruncatedError carrying the failing byte offset and record index
 // (matching io.ErrUnexpectedEOF and ErrBadTrace under errors.Is)
-// instead of surfacing a bare EOF.
+// instead of surfacing a bare EOF; an unknown record kind latches an
+// ErrBadTrace.
 func (s *FileSource) Next() (Record, bool) {
 	if s.err != nil || s.remaining == 0 {
 		return Record{}, false
 	}
-	var buf [recordSize]byte
-	if _, err := io.ReadFull(s.br, buf[:]); err != nil {
-		s.err = truncated(s.read, err)
+	rec, err := readRecord(s.br, s.read)
+	if err != nil {
+		s.err = err
 		return Record{}, false
 	}
 	s.read++
 	s.remaining--
-	return Record{
-		Kind:   Kind(buf[0]),
-		Marker: Marker(buf[1]),
-		Aux:    int32(binary.LittleEndian.Uint32(buf[4:8])),
-		PC:     binary.LittleEndian.Uint64(buf[8:16]),
-		Addr:   mem.Addr(binary.LittleEndian.Uint64(buf[16:24])),
-		Count:  binary.LittleEndian.Uint64(buf[24:32]),
-	}, true
+	return rec, true
 }
 
 // Remaining returns how many records are left to read.

@@ -209,3 +209,31 @@ func TestReadTruncated(t *testing.T) {
 		t.Errorf("TruncatedError = record %d offset %d, want record 1 offset 48", te.Record, te.Offset)
 	}
 }
+
+// TestFileSourceRejectsUnknownKind holds the streaming decoder to Read's
+// contract: a kind byte past KindMarker is a corrupt record, not a
+// record to coerce.
+func TestFileSourceRejectsUnknownKind(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, []Record{Exec(1), Exec(2)}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	raw[headerSize+recordSize] = byte(KindMarker) + 1 // record 1's kind
+	path := filepath.Join(t.TempDir(), "kind.rnrt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	n := 0
+	for _, ok := fs.Next(); ok; _, ok = fs.Next() {
+		n++
+	}
+	if n != 1 || !errors.Is(fs.Err(), ErrBadTrace) {
+		t.Errorf("streamed %d records, err %v; want 1 record then ErrBadTrace", n, fs.Err())
+	}
+}

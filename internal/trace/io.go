@@ -98,42 +98,69 @@ func Write(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// Read deserialises a complete trace from r.
+// Read deserialises a complete trace from r. The slice grows as records
+// arrive, so a header that promises more records than the stream holds
+// costs no more memory than the records actually read.
 func Read(r io.Reader) ([]Record, error) {
 	br := bufio.NewReader(r)
-	var head [16]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+	count, err := readHeader(br)
+	if err != nil {
+		return nil, err
 	}
-	if [4]byte(head[0:4]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, head[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(head[4:8]); v != formatVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, v)
-	}
-	count := binary.LittleEndian.Uint64(head[8:16])
-	const maxRecords = 1 << 32
-	if count > maxRecords {
-		return nil, fmt.Errorf("%w: implausible record count %d", ErrBadTrace, count)
-	}
-	recs := make([]Record, 0, count)
-	var buf [32]byte
+	recs := make([]Record, 0, min(count, 4096))
 	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, truncated(i, err)
-		}
-		rec := Record{
-			Kind:   Kind(buf[0]),
-			Marker: Marker(buf[1]),
-			Aux:    int32(binary.LittleEndian.Uint32(buf[4:8])),
-			PC:     binary.LittleEndian.Uint64(buf[8:16]),
-			Addr:   mem.Addr(binary.LittleEndian.Uint64(buf[16:24])),
-			Count:  binary.LittleEndian.Uint64(buf[24:32]),
-		}
-		if rec.Kind > KindMarker {
-			return nil, fmt.Errorf("%w: unknown kind %d at record %d", ErrBadTrace, rec.Kind, i)
+		rec, err := readRecord(br, i)
+		if err != nil {
+			return nil, err
 		}
 		recs = append(recs, rec)
 	}
 	return recs, nil
+}
+
+// readHeader reads and validates the trace header, returning the
+// record count it promises.
+func readHeader(br *bufio.Reader) (uint64, error) {
+	head, err := br.Peek(headerSize)
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, fmt.Errorf("%w: short header: %w", ErrBadTrace, err)
+	}
+	if [4]byte(head[0:4]) != magic {
+		return 0, fmt.Errorf("%w: bad magic %q", ErrBadTrace, head[0:4])
+	}
+	if v := binary.LittleEndian.Uint32(head[4:8]); v != formatVersion {
+		return 0, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, v)
+	}
+	count := binary.LittleEndian.Uint64(head[8:16])
+	const maxRecords = 1 << 32
+	if count > maxRecords {
+		return 0, fmt.Errorf("%w: implausible record count %d", ErrBadTrace, count)
+	}
+	br.Discard(headerSize) // cannot fail: Peek buffered these bytes
+	return count, nil
+}
+
+// readRecord reads and decodes record i. Peek decodes in place in the
+// reader's buffer, so a record costs no allocation.
+func readRecord(br *bufio.Reader, i uint64) (Record, error) {
+	buf, err := br.Peek(recordSize)
+	if err != nil {
+		return Record{}, truncated(i, err)
+	}
+	rec := Record{
+		Kind:   Kind(buf[0]),
+		Marker: Marker(buf[1]),
+		Aux:    int32(binary.LittleEndian.Uint32(buf[4:8])),
+		PC:     binary.LittleEndian.Uint64(buf[8:16]),
+		Addr:   mem.Addr(binary.LittleEndian.Uint64(buf[16:24])),
+		Count:  binary.LittleEndian.Uint64(buf[24:32]),
+	}
+	if rec.Kind > KindMarker {
+		return Record{}, fmt.Errorf("%w: unknown kind %d at record %d", ErrBadTrace, rec.Kind, i)
+	}
+	br.Discard(recordSize) // cannot fail: Peek buffered these bytes
+	return rec, nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +177,58 @@ func TestReadRejectsGarbage(t *testing.T) {
 			t.Errorf("case %d: err = %v, want ErrBadTrace", i, err)
 		}
 	}
+}
+
+// TestReadHugeCountBoundedMemory: a 16-byte header promising 1<<24
+// records must fail as truncated without reserving room for them.
+func TestReadHugeCountBoundedMemory(t *testing.T) {
+	head := []byte("RNRT\x01\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00") // count 1<<24
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(head))
+	runtime.ReadMemStats(&after)
+	var te *TruncatedError
+	if !errors.As(err, &te) {
+		t.Fatalf("Read error %v, want *TruncatedError", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("Read allocated %d B for an empty body, want < 1 MB", alloc)
+	}
+}
+
+// FuzzReadTrace: Read never panics, every error it returns is an
+// ErrBadTrace, and whatever it accepts re-encodes and decodes to the
+// same records.
+func FuzzReadTrace(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, randomRecords(8, rand.New(rand.NewSource(1)))); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:headerSize+recordSize+4])
+	f.Add([]byte("RNRT\x01\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00"))
+	f.Add([]byte("RNRT\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte("short"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := Read(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("Read error %v is not an ErrBadTrace", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, recs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(&out)
+		if err != nil {
+			t.Fatalf("re-encoded trace fails to decode: %v", err)
+		}
+		if !slices.Equal(again, recs) {
+			t.Fatalf("round trip changed the records:\n%+v\n%+v", recs, again)
+		}
+	})
 }
 
 func TestRecordInstructionsAndString(t *testing.T) {
