@@ -1,7 +1,8 @@
 // Command tracegen builds a workload and writes its per-core memory
 // traces (including the RnR software-interface markers) in the binary
-// trace format, one file per core. The traces can be inspected with
-// -dump or fed back into the simulator by custom tools.
+// trace format, one file per core, or prints the first records with
+// -dump. The simulator builds its traces in memory and reads no trace
+// files.
 //
 // Usage:
 //

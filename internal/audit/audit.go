@@ -38,20 +38,14 @@ type Config struct {
 	// Interval is the number of cycles between invariant sweeps.
 	// 0 means DefaultInterval. 1 checks every cycle (fuzzing mode).
 	Interval uint64
-	// Limit bounds how many violations are retained; further ones are
-	// counted but dropped. 0 means DefaultLimit.
-	Limit int
-	// FailFast makes the simulator abort the run at the first
-	// violation (checked at tick-batch boundaries) instead of
-	// completing the run and reporting at the end.
-	FailFast bool
 }
 
-// DefaultInterval and DefaultLimit are the Config zero-value defaults.
-const (
-	DefaultInterval = 1024
-	DefaultLimit    = 64
-)
+// DefaultInterval is the Config zero-value sweep cadence.
+const DefaultInterval = 1024
+
+// maxViolations bounds how many violations a Checker retains; further
+// ones are counted but dropped.
+const maxViolations = 64
 
 // EffectiveInterval resolves the check cadence.
 func (c Config) EffectiveInterval() uint64 {
@@ -59,13 +53,6 @@ func (c Config) EffectiveInterval() uint64 {
 		return DefaultInterval
 	}
 	return c.Interval
-}
-
-func (c Config) effectiveLimit() int {
-	if c.Limit <= 0 {
-		return DefaultLimit
-	}
-	return c.Limit
 }
 
 // checkFn validates one component's invariants; each violated law is
@@ -82,17 +69,14 @@ type component struct {
 // One Checker belongs to one simulated System and is driven from its
 // tick loop, so no locking is needed.
 type Checker struct {
-	cfg        Config
 	components []component
 	violations []Violation
 	dropped    uint64
 	checks     uint64
 }
 
-// New builds a checker for the given configuration.
-func New(cfg Config) *Checker {
-	return &Checker{cfg: cfg}
-}
+// New builds a checker with no registered components.
+func New() *Checker { return &Checker{} }
 
 // Register adds a component check under the given name. Checks run in
 // registration order on every sweep.
@@ -109,7 +93,7 @@ func (c *Checker) Check(cycle uint64) {
 	for i := range c.components {
 		comp := &c.components[i]
 		comp.check(func(law string) {
-			if len(c.violations) >= c.cfg.effectiveLimit() {
+			if len(c.violations) >= maxViolations {
 				c.dropped++
 				return
 			}
@@ -131,9 +115,6 @@ func (c *Checker) Dropped() uint64 { return c.dropped }
 // Checks returns how many sweeps have run (diagnostics for the
 // harness: zero sweeps means the checker was never wired in).
 func (c *Checker) Checks() uint64 { return c.checks }
-
-// FailFast reports whether the configuration requests early abort.
-func (c *Checker) FailFast() bool { return c.cfg.FailFast }
 
 // Err summarises the violations as an error, nil when the run is
 // clean. The first violation is quoted in full; the rest are counted.

@@ -2,13 +2,14 @@ package audit
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"strings"
 	"testing"
 )
 
 func TestCheckerReportsViolations(t *testing.T) {
-	c := New(Config{Limit: 3})
+	c := New()
 	c.Register("alpha", func(report func(string)) {})
 	fail := false
 	c.Register("beta", func(report func(string)) {
@@ -44,21 +45,21 @@ func TestCheckerReportsViolations(t *testing.T) {
 }
 
 func TestCheckerLimitAndDropped(t *testing.T) {
-	c := New(Config{Limit: 2})
+	c := New()
 	c.Register("noisy", func(report func(string)) {
-		report("a")
-		report("b")
-		report("c")
+		for i := 0; i < maxViolations+1; i++ {
+			report(fmt.Sprintf("law %d", i))
+		}
 	})
 	c.Check(1)
-	if len(c.Violations()) != 2 {
-		t.Fatalf("retained %d, want 2", len(c.Violations()))
+	if len(c.Violations()) != maxViolations {
+		t.Fatalf("retained %d, want %d", len(c.Violations()), maxViolations)
 	}
 	if c.Dropped() != 1 {
 		t.Fatalf("dropped %d, want 1", c.Dropped())
 	}
 	err := c.Err()
-	if err == nil || !strings.Contains(err.Error(), "3 invariant violation") {
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d invariant violation", maxViolations+1)) {
 		t.Fatalf("Err should count dropped violations: %v", err)
 	}
 }
@@ -67,9 +68,6 @@ func TestConfigDefaults(t *testing.T) {
 	var zero Config
 	if zero.EffectiveInterval() != DefaultInterval {
 		t.Fatalf("EffectiveInterval = %d", zero.EffectiveInterval())
-	}
-	if zero.effectiveLimit() != DefaultLimit {
-		t.Fatalf("effectiveLimit = %d", zero.effectiveLimit())
 	}
 	if (Config{Interval: 1}).EffectiveInterval() != 1 {
 		t.Fatal("explicit interval ignored")

@@ -23,12 +23,6 @@ type backoff struct {
 }
 
 func newBackoff(base, cap time.Duration, seed int64) *backoff {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 2 * time.Second
-	}
 	return &backoff{base: base, cap: cap, rng: rand.New(rand.NewSource(seed))}
 }
 

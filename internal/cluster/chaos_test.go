@@ -46,7 +46,6 @@ func TestRetryWithExclusionChaos(t *testing.T) {
 			w1, w2 := newTestWorker(t, "w1"), newTestWorker(t, "w2")
 			c := newTestCoordinator(t, Config{
 				DispatchTimeout: 2 * time.Second,
-				Seed:            7,
 			}, w1, w2)
 
 			owner, _, ok := c.pickWorker(serve.RunJobID(spec), nil)
@@ -236,10 +235,7 @@ func TestSweepChaosDifferential(t *testing.T) {
 	w1, w2 := newTestWorker(t, "w1"), newTestWorker(t, "w2")
 	c := newTestCoordinator(t, Config{
 		HeartbeatInterval: 15 * time.Millisecond,
-		DeadAfter:         3,
 		DispatchTimeout:   5 * time.Second,
-		SweepParallelism:  2,
-		Seed:              7,
 	}, w1, w2)
 	ts := httptest.NewServer(NewServer(c))
 	defer ts.Close()

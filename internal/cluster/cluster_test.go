@@ -47,7 +47,7 @@ func newTestWorker(t testing.TB, id string) *testWorker {
 }
 
 // newTestCoordinator builds a coordinator with test-friendly timing
-// defaults (fast heartbeats, millisecond backoff) on a private
+// defaults (fast heartbeats) on a private
 // registry, registers the given workers, and tears everything down on
 // cleanup (coordinator first: its heartbeat loop must stop before the
 // workers' servers close).
@@ -66,12 +66,6 @@ func newTestCoordinator(t testing.TB, cfg Config, ws ...*testWorker) *Coordinato
 	}
 	if cfg.DispatchTimeout == 0 {
 		cfg.DispatchTimeout = 10 * time.Second
-	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = 2 * time.Millisecond
-	}
-	if cfg.BackoffCap == 0 {
-		cfg.BackoffCap = 10 * time.Millisecond
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
@@ -257,8 +251,6 @@ func TestHealthStateMachine(t *testing.T) {
 
 	c := newTestCoordinator(t, Config{
 		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectAfter:      1,
-		DeadAfter:         3,
 	})
 	if err := c.AddWorker("s1", stub.URL); err != nil {
 		t.Fatal(err)
@@ -331,7 +323,7 @@ func TestDispatchRoutesCachesAndValidates(t *testing.T) {
 // with a jittered integer Retry-After on /healthz, dispatch and sweep
 // submission, plus the reject counter.
 func TestGracefulDegradation(t *testing.T) {
-	c := newTestCoordinator(t, Config{RetryAfter: 8 * time.Second})
+	c := newTestCoordinator(t, Config{})
 	ts := httptest.NewServer(NewServer(c))
 	defer ts.Close()
 
@@ -345,8 +337,8 @@ func TestGracefulDegradation(t *testing.T) {
 			t.Fatalf("%s status = %d, want 503", what, resp.StatusCode)
 		}
 		secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-		if err != nil || secs < 6 || secs > 10 {
-			t.Errorf("%s Retry-After = %q, want int in [6,10] (8s ±25%%)",
+		if err != nil || secs < 1 || secs > 2 {
+			t.Errorf("%s Retry-After = %q, want int in [1,2] (2s ±25%%)",
 				what, resp.Header.Get("Retry-After"))
 		}
 	}

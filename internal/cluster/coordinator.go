@@ -85,12 +85,12 @@ type Health int
 const (
 	// HealthAlive: heartbeats are answered; full dispatch candidate.
 	HealthAlive Health = iota
-	// HealthSuspect: missed at least SuspectAfter consecutive
+	// HealthSuspect: missed at least suspectAfter consecutive
 	// heartbeats (or failed a dispatch). Still on the ring — a single
 	// dropped probe must not reshard the cluster — but one more miss
 	// streak away from removal.
 	HealthSuspect
-	// HealthDead: missed DeadAfter consecutive heartbeats. Off the
+	// HealthDead: missed deadAfter consecutive heartbeats. Off the
 	// ring; its keys have remapped to the survivors. A later
 	// successful heartbeat resurrects it.
 	HealthDead
@@ -117,36 +117,14 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout caps one probe. Default HeartbeatInterval.
 	HeartbeatTimeout time.Duration
-	// SuspectAfter is the consecutive-miss count that turns a worker
-	// suspect. Default 1.
-	SuspectAfter int
-	// DeadAfter is the consecutive-miss count that declares a worker
-	// dead and removes it from the ring. Default 3.
-	DeadAfter int
 	// DispatchTimeout caps one dispatch attempt (submit + simulate +
 	// result, over one blocking request). Default 120s.
 	DispatchTimeout time.Duration
-	// MaxAttempts bounds dispatch attempts per job across distinct
-	// workers. Default 3.
-	MaxAttempts int
-	// BackoffBase/BackoffCap shape the capped exponential retry
-	// backoff (full jitter). Defaults 50ms / 2s.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// ReplicateCheck is the probability ([0,1]) that a dispatch is
 	// duplicated to a second worker and the two state hashes compared.
 	// 0 disables; 1 checks everything. Sampling is deterministic in
-	// (Seed, job key).
+	// the job key.
 	ReplicateCheck float64
-	// Seed drives backoff jitter and replicate-check sampling, so
-	// chaos tests replay identical schedules. 0 uses a fixed default.
-	Seed int64
-	// SweepParallelism is the number of concurrent dispatches a sweep
-	// fans out. Default 4.
-	SweepParallelism int
-	// RetryAfter is the base 503 backpressure hint (jittered ±25% like
-	// the serve layer's 429 hint). Default 2s.
-	RetryAfter time.Duration
 	// Client performs worker HTTP calls. Default http.DefaultTransport
 	// behind a plain client; the chaos harness swaps transports here.
 	Client *http.Client
@@ -155,6 +133,32 @@ type Config struct {
 	// Logf, if set, receives operational log lines.
 	Logf func(format string, args ...any)
 }
+
+// The coordinator's fixed retry and health policy.
+const (
+	// suspectAfter is the consecutive-miss count that turns a worker
+	// suspect.
+	suspectAfter = 1
+	// deadAfter is the consecutive-miss count that declares a worker
+	// dead and removes it from the ring.
+	deadAfter = 3
+	// maxAttempts bounds dispatch attempts per job across distinct
+	// workers.
+	maxAttempts = 3
+	// backoffBase and backoffCap shape the capped exponential retry
+	// backoff (full jitter).
+	backoffBase = 50 * time.Millisecond
+	backoffCap  = 2 * time.Second
+	// scheduleSeed drives backoff jitter and replicate-check sampling,
+	// so a run replays identical schedules.
+	scheduleSeed = 1
+	// sweepParallelism is the number of concurrent dispatches a sweep
+	// fans out.
+	sweepParallelism = 4
+	// retryAfter is the base 503 backpressure hint (jittered ±25% like
+	// the serve layer's 429 hint).
+	retryAfter = 2 * time.Second
+)
 
 func (c *Config) fillDefaults() {
 	if c.DefaultScale == "" {
@@ -166,32 +170,8 @@ func (c *Config) fillDefaults() {
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = c.HeartbeatInterval
 	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3
-	}
 	if c.DispatchTimeout <= 0 {
 		c.DispatchTimeout = 120 * time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 2 * time.Second
-	}
-	if c.SweepParallelism <= 0 {
-		c.SweepParallelism = 4
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 2 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -262,7 +242,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		ring:    newRing(),
 		workers: make(map[string]*workerRec),
 		sweeps:  make(map[string]*Sweep),
-		bo:      newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed),
+		bo:      newBackoff(backoffBase, backoffCap, scheduleSeed),
 
 		cDispatches:      reg.Counter(CounterDispatches),
 		cRetries:         reg.Counter(CounterDispatchRetries),
@@ -478,7 +458,7 @@ func (c *Coordinator) missLocked(w *workerRec) {
 	}
 	w.misses++
 	switch {
-	case w.misses >= c.cfg.DeadAfter:
+	case w.misses >= deadAfter:
 		if w.health != HealthDead {
 			w.health = HealthDead
 			c.ring.remove(w.id)
@@ -486,7 +466,7 @@ func (c *Coordinator) missLocked(w *workerRec) {
 			c.cfg.Logf("cluster: worker %s dead after %d misses (%d on ring)",
 				w.id, w.misses, c.ring.size())
 		}
-	case w.misses >= c.cfg.SuspectAfter:
+	case w.misses >= suspectAfter:
 		if w.health == HealthAlive {
 			w.health = HealthSuspect
 			c.cfg.Logf("cluster: worker %s suspect after %d misses", w.id, w.misses)
@@ -546,7 +526,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, spec serve.RunSpec) (*Dispat
 	key := serve.RunJobID(spec)
 	excluded := make(map[string]bool)
 	var lastErr error
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
 			c.cRetries.Inc()
 			if err := c.bo.sleep(ctx, attempt-2); err != nil {
@@ -594,7 +574,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, spec serve.RunSpec) (*Dispat
 		c.cfg.Logf("cluster: dispatch %s attempt %d lost worker %s: %v", key, attempt, id, err)
 	}
 	c.cDispatchFailed.Inc()
-	return nil, fmt.Errorf("cluster: dispatch failed after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("cluster: dispatch failed after %d attempts: %w", maxAttempts, lastErr)
 }
 
 // replicateCheck duplicates a sampled dispatch onto a second worker
@@ -646,7 +626,7 @@ func (c *Coordinator) shouldReplicate(key string) bool {
 	if p >= 1 {
 		return true
 	}
-	h := ringHash(fmt.Sprintf("replicate|%d|%s", c.cfg.Seed, key))
+	h := ringHash(fmt.Sprintf("replicate|%d|%s", scheduleSeed, key))
 	return float64(h%(1<<20))/float64(1<<20) < p
 }
 
@@ -732,5 +712,5 @@ func extractStateHash(result json.RawMessage) string {
 // rejected clients spread their retries (same contract as the serve
 // layer's 429 hint).
 func (c *Coordinator) RetryAfterJittered() time.Duration {
-	return serve.JitterDuration(c.cfg.RetryAfter, serve.RetryAfterJitterFrac)
+	return serve.JitterDuration(retryAfter, serve.RetryAfterJitterFrac)
 }

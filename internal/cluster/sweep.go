@@ -199,7 +199,7 @@ func (s *Sweep) publish(typ string, job *SweepJob) {
 }
 
 // StartSweep expands the grid, registers the sweep and launches its
-// dispatch pool (SweepParallelism concurrent dispatches on the
+// dispatch pool (sweepParallelism concurrent dispatches on the
 // coordinator's base context — a sweep outlives the submitting
 // request). The per-cell progress and the aggregate counters stream
 // over one SSE channel (GET /v1/sweeps/{id}/events).
@@ -224,7 +224,7 @@ func (c *Coordinator) StartSweep(spec SweepSpec) (*Sweep, error) {
 	c.sweeps[s.ID] = s
 	c.mu.Unlock()
 	c.cSweeps.Inc()
-	c.cfg.Logf("cluster: %s started: %d jobs, parallelism %d", s.ID, len(specs), c.cfg.SweepParallelism)
+	c.cfg.Logf("cluster: %s started: %d jobs, parallelism %d", s.ID, len(specs), sweepParallelism)
 
 	c.wg.Add(1)
 	go c.runSweep(s)
@@ -236,7 +236,7 @@ func (c *Coordinator) runSweep(s *Sweep) {
 	defer c.wg.Done()
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < c.cfg.SweepParallelism; w++ {
+	for w := 0; w < sweepParallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -23,8 +23,8 @@ import (
 	"rnrsim/internal/telemetry"
 )
 
-// Config enables and sizes a flight recorder. The zero value is a
-// usable default (no mirror, 1<<16 iteration cap).
+// Config enables a flight recorder. The zero value is a usable default
+// (no mirror).
 type Config struct {
 	// Mirror, when non-nil, receives every histogram observation under
 	// "obs."-prefixed names in addition to the recorder's own per-run
@@ -32,13 +32,17 @@ type Config struct {
 	// registry here so /metrics exposes Prometheus histograms
 	// accumulated across jobs.
 	Mirror *telemetry.Registry
-	// MaxTrackedIterations bounds the per-iteration outcome table
-	// against hostile iteration indices from fuzzed traces; 0 = 1<<16
-	// (the same cap the simulator applies to its iteration snapshots).
-	MaxTrackedIterations int
 }
 
-const defaultMaxIterations = 1 << 16
+// MaxTrackedIterations bounds per-iteration bookkeeping, both the flight
+// recorder's outcome table and the simulator's iteration stamps and
+// snapshots. A hostile or fuzzed trace can mark an iteration index of
+// any size (MarkIterEnd carries it in Aux); without a cap each table
+// would grow to that index, and an adversarial 2^40 index is an instant
+// OOM. 2^16 iterations is far beyond any real workload (the paper's
+// evaluation composes ~100) and keeps the simulator's worst-case
+// bookkeeping near 9 MB.
+const MaxTrackedIterations = 1 << 16
 
 // Stats are the recorder's monotone outcome counters. Every field is a
 // uint64 counter so the audit layer's reflection-based monotone watcher
@@ -87,8 +91,7 @@ type record struct {
 // Recorder is one run's flight recorder: a set of per-cache views plus
 // the shared histograms and the per-iteration outcome table.
 type Recorder struct {
-	maxIter int
-	views   []*CacheView
+	views []*CacheView
 
 	// Histograms (paper §V evaluates timeliness; these expose its
 	// structure): prefetch-to-use distance in cycles (fill → demand
@@ -116,11 +119,7 @@ type iterMark struct {
 
 // NewRecorder builds an enabled flight recorder from cfg.
 func NewRecorder(cfg Config) *Recorder {
-	if cfg.MaxTrackedIterations <= 0 {
-		cfg.MaxTrackedIterations = defaultMaxIterations
-	}
 	r := &Recorder{
-		maxIter:        cfg.MaxTrackedIterations,
 		hPrefetchToUse: &telemetry.Histogram{},
 		hFillLatency:   &telemetry.Histogram{},
 		hMSHRAtIssue:   &telemetry.Histogram{},
@@ -166,7 +165,7 @@ func (r *Recorder) OpenRecords() int {
 // in the overflow total instead of growing the table (fuzzed traces
 // carry hostile indices).
 func (r *Recorder) IterEnd(iter int, cycle uint64) {
-	if iter < 0 || iter >= r.maxIter {
+	if iter < 0 || iter >= MaxTrackedIterations {
 		r.iterOverflow++
 		return
 	}

@@ -114,7 +114,7 @@ func TestDoubleIssueStaysConserved(t *testing.T) {
 // TestIterationDeltas checks per-iteration outcome counts are deltas
 // between IterEnd marks, and hostile indices land in the overflow.
 func TestIterationDeltas(t *testing.T) {
-	r := NewRecorder(Config{MaxTrackedIterations: 8})
+	r := NewRecorder(Config{})
 	v := r.View("l2.0")
 
 	v.PrefetchIssued(0x1000, 5, 0)
@@ -128,8 +128,8 @@ func TestIterationDeltas(t *testing.T) {
 	v.PrefetchFilled(0x3000, 140, true)
 	r.IterEnd(1, 200)
 
-	r.IterEnd(-1, 210)  // hostile
-	r.IterEnd(999, 220) // beyond cap
+	r.IterEnd(-1, 210)                   // hostile
+	r.IterEnd(MaxTrackedIterations, 220) // beyond cap
 
 	r.Finalize(300)
 	s := r.Summarize()
@@ -145,6 +145,22 @@ func TestIterationDeltas(t *testing.T) {
 	}
 	if s.Lifecycle.IterOverflow != 2 {
 		t.Errorf("iter overflow = %d, want 2", s.Lifecycle.IterOverflow)
+	}
+}
+
+// TestIterationCap drives the outcome table to its real cap: the last
+// trackable index is kept, the first one past it overflows.
+func TestIterationCap(t *testing.T) {
+	r := NewRecorder(Config{})
+	r.IterEnd(MaxTrackedIterations-1, 10)
+	r.IterEnd(MaxTrackedIterations, 20)
+	if len(r.iterMarks) != MaxTrackedIterations || r.iterOverflow != 1 {
+		t.Fatalf("table holds %d marks with %d overflowed, want %d and 1",
+			len(r.iterMarks), r.iterOverflow, MaxTrackedIterations)
+	}
+	its := r.Summarize().Lifecycle.Iterations
+	if len(its) != 1 || its[0].Iter != MaxTrackedIterations-1 || its[0].EndCycle != 10 {
+		t.Errorf("iterations = %+v, want only the last trackable one", its)
 	}
 }
 

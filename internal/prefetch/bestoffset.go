@@ -14,13 +14,6 @@ import (
 // The paper cites it among the general-purpose hardware prefetchers whose
 // fixed-pattern assumption long irregular sequences defeat.
 type BestOffset struct {
-	// ScoreMax ends a learning round when a candidate reaches it.
-	ScoreMax int
-	// RoundMax bounds a learning round in tested accesses.
-	RoundMax int
-	// BadScore disables prefetching when the winner scores below it.
-	BadScore int
-
 	offsets []int64 // candidate offsets in lines
 	scores  []int
 	current int64 // elected offset (0 = prefetching off)
@@ -36,7 +29,7 @@ type BestOffset struct {
 // NewBestOffset returns a best-offset prefetcher with the original
 // candidate list truncated to small offsets.
 func NewBestOffset() *BestOffset {
-	p := &BestOffset{ScoreMax: 31, RoundMax: 256, BadScore: 1}
+	p := &BestOffset{}
 	for d := int64(1); d <= 8; d++ {
 		p.offsets = append(p.offsets, d)
 	}
@@ -47,7 +40,13 @@ func NewBestOffset() *BestOffset {
 	return p
 }
 
-const boRecentCap = 256
+// The learning-round parameters of the original design.
+const (
+	boScoreMax  = 31  // a candidate reaching this score ends the round
+	boRoundMax  = 256 // tested accesses per learning round
+	boBadScore  = 1   // a winner scoring at or below this turns prefetching off
+	boRecentCap = 256 // recent-requests history size
+)
 
 // OnAccess implements Prefetcher: learn on every demand miss, prefetch
 // with the elected offset.
@@ -63,14 +62,14 @@ func (p *BestOffset) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if line-d >= 0 {
 		if _, ok := p.recent[mem.Addr(line-d)<<mem.LineShift]; ok {
 			p.scores[p.candIdx]++
-			if p.scores[p.candIdx] >= p.ScoreMax {
+			if p.scores[p.candIdx] >= boScoreMax {
 				p.elect(p.candIdx)
 			}
 		}
 	}
 	p.candIdx = (p.candIdx + 1) % len(p.offsets)
 	p.tested++
-	if p.tested >= p.RoundMax {
+	if p.tested >= boRoundMax {
 		p.electBest()
 	}
 
@@ -96,7 +95,7 @@ func (p *BestOffset) electBest() {
 			best, bestScore = i, s
 		}
 	}
-	if bestScore <= p.BadScore {
+	if bestScore <= boBadScore {
 		p.current = 0 // prefetching off this round
 	} else {
 		p.current = p.offsets[best]

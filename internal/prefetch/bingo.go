@@ -18,14 +18,6 @@ import (
 // because a region's footprint carries no ordering and patterns do not
 // repeat across regions.
 type Bingo struct {
-	// RegionBytes is the spatial region size (2 KB in the Bingo paper).
-	RegionBytes uint64
-	// HistEntries bounds the footprint history table.
-	HistEntries int
-
-	regionShift uint
-	linesPerReg uint
-
 	active map[mem.Addr]*bingoGen // region base -> current generation
 	// history is keyed by the long event (PC+address) and the short event
 	// (PC+offset); both point at footprints.
@@ -44,20 +36,23 @@ type bingoGen struct {
 	touches   int
 }
 
+// Spatial-region geometry shared by Bingo and SteMS: 2 KB regions, as in
+// the Bingo paper and SMS, so a footprint fits a 32-bit line bitmap.
+const (
+	regionBytes = 2048
+	regionLines = regionBytes / mem.LineSize
+)
+
+// bingoHistEntries bounds each footprint history table.
+const bingoHistEntries = 16 * 1024
+
 // NewBingo returns a Bingo prefetcher with the original 2 KB regions.
 func NewBingo() *Bingo {
-	return &Bingo{RegionBytes: 2048, HistEntries: 16 * 1024}
-}
-
-func (p *Bingo) init() {
-	p.regionShift = 0
-	for s := p.RegionBytes; s > 1; s >>= 1 {
-		p.regionShift++
+	return &Bingo{
+		active:    make(map[mem.Addr]*bingoGen),
+		longHist:  make(map[uint64]uint64),
+		shortHist: make(map[uint64]uint64),
 	}
-	p.linesPerReg = uint(p.RegionBytes / mem.LineSize)
-	p.active = make(map[mem.Addr]*bingoGen)
-	p.longHist = make(map[uint64]uint64)
-	p.shortHist = make(map[uint64]uint64)
 }
 
 func (p *Bingo) longKey(pc uint64, region mem.Addr) uint64 {
@@ -70,10 +65,7 @@ func (p *Bingo) shortKey(pc uint64, off uint) uint64 {
 
 // OnAccess implements Prefetcher.
 func (p *Bingo) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
-	if p.active == nil {
-		p.init()
-	}
-	region := ev.Line &^ (mem.Addr(p.RegionBytes) - 1)
+	region := ev.Line &^ (regionBytes - 1)
 	off := uint(uint64(ev.Line-region) >> mem.LineShift)
 
 	gen, ok := p.active[region]
@@ -96,7 +88,7 @@ func (p *Bingo) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	gen.touches++
 	// Close the generation heuristically after the region has been live
 	// for many touches; hardware closes on region eviction.
-	if gen.touches >= int(p.linesPerReg)*2 {
+	if gen.touches >= regionLines*2 {
 		p.retire(region, gen)
 	}
 }
@@ -109,7 +101,7 @@ func (p *Bingo) predict(pc uint64, region mem.Addr, off uint, issue IssueFunc) {
 	if !ok {
 		return
 	}
-	for i := uint(0); i < p.linesPerReg; i++ {
+	for i := uint(0); i < regionLines; i++ {
 		if fp&(1<<i) != 0 && i != off {
 			issue(region + mem.Addr(i)<<mem.LineShift)
 		}
@@ -128,12 +120,12 @@ func (p *Bingo) retire(region mem.Addr, gen *bingoGen) {
 func (p *Bingo) put(histp *map[uint64]uint64, fifo *[]uint64, pos *int, key, fp uint64) {
 	hist := *histp
 	if _, ok := hist[key]; !ok {
-		if len(*fifo) < p.HistEntries {
+		if len(*fifo) < bingoHistEntries {
 			*fifo = append(*fifo, key)
 		} else {
 			delete(hist, (*fifo)[*pos])
 			(*fifo)[*pos] = key
-			*pos = (*pos + 1) % p.HistEntries
+			*pos = (*pos + 1) % bingoHistEntries
 		}
 	}
 	hist[key] = fp

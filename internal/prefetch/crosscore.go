@@ -2,7 +2,6 @@ package prefetch
 
 import (
 	"fmt"
-	"math/bits"
 
 	"rnrsim/internal/cache"
 	"rnrsim/internal/mem"
@@ -24,16 +23,12 @@ import (
 // but a pattern recorded by one core serves lookups from any core —
 // the cross-core sharing that gives the design its name.
 type CrossCore struct {
-	// Degree caps successors issued per triggering miss (1 or 2).
-	Degree int
 	// Issue delivers one predicted line to the LLC on behalf of core.
 	// It returns false when refused for capacity. Set once by the
 	// simulator before the first OnMiss; nil drops all predictions.
 	Issue func(core int, line mem.Addr) bool
 
 	table    []ccEntry
-	mask     uint64
-	shift    uint
 	lastMiss []mem.Addr
 	hasLast  []bool
 
@@ -54,24 +49,20 @@ type ccEntry struct {
 	filled  uint8
 }
 
-// NewCrossCore builds a cross-core prefetcher for cores cores with a
-// direct-mapped table of entries slots (rounded up to a power of two;
-// 0 selects the default 4096).
-func NewCrossCore(cores, entries int) *CrossCore {
+// The correlation table: 1<<ccIndexBits direct-mapped entries, each
+// issuing both of its successors on a hit.
+const (
+	ccIndexBits = 12
+	ccEntries   = 1 << ccIndexBits
+)
+
+// NewCrossCore builds a cross-core prefetcher for cores cores.
+func NewCrossCore(cores int) *CrossCore {
 	if cores < 1 {
 		panic(fmt.Sprintf("prefetch: CrossCore with %d cores", cores))
 	}
-	if entries <= 0 {
-		entries = 4096
-	}
-	if entries&(entries-1) != 0 {
-		entries = 1 << bits.Len(uint(entries))
-	}
 	return &CrossCore{
-		Degree:   2,
-		table:    make([]ccEntry, entries),
-		mask:     uint64(entries - 1),
-		shift:    uint(64 - bits.Len(uint(entries-1))),
+		table:    make([]ccEntry, ccEntries),
 		lastMiss: make([]mem.Addr, cores),
 		hasLast:  make([]bool, cores),
 	}
@@ -80,8 +71,8 @@ func NewCrossCore(cores, entries int) *CrossCore {
 // OnMiss observes one LLC demand miss (the simulator filters the bank's
 // access stream to Hit == false, demand-type requests). It first trains
 // the previous→current successor pair for the missing core, then looks
-// up the current miss as a trigger and issues up to Degree predicted
-// successors on behalf of that core.
+// up the current miss as a trigger and issues its predicted successors
+// on behalf of that core.
 func (p *CrossCore) OnMiss(ev cache.AccessInfo) {
 	core := ev.Core
 	if core < 0 || core >= len(p.lastMiss) {
@@ -98,11 +89,7 @@ func (p *CrossCore) OnMiss(ev cache.AccessInfo) {
 		return
 	}
 	p.Stats.Lookups++
-	deg := p.Degree
-	if deg > 2 {
-		deg = 2
-	}
-	for i := 0; i < deg && i < int(e.filled); i++ {
+	for i := 0; i < int(e.filled); i++ {
 		if p.Issue != nil && p.Issue(core, e.next[i]) {
 			p.Stats.Issued++
 		} else {
@@ -145,7 +132,7 @@ func (p *CrossCore) Reset() {
 }
 
 func (p *CrossCore) index(line mem.Addr) uint64 {
-	return (uint64(line) * 0x9E3779B97F4A7C15) >> p.shift & p.mask
+	return (uint64(line) * 0x9E3779B97F4A7C15) >> (64 - ccIndexBits)
 }
 
 // HashState folds every architectural bit of the prefetcher — the

@@ -12,7 +12,7 @@ func ccMiss(core int, line mem.Addr) cache.AccessInfo {
 }
 
 func TestCrossCoreTrainsAndIssuesAcrossCores(t *testing.T) {
-	p := NewCrossCore(2, 256)
+	p := NewCrossCore(2)
 	var issued []struct {
 		core int
 		line mem.Addr
@@ -45,7 +45,7 @@ func TestCrossCoreTrainsAndIssuesAcrossCores(t *testing.T) {
 }
 
 func TestCrossCorePerCoreTrainingContexts(t *testing.T) {
-	p := NewCrossCore(2, 256)
+	p := NewCrossCore(2)
 	p.Issue = func(int, mem.Addr) bool { return true }
 
 	// Interleaved miss streams: core 0 sees A,B and core 1 sees X,Y.
@@ -67,7 +67,7 @@ func TestCrossCorePerCoreTrainingContexts(t *testing.T) {
 }
 
 func TestCrossCoreMRUPairAndDegree(t *testing.T) {
-	p := NewCrossCore(1, 256)
+	p := NewCrossCore(1)
 	var issued []mem.Addr
 	p.Issue = func(_ int, line mem.Addr) bool {
 		issued = append(issued, line)
@@ -87,13 +87,16 @@ func TestCrossCoreMRUPairAndDegree(t *testing.T) {
 		t.Fatalf("issued = %v, want [%#x %#x]", issued, uint64(c), uint64(b))
 	}
 
-	// Degree 1 trims to the MRU successor only.
-	p.Degree = 1
-	p.hasLast[0] = false
-	issued = issued[:0]
+	// A third successor D displaces the LRU one: a miss on A issues D
+	// then C, never B.
+	d := mem.Addr(0x4000)
+	p.OnMiss(ccMiss(0, d))
 	p.OnMiss(ccMiss(0, a))
-	if len(issued) != 1 || issued[0] != c {
-		t.Fatalf("degree-1 issued = %v, want [%#x]", issued, uint64(c))
+	issued = issued[:0]
+	p.hasLast[0] = false
+	p.OnMiss(ccMiss(0, a))
+	if len(issued) != 2 || issued[0] != d || issued[1] != c {
+		t.Fatalf("issued = %v, want [%#x %#x]", issued, uint64(d), uint64(c))
 	}
 }
 
@@ -105,7 +108,7 @@ func TestCrossCoreHashStateTracksTraining(t *testing.T) {
 		})
 		return h
 	}
-	p, q := NewCrossCore(2, 256), NewCrossCore(2, 256)
+	p, q := NewCrossCore(2), NewCrossCore(2)
 	if hash(p) != hash(q) {
 		t.Fatal("fresh tables hash differently")
 	}
@@ -122,7 +125,7 @@ func TestCrossCoreHashStateTracksTraining(t *testing.T) {
 }
 
 func TestCrossCoreNilIssueCountsDropped(t *testing.T) {
-	p := NewCrossCore(1, 0) // default size
+	p := NewCrossCore(1)
 	p.OnMiss(ccMiss(0, 0x1000))
 	p.OnMiss(ccMiss(0, 0x2000))
 	p.OnMiss(ccMiss(0, 0x1000))

@@ -12,11 +12,6 @@ import (
 // both 12 and 20) gives for single-address GHB lookup. A one-address
 // fallback covers cold pairs.
 type Domino struct {
-	// Size bounds the history buffer.
-	Size int
-	// Degree is how many successors to prefetch per trigger.
-	Degree int
-
 	buf   []mem.Addr
 	pos   int
 	count int
@@ -28,18 +23,24 @@ type Domino struct {
 	hasPrev bool
 }
 
+const (
+	dominoSize   = 8192 // history buffer entries
+	dominoDegree = 4    // successors prefetched per trigger
+)
+
 // NewDomino returns a Domino prefetcher with a typical configuration.
-func NewDomino() *Domino { return &Domino{Size: 8192, Degree: 4} }
+func NewDomino() *Domino {
+	return &Domino{
+		buf:     make([]mem.Addr, dominoSize),
+		pairIdx: make(map[[2]mem.Addr]int),
+		oneIdx:  make(map[mem.Addr]int),
+	}
+}
 
 // OnAccess implements Prefetcher.
 func (p *Domino) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if ev.Hit {
 		return
-	}
-	if p.buf == nil {
-		p.buf = make([]mem.Addr, p.Size)
-		p.pairIdx = make(map[[2]mem.Addr]int)
-		p.oneIdx = make(map[mem.Addr]int)
 	}
 
 	// Predict from the strongest available context before recording.
@@ -52,8 +53,8 @@ func (p *Domino) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 		at, found = p.lookupOne(ev.Line)
 	}
 	if found {
-		for i := 1; i <= p.Degree; i++ {
-			idx := (at + i - 1) % p.Size
+		for i := 1; i <= dominoDegree; i++ {
+			idx := (at + i - 1) % dominoSize
 			if !p.valid(idx) || idx == p.pos {
 				break
 			}
@@ -74,11 +75,11 @@ func (p *Domino) lookupOne(a mem.Addr) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return (at + 1) % p.Size, true
+	return (at + 1) % dominoSize, true
 }
 
 func (p *Domino) record(line mem.Addr) {
-	if p.count == p.Size {
+	if p.count == dominoSize {
 		old := p.buf[p.pos]
 		delete(p.oneIdx, old)
 		// Pair entries referencing overwritten slots age out naturally
@@ -87,10 +88,10 @@ func (p *Domino) record(line mem.Addr) {
 	p.buf[p.pos] = line
 	p.oneIdx[line] = p.pos
 	if p.hasPrev {
-		p.pairIdx[[2]mem.Addr{p.prev, line}] = (p.pos + 1) % p.Size
+		p.pairIdx[[2]mem.Addr{p.prev, line}] = (p.pos + 1) % dominoSize
 	}
-	p.pos = (p.pos + 1) % p.Size
-	if p.count < p.Size {
+	p.pos = (p.pos + 1) % dominoSize
+	if p.count < dominoSize {
 		p.count++
 	}
 	p.prev = line
@@ -98,7 +99,7 @@ func (p *Domino) record(line mem.Addr) {
 }
 
 func (p *Domino) valid(at int) bool {
-	if p.count == p.Size {
+	if p.count == dominoSize {
 		return true
 	}
 	return at < p.pos

@@ -27,10 +27,6 @@ type Droplet struct {
 	EdgeRegion func(line mem.Addr) bool
 	// Resolve maps an edge line to the vertex lines it references.
 	Resolve IndirectResolver
-	// StreamAhead is how many edge lines ahead to stream.
-	StreamAhead int
-	// MaxIndirect bounds vertex prefetches per edge line.
-	MaxIndirect int
 
 	resolved     map[mem.Addr]struct{} // edge lines already decoded
 	resFIFO      []mem.Addr
@@ -38,10 +34,15 @@ type Droplet struct {
 	pendingFills []mem.Addr // edge lines filled this cycle, decoded in OnCycle
 }
 
+const (
+	dropletStreamAhead = 4  // edge lines streamed ahead of demand
+	dropletMaxIndirect = 32 // vertex prefetches per decoded edge line
+)
+
 // NewDroplet returns a DROPLET-like prefetcher; the caller must set
 // EdgeRegion and Resolve before use.
 func NewDroplet() *Droplet {
-	return &Droplet{StreamAhead: 4, MaxIndirect: 32}
+	return &Droplet{resolved: make(map[mem.Addr]struct{})}
 }
 
 // OnAccess implements Prefetcher: stream the edge array ahead of demand.
@@ -49,7 +50,7 @@ func (p *Droplet) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if p.EdgeRegion == nil || !p.EdgeRegion(ev.Line) {
 		return
 	}
-	for i := 1; i <= p.StreamAhead; i++ {
+	for i := 1; i <= dropletStreamAhead; i++ {
 		next := ev.Line + mem.Addr(i*mem.LineSize)
 		if p.EdgeRegion(next) {
 			issue(next)
@@ -92,9 +93,6 @@ func (p *Droplet) decode(edgeLine mem.Addr, issue IssueFunc) {
 	if p.Resolve == nil {
 		return
 	}
-	if p.resolved == nil {
-		p.resolved = make(map[mem.Addr]struct{})
-	}
 	if _, ok := p.resolved[edgeLine]; ok {
 		return
 	}
@@ -102,7 +100,7 @@ func (p *Droplet) decode(edgeLine mem.Addr, issue IssueFunc) {
 	targets := p.Resolve(edgeLine)
 	n := 0
 	for _, t := range targets {
-		if n >= p.MaxIndirect {
+		if n >= dropletMaxIndirect {
 			break
 		}
 		issue(t)

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 
 	"rnrsim/internal/mem"
@@ -43,7 +44,6 @@ func TestDominoDisambiguatesSharedAddress(t *testing.T) {
 	// another. A pair-indexed temporal prefetcher can tell them apart when
 	// the *preceding* miss differs; GHB cannot.
 	p := NewDomino()
-	p.Degree = 1
 	line := func(a int) mem.Addr { return mem.Addr(a * mem.LineSize) }
 	c := &collector{}
 	// Context A: 1, 9, 12. Context B: 2, 9, 20. Twice each to train pairs.
@@ -55,21 +55,20 @@ func TestDominoDisambiguatesSharedAddress(t *testing.T) {
 			p.OnAccess(access(1, line(a), false), c.issue)
 		}
 	}
-	// Replay context A's prefix: after (1, 9) the prediction must be 12.
-	c.lines = nil
+	// Replay context A's prefix: after (1, 9) the next miss predicted
+	// must be 12, followed by what came after it last time (context B's
+	// 2, 9, 20); the single address 9 would have predicted 20 first.
 	p.OnAccess(access(1, line(1), false), c.issue)
+	c.lines = nil
 	p.OnAccess(access(1, line(9), false), c.issue)
-	if !c.has(line(12)) {
-		t.Errorf("pair (1,9) did not predict 12: %v", c.lines)
-	}
-	if c.has(line(20)) {
-		t.Errorf("pair (1,9) leaked context B's successor: %v", c.lines)
+	want := []mem.Addr{line(12), line(2), line(9), line(20)}
+	if !slices.Equal(c.lines, want[:dominoDegree]) {
+		t.Errorf("pair (1,9) issued %v, want %v", c.lines, want[:dominoDegree])
 	}
 }
 
 func TestDominoFallsBackToSingleAddress(t *testing.T) {
 	p := NewDomino()
-	p.Degree = 1
 	line := func(a int) mem.Addr { return mem.Addr(a * mem.LineSize) }
 	c := &collector{}
 	for _, a := range []int{5, 6, 7} {
@@ -79,8 +78,8 @@ func TestDominoFallsBackToSingleAddress(t *testing.T) {
 	c.lines = nil
 	p.OnAccess(access(1, line(99), false), c.issue)
 	p.OnAccess(access(1, line(6), false), c.issue)
-	if !c.has(line(7)) {
-		t.Errorf("single-address fallback failed: %v", c.lines)
+	if len(c.lines) == 0 || c.lines[0] != line(7) {
+		t.Errorf("single-address fallback issued %v, want 7 first", c.lines)
 	}
 }
 

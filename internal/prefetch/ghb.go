@@ -10,35 +10,36 @@ import (
 // circular buffer of global miss addresses plus an index table mapping the
 // most recent occurrence of each address into the buffer. On a miss it
 // looks up the previous occurrence of the missing address and prefetches
-// the Degree addresses that followed it last time.
+// the ghbDegree addresses that followed it last time.
 //
 // The paper's §II uses exactly this design to motivate RnR: when an
 // address is followed by different successors in interleaved streams, the
 // GHB picks the most recent one and mispredicts.
 type GHB struct {
-	// Size is the history-buffer capacity in entries.
-	Size int
-	// Degree is how many successors to prefetch on a hit.
-	Degree int
-
 	buf   []mem.Addr // circular global history of miss lines
 	pos   int        // next write position
 	count int
 	index map[mem.Addr]int // line -> last buffer position
 }
 
+const (
+	ghbSize   = 4096 // history buffer entries
+	ghbDegree = 4    // successors prefetched on a hit
+)
+
 // NewGHB returns a GHB prefetcher with a typical configuration.
-func NewGHB() *GHB { return &GHB{Size: 4096, Degree: 4} }
+func NewGHB() *GHB {
+	return &GHB{
+		buf:   make([]mem.Addr, ghbSize),
+		index: make(map[mem.Addr]int, ghbSize),
+	}
+}
 
 // OnAccess implements Prefetcher. Training and triggering happen on demand
 // misses, as in the original design.
 func (p *GHB) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if ev.Hit {
 		return
-	}
-	if p.buf == nil {
-		p.buf = make([]mem.Addr, p.Size)
-		p.index = make(map[mem.Addr]int, p.Size)
 	}
 	prev, seen := p.index[ev.Line]
 
@@ -49,8 +50,8 @@ func (p *GHB) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 		return
 	}
 	// Prefetch the addresses that followed the previous occurrence.
-	for i := 1; i <= p.Degree; i++ {
-		at := (prev + i) % p.Size
+	for i := 1; i <= ghbDegree; i++ {
+		at := (prev + i) % ghbSize
 		if !p.valid(at) || at == p.pos {
 			break
 		}
@@ -59,7 +60,7 @@ func (p *GHB) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 }
 
 func (p *GHB) record(line mem.Addr) {
-	if p.count == p.Size {
+	if p.count == ghbSize {
 		// The slot being overwritten may still be indexed; leave the stale
 		// index entry — valid() guards against wrapped positions loosely,
 		// and address-correlation tolerates occasional aliasing just as
@@ -68,14 +69,14 @@ func (p *GHB) record(line mem.Addr) {
 	}
 	p.buf[p.pos] = line
 	p.index[line] = p.pos
-	p.pos = (p.pos + 1) % p.Size
-	if p.count < p.Size {
+	p.pos = (p.pos + 1) % ghbSize
+	if p.count < ghbSize {
 		p.count++
 	}
 }
 
 func (p *GHB) valid(at int) bool {
-	if p.count == p.Size {
+	if p.count == ghbSize {
 		return true
 	}
 	return at < p.pos

@@ -23,19 +23,21 @@ type IMP struct {
 	// array. IMP has no software hints; the sim passes a predicate over
 	// the workload's streaming arrays to stand in for dynamic detection.
 	IndexRegion func(line mem.Addr) bool
-	// Lookahead is the stream lookahead distance in index lines.
-	Lookahead int
-	// Confidence gates indirect prefetching until the index stream has
-	// been seen to be sequential this many times.
-	Confidence int
 
 	lastIndexLine mem.Addr
 	conf          int
 }
 
+const (
+	impLookahead = 2 // stream lookahead distance in index lines
+	// impConfidence gates indirect prefetching until the index stream has
+	// been seen to be sequential this many times.
+	impConfidence = 2
+)
+
 // NewIMP returns an IMP-like prefetcher; the caller must set Resolve and
 // IndexRegion.
-func NewIMP() *IMP { return &IMP{Lookahead: 2, Confidence: 2} }
+func NewIMP() *IMP { return &IMP{} }
 
 // OnAccess implements Prefetcher.
 func (p *IMP) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
@@ -46,7 +48,7 @@ func (p *IMP) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	case ev.Line == p.lastIndexLine:
 		return
 	case ev.Line == p.lastIndexLine+mem.LineSize:
-		if p.conf < p.Confidence+2 {
+		if p.conf < impConfidence+2 {
 			p.conf++
 		}
 	default:
@@ -54,12 +56,12 @@ func (p *IMP) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	}
 	p.lastIndexLine = ev.Line
 
-	if p.conf < p.Confidence {
+	if p.conf < impConfidence {
 		return
 	}
 	// Prefetch the index stream ahead and the indirect targets of the
 	// lookahead index line.
-	ahead := ev.Line + mem.Addr(p.Lookahead*mem.LineSize)
+	ahead := ev.Line + impLookahead*mem.LineSize
 	if p.IndexRegion(ahead) {
 		issue(ahead)
 		if p.Resolve != nil {

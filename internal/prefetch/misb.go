@@ -11,7 +11,7 @@ import (
 // temporally adjacent misses get consecutive structural addresses; the
 // physical<->structural mappings are the metadata, held off-chip and cached
 // on chip. On a miss, the line's structural address is looked up and the
-// next Degree structural neighbours are prefetched.
+// next misbDegree structural neighbours are prefetched.
 //
 // Metadata behaviour is modelled at the traffic level: mapping lookups that
 // miss the on-chip metadata cache generate off-chip metadata reads, and
@@ -20,11 +20,6 @@ import (
 // effect captured is the paper's: extra off-chip traffic and bounded
 // on-chip state, with prediction quality limited by PC localisation.
 type MISB struct {
-	// Degree is the maximum prefetch degree (the paper notes MISB uses 8).
-	Degree int
-	// MetaCacheLines bounds the on-chip metadata cache (in 64 B lines,
-	// each covering 8 mappings). MISB's evaluation uses ~49 KB.
-	MetaCacheLines int
 	// Meta, if set, receives the off-chip metadata traffic.
 	Meta func(write bool, addr mem.Addr)
 
@@ -39,12 +34,23 @@ type MISB struct {
 	metaBase  mem.Addr // synthetic address of the off-chip metadata store
 }
 
+const (
+	// misbDegree is the maximum prefetch degree (the paper notes MISB
+	// uses 8).
+	misbDegree = 8
+	// misbMetaCacheLines bounds the on-chip metadata cache (in 64 B
+	// lines, each covering 8 mappings). MISB's evaluation uses ~49 KB.
+	misbMetaCacheLines = 49 * 1024 / mem.LineSize
+)
+
 // NewMISB returns a MISB-like prefetcher with the paper's parameters.
 func NewMISB() *MISB {
 	return &MISB{
-		Degree:         8,
-		MetaCacheLines: 49 * 1024 / mem.LineSize,
-		metaBase:       0x7f00_0000_0000,
+		ps:        make(map[mem.Addr]uint64),
+		sp:        make(map[uint64]mem.Addr),
+		lastByPC:  make(map[uint64]mem.Addr),
+		metaCache: make(map[mem.Addr]struct{}),
+		metaBase:  0x7f00_0000_0000,
 	}
 }
 
@@ -55,20 +61,13 @@ func (p *MISB) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if ev.Hit {
 		return
 	}
-	if p.ps == nil {
-		p.ps = make(map[mem.Addr]uint64)
-		p.sp = make(map[uint64]mem.Addr)
-		p.lastByPC = make(map[uint64]mem.Addr)
-		p.metaCache = make(map[mem.Addr]struct{})
-	}
-
 	p.train(ev.PC, ev.Line)
 
 	s, ok := p.lookupPS(ev.Line)
 	if !ok {
 		return
 	}
-	for i := uint64(1); i <= uint64(p.Degree); i++ {
+	for i := uint64(1); i <= misbDegree; i++ {
 		phys, ok := p.lookupSP(s + i)
 		if !ok {
 			break
@@ -145,12 +144,12 @@ func (p *MISB) touchMeta(key mem.Addr, dirty bool) {
 			p.Meta(true, metaLine) // new mapping written back eventually
 		}
 	}
-	if len(p.metaFIFO) < p.MetaCacheLines {
+	if len(p.metaFIFO) < misbMetaCacheLines {
 		p.metaFIFO = append(p.metaFIFO, metaLine)
 	} else {
 		delete(p.metaCache, p.metaFIFO[p.metaPos])
 		p.metaFIFO[p.metaPos] = metaLine
-		p.metaPos = (p.metaPos + 1) % p.MetaCacheLines
+		p.metaPos = (p.metaPos + 1) % misbMetaCacheLines
 	}
 	p.metaCache[metaLine] = struct{}{}
 }

@@ -6,29 +6,20 @@ import (
 )
 
 // NextLine is the classic next-N-lines prefetcher [Smith & Hsu, 1992]: on
-// every demand access it prefetches the following Degree lines. It is the
-// paper's regular-pattern baseline.
-type NextLine struct {
-	// Degree is how many sequential lines to prefetch per access (>= 1).
-	Degree int
-	// OnMissOnly restricts triggering to demand misses.
-	OnMissOnly bool
-}
+// every demand access, hit or miss, it prefetches the following
+// nextLineDegree lines. It is the paper's regular-pattern baseline.
+type NextLine struct{}
 
-// NewNextLine returns a next-line prefetcher with the given degree.
-func NewNextLine(degree int) *NextLine {
-	if degree < 1 {
-		degree = 1
-	}
-	return &NextLine{Degree: degree}
-}
+// nextLineDegree is how many sequential lines NextLine prefetches per
+// access.
+const nextLineDegree = 1
+
+// NewNextLine returns a next-line prefetcher.
+func NewNextLine() *NextLine { return &NextLine{} }
 
 // OnAccess implements Prefetcher.
 func (p *NextLine) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
-	if p.OnMissOnly && ev.Hit {
-		return
-	}
-	for i := 1; i <= p.Degree; i++ {
+	for i := 1; i <= nextLineDegree; i++ {
 		issue(ev.Line + mem.Addr(i*mem.LineSize))
 	}
 }

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 
 	"rnrsim/internal/cache"
@@ -29,22 +30,22 @@ func access(pc uint64, line mem.Addr, hit bool) cache.AccessInfo {
 }
 
 func TestNextLineDegree(t *testing.T) {
-	p := NewNextLine(2)
+	p := NewNextLine()
 	c := &collector{}
 	p.OnAccess(access(1, 0x1000, false), c.issue)
-	want := []mem.Addr{0x1040, 0x1080}
-	if len(c.lines) != 2 || c.lines[0] != want[0] || c.lines[1] != want[1] {
-		t.Errorf("issued %#v, want %#v", c.lines, want)
+	if !slices.Equal(c.lines, []mem.Addr{0x1040}) {
+		t.Errorf("issued %#v, want [0x1040]", c.lines)
 	}
 }
 
-func TestNextLineOnMissOnly(t *testing.T) {
-	p := NewNextLine(1)
-	p.OnMissOnly = true
+// TestNextLinePrefetchesOnHits: the baseline triggers on every demand
+// access, hits included.
+func TestNextLinePrefetchesOnHits(t *testing.T) {
+	p := NewNextLine()
 	c := &collector{}
 	p.OnAccess(access(1, 0x1000, true), c.issue)
-	if len(c.lines) != 0 {
-		t.Errorf("prefetched on a hit: %v", c.lines)
+	if !slices.Equal(c.lines, []mem.Addr{0x1040}) {
+		t.Errorf("issued %#v on a hit, want [0x1040]", c.lines)
 	}
 }
 
@@ -92,13 +93,20 @@ func TestStreamIgnoresRandom(t *testing.T) {
 
 func TestStreamTableEviction(t *testing.T) {
 	p := NewStream()
-	p.Entries = 2
 	c := &collector{}
-	for pc := uint64(0); pc < 10; pc++ {
+	for pc := uint64(0); pc < 2*streamEntries; pc++ {
 		p.OnAccess(access(pc, mem.Addr(0x1000*pc), false), c.issue)
 	}
-	if len(p.table) > 2 {
-		t.Errorf("table grew to %d entries, cap 2", len(p.table))
+	if len(p.table) != streamEntries || len(p.order) != streamEntries {
+		t.Errorf("table holds %d entries (%d in LRU order), want the cap %d",
+			len(p.table), len(p.order), streamEntries)
+	}
+	// The oldest PCs were evicted, the newest kept.
+	if _, ok := p.table[0]; ok {
+		t.Error("oldest PC survived eviction")
+	}
+	if _, ok := p.table[2*streamEntries-1]; !ok {
+		t.Error("newest PC was evicted")
 	}
 }
 
@@ -124,7 +132,6 @@ func TestGHBPicksMostRecentSuccessor(t *testing.T) {
 	// GHB must predict the most recent successor (20), a misprediction
 	// against the repeating pattern.
 	p := NewGHB()
-	p.Degree = 1
 	c := &collector{}
 	lines := func(a int) mem.Addr { return mem.Addr(a * mem.LineSize) }
 	for _, a := range []int{9, 12, 9, 20} {
@@ -132,8 +139,8 @@ func TestGHBPicksMostRecentSuccessor(t *testing.T) {
 	}
 	c.lines = nil
 	p.OnAccess(access(1, lines(9), false), c.issue)
-	if !c.has(lines(20)) || c.has(lines(12)) {
-		t.Errorf("GHB issued %v, want most recent successor %#x", c.lines, uint64(lines(20)))
+	if len(c.lines) == 0 || c.lines[0] != lines(20) || c.has(lines(12)) {
+		t.Errorf("GHB issued %v, want most recent successor %#x first", c.lines, uint64(lines(20)))
 	}
 }
 
@@ -169,7 +176,6 @@ func TestMISBLocalisedReplay(t *testing.T) {
 
 func TestMISBMetadataTraffic(t *testing.T) {
 	p := NewMISB()
-	p.MetaCacheLines = 2 // tiny cache to force traffic
 	reads, writes := 0, 0
 	p.Meta = func(write bool, addr mem.Addr) {
 		if write {
@@ -184,6 +190,35 @@ func TestMISBMetadataTraffic(t *testing.T) {
 	}
 	if reads == 0 || writes == 0 {
 		t.Errorf("metadata traffic reads=%d writes=%d, want > 0", reads, writes)
+	}
+}
+
+// TestMISBMetadataCacheCap drives more distinct metadata lines than the
+// on-chip metadata cache holds: it stays at its cap, and a line evicted
+// from it costs a fresh off-chip read when touched again.
+func TestMISBMetadataCacheCap(t *testing.T) {
+	p := NewMISB()
+	reads := 0
+	p.Meta = func(write bool, _ mem.Addr) {
+		if !write {
+			reads++
+		}
+	}
+	c := &collector{}
+	// Lines 0x4000 apart map to distinct metadata lines (8 mappings per
+	// metadata line); misses are hits=false so every access trains.
+	line := func(i int) mem.Addr { return mem.Addr(0x100000 + i*0x4000) }
+	for i := 0; i < 2*misbMetaCacheLines; i++ {
+		p.OnAccess(access(1, line(i), false), c.issue)
+	}
+	if len(p.metaCache) != misbMetaCacheLines || len(p.metaFIFO) != misbMetaCacheLines {
+		t.Fatalf("metadata cache holds %d lines (%d in FIFO), want the cap %d",
+			len(p.metaCache), len(p.metaFIFO), misbMetaCacheLines)
+	}
+	before := reads
+	p.OnAccess(access(1, line(0), false), c.issue)
+	if reads == before {
+		t.Error("touching an evicted metadata line issued no off-chip read")
 	}
 }
 
@@ -322,7 +357,7 @@ func TestIMPDetectsIndexStreamThenResolves(t *testing.T) {
 }
 
 func TestRegionFilterExcludes(t *testing.T) {
-	inner := NewNextLine(1)
+	inner := NewNextLine()
 	f := &RegionFilter{
 		Inner:    inner,
 		Excluded: func(l mem.Addr) bool { return l >= 0x1000 && l < 0x2000 },
@@ -345,12 +380,11 @@ func TestRegionFilterExcludes(t *testing.T) {
 }
 
 func TestCombineFansOut(t *testing.T) {
-	c1, c2 := NewNextLine(1), NewNextLine(2)
-	comb := Combine{c1, c2}
+	comb := Combine{NewNextLine(), NewNextLine()}
 	col := &collector{}
 	comb.OnAccess(access(1, 0x1000, false), col.issue)
-	if len(col.lines) != 3 {
-		t.Errorf("combine issued %d lines, want 3", len(col.lines))
+	if !slices.Equal(col.lines, []mem.Addr{0x1040, 0x1040}) {
+		t.Errorf("combine issued %#v, want one next line per member", col.lines)
 	}
 	if w := comb.Wakeup(5); w != mem.WakeupNever {
 		t.Errorf("combine of access-only members wakes at %d", w)
@@ -366,7 +400,7 @@ func TestWrappersForwardOptionalHooks(t *testing.T) {
 	d.EdgeRegion = func(l mem.Addr) bool { return l >= edgeBase && l < edgeEnd }
 	d.Resolve = func(mem.Addr) []mem.Addr { return []mem.Addr{0x1800, 0x3000} }
 	f := &RegionFilter{Inner: d, Excluded: func(l mem.Addr) bool { return l >= 0x1000 && l < 0x2000 }}
-	comb := Combine{NewNextLine(1), f}
+	comb := Combine{NewNextLine(), f}
 	col := &collector{}
 
 	comb.OnFill(edgeBase, true, 1)

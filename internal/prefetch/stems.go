@@ -15,13 +15,6 @@ import (
 // and the temporal stream is keyed on trigger events seen during the whole
 // run, so distinct-but-similar long irregular sequences alias.
 type SteMS struct {
-	RegionBytes uint64
-	HistEntries int
-	StreamDepth int // how many successor regions to replay per trigger
-
-	regionShift uint
-	linesPerReg uint
-
 	active    map[mem.Addr]*bingoGen
 	footHist  map[uint64]uint64 // trigger key -> footprint
 	footFIFO  []uint64
@@ -31,20 +24,19 @@ type SteMS struct {
 	keyRegion map[uint64]mem.Addr
 }
 
+const (
+	stemsHistEntries = 16 * 1024 // footprint history table bound
+	stemsStreamDepth = 4         // successor regions replayed per trigger
+)
+
 // NewSteMS returns a SteMS prefetcher with SMS-style 2 KB regions.
 func NewSteMS() *SteMS {
-	return &SteMS{RegionBytes: 2048, HistEntries: 16 * 1024, StreamDepth: 4}
-}
-
-func (p *SteMS) init() {
-	for s := p.RegionBytes; s > 1; s >>= 1 {
-		p.regionShift++
+	return &SteMS{
+		active:    make(map[mem.Addr]*bingoGen),
+		footHist:  make(map[uint64]uint64),
+		streamIdx: make(map[uint64][]int),
+		keyRegion: make(map[uint64]mem.Addr),
 	}
-	p.linesPerReg = uint(p.RegionBytes / mem.LineSize)
-	p.active = make(map[mem.Addr]*bingoGen)
-	p.footHist = make(map[uint64]uint64)
-	p.streamIdx = make(map[uint64][]int)
-	p.keyRegion = make(map[uint64]mem.Addr)
 }
 
 func (p *SteMS) key(pc uint64, region mem.Addr) uint64 {
@@ -53,10 +45,7 @@ func (p *SteMS) key(pc uint64, region mem.Addr) uint64 {
 
 // OnAccess implements Prefetcher.
 func (p *SteMS) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
-	if p.active == nil {
-		p.init()
-	}
-	region := ev.Line &^ (mem.Addr(p.RegionBytes) - 1)
+	region := ev.Line &^ (regionBytes - 1)
 	off := uint(uint64(ev.Line-region) >> mem.LineShift)
 
 	gen, ok := p.active[region]
@@ -77,7 +66,7 @@ func (p *SteMS) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	}
 	gen.footprint |= 1 << off
 	gen.touches++
-	if gen.touches >= int(p.linesPerReg)*2 {
+	if gen.touches >= regionLines*2 {
 		p.retire(region, gen)
 	}
 }
@@ -107,7 +96,7 @@ func (p *SteMS) replay(k uint64, issue IssueFunc) {
 		return
 	}
 	prev := occ[len(occ)-2] // latest occurrence before the one just added
-	for d := 0; d < p.StreamDepth; d++ {
+	for d := 0; d < stemsStreamDepth; d++ {
 		at := prev + 1 + d
 		if at >= len(p.stream)-1 { // never replay the just-added trigger
 			break
@@ -121,7 +110,7 @@ func (p *SteMS) replay(k uint64, issue IssueFunc) {
 		if !ok {
 			continue
 		}
-		for i := uint(0); i < p.linesPerReg; i++ {
+		for i := uint(0); i < regionLines; i++ {
 			if fp&(1<<i) != 0 {
 				issue(region + mem.Addr(i)<<mem.LineShift)
 			}
@@ -136,12 +125,12 @@ func (p *SteMS) retire(region mem.Addr, gen *bingoGen) {
 	}
 	k := p.key(gen.trigPC, region)
 	if _, ok := p.footHist[k]; !ok {
-		if len(p.footFIFO) < p.HistEntries {
+		if len(p.footFIFO) < stemsHistEntries {
 			p.footFIFO = append(p.footFIFO, k)
 		} else {
 			delete(p.footHist, p.footFIFO[p.footPos])
 			p.footFIFO[p.footPos] = k
-			p.footPos = (p.footPos + 1) % p.HistEntries
+			p.footPos = (p.footPos + 1) % stemsHistEntries
 		}
 	}
 	p.footHist[k] = gen.footprint

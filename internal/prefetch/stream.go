@@ -12,16 +12,6 @@ import (
 // constant strides per access site and, once confident, runs ahead of the
 // demand stream.
 type Stream struct {
-	// Entries bounds the detector table (LRU replacement).
-	Entries int
-	// Confidence is how many consecutive identical strides must be seen
-	// before prefetching starts.
-	Confidence int
-	// Degree is how many strided lines to issue per triggering access.
-	Degree int
-	// Distance is how far ahead (in strides) the stream runs.
-	Distance int
-
 	table map[uint64]*streamEntry
 	order []uint64 // LRU order, front = oldest
 }
@@ -32,16 +22,23 @@ type streamEntry struct {
 	conf     int
 }
 
+// Typical L2-streamer settings.
+const (
+	streamEntries = 64 // detector table bound (LRU replacement)
+	// streamConfidence is how many consecutive identical strides must be
+	// seen before prefetching starts.
+	streamConfidence = 2
+	streamDegree     = 2 // strided lines issued per triggering access
+	streamDistance   = 4 // how far ahead (in strides) the stream runs
+)
+
 // NewStream returns a stream prefetcher with typical L2-streamer settings.
 func NewStream() *Stream {
-	return &Stream{Entries: 64, Confidence: 2, Degree: 2, Distance: 4}
+	return &Stream{table: make(map[uint64]*streamEntry, streamEntries)}
 }
 
 // OnAccess implements Prefetcher.
 func (p *Stream) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
-	if p.table == nil {
-		p.table = make(map[uint64]*streamEntry, p.Entries)
-	}
 	e, ok := p.table[ev.PC]
 	if !ok {
 		p.insert(ev.PC, &streamEntry{lastLine: ev.Line})
@@ -53,7 +50,7 @@ func (p *Stream) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 		return // same line; no information
 	}
 	if stride == e.stride {
-		if e.conf < p.Confidence+4 {
+		if e.conf < streamConfidence+4 {
 			e.conf++
 		}
 	} else {
@@ -61,12 +58,12 @@ func (p *Stream) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 		e.conf = 1
 	}
 	e.lastLine = ev.Line
-	if e.conf < p.Confidence {
+	if e.conf < streamConfidence {
 		return
 	}
 	base := int64(ev.Line >> mem.LineShift)
-	for i := 1; i <= p.Degree; i++ {
-		target := base + e.stride*int64(p.Distance+i-1)
+	for i := 1; i <= streamDegree; i++ {
+		target := base + e.stride*int64(streamDistance+i-1)
 		if target < 0 {
 			continue
 		}
@@ -75,7 +72,7 @@ func (p *Stream) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 }
 
 func (p *Stream) insert(pc uint64, e *streamEntry) {
-	if len(p.table) >= p.Entries && len(p.order) > 0 {
+	if len(p.table) >= streamEntries && len(p.order) > 0 {
 		oldest := p.order[0]
 		p.order = p.order[1:]
 		delete(p.table, oldest)

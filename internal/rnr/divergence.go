@@ -28,14 +28,6 @@ package rnr
 // to the recording — the data structure has been mutated and a
 // re-record would pay off.
 type DivergenceProbe struct {
-	// MaxCompare caps both sequences per window (the LCS table is
-	// quadratic). Overflowing entries are dropped from comparison but
-	// counted in Stats.ObservedMisses. 0 = 512.
-	MaxCompare int
-	// MaxWindows bounds retained per-window scores; further windows
-	// are still scored into the aggregate stats. 0 = 4096.
-	MaxWindows int
-
 	observed  []SeqEntry
 	covered   int // misses this window explained by the engine's own prefetch
 	scores    []WindowScore
@@ -64,16 +56,14 @@ type WindowScore struct {
 }
 
 const (
-	defaultDivergenceMaxCompare = 512
-	defaultDivergenceMaxWindows = 4096
+	// divergenceMaxCompare caps both sequences per window (the LCS
+	// table is quadratic). Overflowing entries are dropped from
+	// comparison but counted in Stats.ObservedMisses.
+	divergenceMaxCompare = 512
+	// divergenceMaxWindows bounds retained per-window scores; further
+	// windows are still scored into the aggregate stats.
+	divergenceMaxWindows = 4096
 )
-
-func (p *DivergenceProbe) maxCompare() int {
-	if p.MaxCompare > 0 {
-		return p.MaxCompare
-	}
-	return defaultDivergenceMaxCompare
-}
 
 // observe collects one replay-time struct miss for the current window.
 // covered misses (the engine prefetched this exact line from the
@@ -84,7 +74,7 @@ func (p *DivergenceProbe) observe(entry SeqEntry, covered bool) {
 		p.covered++
 		return
 	}
-	if len(p.observed) < p.maxCompare() {
+	if len(p.observed) < divergenceMaxCompare {
 		p.observed = append(p.observed, entry)
 	}
 }
@@ -95,8 +85,8 @@ func (p *DivergenceProbe) closeWindow(window int, predicted []SeqEntry) {
 	obs, covered := p.observed, p.covered
 	p.observed = p.observed[:0]
 	p.covered = 0
-	if limit := p.maxCompare(); len(predicted) > limit {
-		predicted = predicted[:limit]
+	if len(predicted) > divergenceMaxCompare {
+		predicted = predicted[:divergenceMaxCompare]
 	}
 	total := len(obs) + covered
 	if total == 0 && len(predicted) == 0 {
@@ -113,11 +103,7 @@ func (p *DivergenceProbe) closeWindow(window int, predicted []SeqEntry) {
 	p.Stats.UnmatchedMisses += uint64(ed)
 	p.lastScore = score
 
-	maxW := p.MaxWindows
-	if maxW <= 0 {
-		maxW = defaultDivergenceMaxWindows
-	}
-	if len(p.scores) >= maxW {
+	if len(p.scores) >= divergenceMaxWindows {
 		p.dropped++
 		return
 	}
@@ -157,7 +143,8 @@ func lcsLen(a, b []SeqEntry) int {
 // order (multiple replay iterations revisit the same window indices).
 func (p *DivergenceProbe) WindowScores() []WindowScore { return p.scores }
 
-// DroppedWindows returns how many scored windows exceeded MaxWindows.
+// DroppedWindows returns how many scored windows exceeded
+// divergenceMaxWindows.
 func (p *DivergenceProbe) DroppedWindows() uint64 { return p.dropped }
 
 // LastScore returns the most recently closed window's score (telemetry

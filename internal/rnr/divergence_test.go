@@ -139,30 +139,44 @@ func TestLCSLen(t *testing.T) {
 }
 
 // TestDivergenceCapsBound hostile windows: the observe buffer and the
-// predicted slice are both capped at MaxCompare, total misses still
-// counted.
+// predicted slice are both capped at divergenceMaxCompare, total misses
+// still counted; past divergenceMaxWindows retained scores stop growing
+// while the aggregates keep counting.
 func TestDivergenceCapsBound(t *testing.T) {
-	p := &DivergenceProbe{MaxCompare: 4, MaxWindows: 2}
-	pred := make([]SeqEntry, 10)
+	p := &DivergenceProbe{}
+	const over = divergenceMaxCompare + 100
+	pred := make([]SeqEntry, over)
 	for i := range pred {
 		pred[i] = NewSeqEntry(0, uint64(i))
 	}
-	for w := 0; w < 5; w++ {
-		for i := 0; i < 8; i++ {
+	for w := 0; w < 2; w++ {
+		for i := 0; i < over; i++ {
 			p.observe(NewSeqEntry(0, uint64(i)), false)
 		}
 		p.closeWindow(w, pred)
 	}
-	if p.Stats.ObservedMisses != 40 {
-		t.Errorf("observed = %d, want 40", p.Stats.ObservedMisses)
+	if p.Stats.ObservedMisses != 2*over {
+		t.Errorf("observed = %d, want %d", p.Stats.ObservedMisses, 2*over)
 	}
-	if p.Stats.ComparedMisses != 20 { // 4 per window after capping
-		t.Errorf("compared = %d, want 20", p.Stats.ComparedMisses)
+	if p.Stats.ComparedMisses != 2*divergenceMaxCompare {
+		t.Errorf("compared = %d, want %d (capped per window)", p.Stats.ComparedMisses, 2*divergenceMaxCompare)
 	}
-	if len(p.WindowScores()) != 2 || p.DroppedWindows() != 3 {
-		t.Errorf("retained %d dropped %d, want 2/3", len(p.WindowScores()), p.DroppedWindows())
+	for _, ws := range p.WindowScores() {
+		if ws.Predicted != divergenceMaxCompare || ws.Observed != divergenceMaxCompare || ws.EditDistance != 0 {
+			t.Errorf("window %d = %+v, want %d predicted and observed, all matched", ws.Window, ws, divergenceMaxCompare)
+		}
 	}
-	if p.Stats.WindowsScored != 5 {
-		t.Errorf("windows scored = %d, want 5 (aggregates keep counting past MaxWindows)", p.Stats.WindowsScored)
+
+	// One observed miss per further window, up to three past the cap.
+	for w := 2; w < divergenceMaxWindows+3; w++ {
+		p.observe(NewSeqEntry(0, 1), false)
+		p.closeWindow(w, pred[:1])
+	}
+	if len(p.WindowScores()) != divergenceMaxWindows || p.DroppedWindows() != 3 {
+		t.Errorf("retained %d dropped %d, want %d/3", len(p.WindowScores()), p.DroppedWindows(), divergenceMaxWindows)
+	}
+	if p.Stats.WindowsScored != divergenceMaxWindows+3 {
+		t.Errorf("windows scored = %d, want %d (aggregates keep counting past the cap)",
+			p.Stats.WindowsScored, divergenceMaxWindows+3)
 	}
 }

@@ -79,10 +79,9 @@ const (
 // check), the L2's evict events (timeliness) and the core's marker
 // stream (the software interface).
 type Engine struct {
-	Arch           ArchState
-	Control        TimingControl
-	DefaultWindow  uint64 // window-size register value set by RnR.init()
-	MaxIssuePerCyc int    // replay prefetches per cycle
+	Arch          ArchState
+	Control       TimingControl
+	DefaultWindow uint64 // window-size register value set by RnR.init()
 	// LeadEntries bounds how far (in sequence entries) pace control runs
 	// ahead of the consumption estimate; 0 = one full window.
 	LeadEntries int
@@ -144,6 +143,10 @@ type Engine struct {
 	Stats Stats
 }
 
+// maxIssuePerCycle is how many replay prefetches the engine issues per
+// cycle.
+const maxIssuePerCycle = 4
+
 // NewEngine returns an RnR engine for the given core. meta is the path
 // metadata requests take to memory (normally the DRAM controller); it may
 // be nil in unit tests, in which case metadata arrives instantly.
@@ -152,7 +155,6 @@ func NewEngine(core int, meta mem.Backend) *Engine {
 		Core:           core,
 		Control:        WindowPaceControl,
 		DefaultWindow:  2048,
-		MaxIssuePerCyc: 4,
 		meta:           meta,
 		track:          make(map[mem.Addr]uint8),
 		issuedThisIter: make(map[mem.Addr]bool),
@@ -465,10 +467,7 @@ func (e *Engine) OnCycle(cycle uint64, issue prefetch.IssueFunc) {
 	e.streamMetadata(cycle)
 	e.advanceWindow()
 
-	budget := e.MaxIssuePerCyc
-	if budget < 1 {
-		budget = 1
-	}
+	budget := maxIssuePerCycle
 	for budget > 0 {
 		if e.retryValid {
 			if !issue(e.retryLine) {

@@ -372,7 +372,7 @@ func TestSaveRestoreAcrossContextSwitch(t *testing.T) {
 	base := mem.Addr(0x10000)
 	e, c := recordAndReplay(t, base, 2, []uint64{0, 1, 2, 3})
 	e.Control = NoControl
-	e.OnCycle(0, c.issue) // issues up to MaxIssuePerCyc (2)
+	e.OnCycle(0, c.issue) // issues up to maxIssuePerCycle
 	e.HandleMarker(trace.Mark(trace.MarkPause, 0, 0, 0), 1)
 	saved := e.Save()
 

@@ -62,10 +62,6 @@ type Options struct {
 	// JobTimeout caps one job's total lifetime (queue wait included).
 	// 0 means no timeout.
 	JobTimeout time.Duration
-	// RetryAfter is the backpressure hint attached to 429 responses,
-	// jittered ±25% per response so synchronized clients do not
-	// stampede back in lockstep. Default 2s.
-	RetryAfter time.Duration
 	// WorkerID names this daemon in a cluster: it is reported by the
 	// /v1/worker/status heartbeat responder so a coordinator can tell
 	// workers apart. Empty outside worker mode.
@@ -103,9 +99,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = 2 * time.Second
 	}
 	if o.Registry == nil {
 		o.Registry = telemetry.Default
@@ -329,13 +322,16 @@ func (m *Manager) Watch(j *Job) (release func()) {
 // Retry-After hint: the served value is uniform in base ± 25%.
 const RetryAfterJitterFrac = 0.25
 
+// retryAfter is the base backpressure hint attached to 429 responses.
+const retryAfter = 2 * time.Second
+
 // RetryAfterJittered returns the backpressure hint for one 429
-// response: the configured base randomized ±25% so that a fleet of
-// clients rejected in the same instant does not retry in the same
-// instant too (a fixed hint synchronizes the stampede it exists to
-// spread). Never below one second.
+// response: the base randomized ±25% so that a fleet of clients
+// rejected in the same instant does not retry in the same instant too
+// (a fixed hint synchronizes the stampede it exists to spread). Never
+// below one second.
 func (m *Manager) RetryAfterJittered() time.Duration {
-	return JitterDuration(m.opts.RetryAfter, RetryAfterJitterFrac)
+	return JitterDuration(retryAfter, RetryAfterJitterFrac)
 }
 
 // JitterDuration spreads d uniformly over [d*(1-frac), d*(1+frac)],

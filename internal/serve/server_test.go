@@ -257,7 +257,7 @@ func TestHTTPClientDisconnectCancels(t *testing.T) {
 
 // TestHTTPQueueFull exercises 429 + Retry-After over the wire.
 func TestHTTPQueueFull(t *testing.T) {
-	ts, m := newTestServer(t, Options{Workers: 1, QueueDepth: 1, RetryAfter: 7 * time.Second})
+	ts, m := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	holdRuns(t, m, "test")
 	r1 := postJSON(t, ts.URL+"/v1/runs", testSpec())
 	v1 := decodeView(t, r1)
@@ -282,11 +282,11 @@ func TestHTTPQueueFull(t *testing.T) {
 	if r3.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("third submit status = %d, want 429", r3.StatusCode)
 	}
-	// The hint is jittered ±25% around the 7s base: any integer second
-	// in [5.25, 8.75] truncates into {5..8}.
+	// The hint is jittered ±25% around the 2s base: any integer second
+	// in [1.5, 2.5] truncates into {1, 2}.
 	ra, err := strconv.Atoi(r3.Header.Get("Retry-After"))
-	if err != nil || ra < 5 || ra > 8 {
-		t.Errorf("Retry-After = %q, want an int in [5, 8] (7s base ±25%%)", r3.Header.Get("Retry-After"))
+	if err != nil || ra < 1 || ra > 2 {
+		t.Errorf("Retry-After = %q, want an int in [1, 2] (2s base ±25%%)", r3.Header.Get("Retry-After"))
 	}
 }
 

@@ -47,7 +47,9 @@ func TestRetryAfterJitterBounds(t *testing.T) {
 		t.Errorf("zero base jittered to %v, want 1s", d)
 	}
 
-	m := newTestManager(t, Options{Workers: 1, RetryAfter: base})
+	m := newTestManager(t, Options{Workers: 1})
+	lo = time.Duration(float64(retryAfter) * (1 - RetryAfterJitterFrac))
+	hi = time.Duration(float64(retryAfter) * (1 + RetryAfterJitterFrac))
 	for i := 0; i < 100; i++ {
 		if d := m.RetryAfterJittered(); d < lo || d > hi {
 			t.Fatalf("RetryAfterJittered = %v outside [%v, %v]", d, lo, hi)

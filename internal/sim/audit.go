@@ -36,7 +36,7 @@ func (s *System) registerAudit() {
 	if s.cfg.Audit == nil {
 		return
 	}
-	s.aud = audit.New(*s.cfg.Audit)
+	s.aud = audit.New()
 	s.auditEvery = s.cfg.Audit.EffectiveInterval()
 
 	for c := range s.cores {

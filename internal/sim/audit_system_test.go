@@ -132,8 +132,9 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestAuditFailFastAborts pins that FailFast stops a violating run at a
-// tick-batch boundary instead of running to completion.
+// TestAuditFailFastAborts pins that an audited run stops at the first
+// tick-batch boundary after a violation instead of running to
+// completion.
 func TestAuditFailFastAborts(t *testing.T) {
 	app := testApp(t)
 
@@ -141,7 +142,7 @@ func TestAuditFailFastAborts(t *testing.T) {
 	healthy := runOne(t, testConfig(), app)
 
 	cfg := testConfig()
-	cfg.Audit = &audit.Config{Interval: 64, FailFast: true}
+	cfg.Audit = &audit.Config{Interval: 64}
 	s, err := New(cfg, app)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +153,7 @@ func TestAuditFailFastAborts(t *testing.T) {
 	corruptL2(s)
 	_, err = s.RunAll()
 	if err == nil {
-		t.Fatal("FailFast run completed despite corruption")
+		t.Fatal("audited run completed despite corruption")
 	}
 	if !strings.Contains(err.Error(), "audit:") {
 		t.Fatalf("error is not an audit failure: %v", err)
@@ -160,10 +161,10 @@ func TestAuditFailFastAborts(t *testing.T) {
 	// The abort must land within one cancel batch of the corruption,
 	// far before the healthy run's end.
 	if s.cycle >= healthy.Cycles {
-		t.Errorf("FailFast aborted at cycle %d, healthy run ends at %d", s.cycle, healthy.Cycles)
+		t.Errorf("audit aborted at cycle %d, healthy run ends at %d", s.cycle, healthy.Cycles)
 	}
 	if s.cycle > 128+2*CancelCheckInterval {
-		t.Errorf("FailFast aborted at cycle %d, want within two batches of the corruption at 128", s.cycle)
+		t.Errorf("audit aborted at cycle %d, want within two batches of the corruption at 128", s.cycle)
 	}
 }
 

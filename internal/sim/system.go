@@ -276,7 +276,7 @@ func (s *System) wirePrefetcher(c int) {
 	kind := cfg.Prefetcher
 	switch kind {
 	case PFNextLine:
-		s.prefs[c] = prefetch.NewNextLine(1)
+		s.prefs[c] = prefetch.NewNextLine()
 	case PFStream:
 		s.prefs[c] = prefetch.NewStream()
 	case PFGHB:
@@ -332,7 +332,7 @@ func (s *System) wirePrefetcher(c int) {
 			// RnR for the target structure, next-line for everything
 			// else, fenced out of the RnR range (§V-D).
 			nl := &prefetch.RegionFilter{
-				Inner:    prefetch.NewNextLine(1),
+				Inner:    prefetch.NewNextLine(),
 				Excluded: e.InRange,
 			}
 			s.prefs[c] = prefetch.Combine{e, nl}
@@ -556,7 +556,7 @@ func (s *System) wireCoherence() {
 // scheduler only through the wake-dirty flags its TryPrefetch calls
 // set on the receiving banks.
 func (s *System) wireCrossCore() {
-	s.xcore = prefetch.NewCrossCore(s.cfg.Cores, 0)
+	s.xcore = prefetch.NewCrossCore(s.cfg.Cores)
 	s.xcore.Issue = func(core int, line mem.Addr) bool {
 		req := mem.NewRequest(mem.ReqPrefetch, line, 0, core, s.cycle)
 		return s.llcs[s.bankOf(line)].TryPrefetch(req)
@@ -811,15 +811,10 @@ func RunContext(ctx context.Context, cfg Config, app *apps.App) (*Result, error)
 const CancelCheckInterval = 4096
 
 // maxTrackedIterations bounds the per-iteration bookkeeping (IterEnd
-// cycle stamps and cumulative L2 snapshots). A hostile or fuzzed trace
-// can mark an iteration index of any size (MarkIterEnd carries it in
-// Aux); without a cap the barrier would allocate slices sized by that
-// index and an adversarial 2^40 index is an instant OOM. 2^16
-// iterations is far beyond any real workload (the paper's evaluation
-// composes ~100) and keeps the worst-case bookkeeping near 9 MB.
-// Iterations past the cap still open the barrier, fire OnIteration and
+// cycle stamps and cumulative L2 snapshots) with the flight recorder's
+// cap. Iterations past it still open the barrier, fire OnIteration and
 // emit telemetry spans; only the per-iteration statistics are dropped.
-const maxTrackedIterations = 1 << 16
+const maxTrackedIterations = obs.MaxTrackedIterations
 
 // CounterRunsCancelled names the telemetry.Default counter incremented
 // every time a simulation run is abandoned because its context was
@@ -869,7 +864,7 @@ func (s *System) RunAllContext(ctx context.Context) (*Result, error) {
 
 // run drives the machine to completion in batches of
 // CancelCheckInterval cycles, with the same cancellation, maxCycles and
-// FailFast points under both engines. The stepped engine
+// audit-abort points under both engines. The stepped engine
 // (Config.ForceCycleStepped) simulates every cycle with the always-tick
 // policy. The event engine asks every component for its wakeup and
 // simulates only the minimum. Cycles in between are provably inert:
@@ -910,9 +905,10 @@ func (s *System) run(ctx context.Context, maxCycles uint64) error {
 				s.advanceTo(s.nextWakeup(limit))
 			}
 		}
-		// FailFast aborts at tick-batch boundaries, so a violating run
-		// stops within one batch of the failing sweep.
-		if s.aud != nil && s.aud.FailFast() {
+		// A violation aborts the run at the next tick-batch boundary,
+		// so a violating run stops within one batch of the failing
+		// sweep.
+		if s.aud != nil {
 			if err := s.aud.Err(); err != nil {
 				return fmt.Errorf("sim: %s on %s/%s: %w",
 					s.cfg.Name, s.app.Name, s.app.Input, err)

@@ -11,10 +11,6 @@ type Config struct {
 	// SampleInterval is the number of simulated cycles between series
 	// samples; 0 defaults to 10_000 (≈2.5 µs of simulated time at 4 GHz).
 	SampleInterval uint64
-	// RingCap bounds retained samples (oldest dropped); 0 = 65536.
-	RingCap int
-	// TraceCap bounds retained trace events (newest dropped); 0 = 1M.
-	TraceCap int
 }
 
 // DefaultSampleInterval is the sampling period used when Config leaves
@@ -62,8 +58,8 @@ func New(cfg Config) *Recorder {
 		cfg.SampleInterval = DefaultSampleInterval
 	}
 	return &Recorder{
-		sampler:  newSampler(cfg.RingCap),
-		tracer:   newTracer(cfg.TraceCap),
+		sampler:  &Sampler{},
+		tracer:   newTracer(traceCap),
 		interval: cfg.SampleInterval,
 	}
 }

@@ -23,7 +23,6 @@ type sampleRow struct {
 // Dropped.
 type Sampler struct {
 	mu      sync.Mutex
-	ringCap int
 	cols    []string
 	read    []func(cycle uint64) float64
 	rows    []sampleRow
@@ -33,12 +32,8 @@ type Sampler struct {
 	frozen  bool
 }
 
-func newSampler(ringCap int) *Sampler {
-	if ringCap <= 0 {
-		ringCap = 1 << 16
-	}
-	return &Sampler{ringCap: ringCap}
-}
+// ringCap bounds the retained samples; older ones are dropped.
+const ringCap = 1 << 16
 
 // sample polls every column and appends one row.
 func (s *Sampler) sample(reg *Registry, cycle uint64) {
@@ -56,12 +51,12 @@ func (s *Sampler) sample(reg *Registry, cycle uint64) {
 		}
 		row.vals[i] = v
 	}
-	if len(s.rows) < s.ringCap {
+	if len(s.rows) < ringCap {
 		s.rows = append(s.rows, row)
 		return
 	}
 	s.rows[s.head] = row
-	s.head = (s.head + 1) % s.ringCap
+	s.head = (s.head + 1) % ringCap
 	s.wrapped = true
 	s.dropped++
 }

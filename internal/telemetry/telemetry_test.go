@@ -134,13 +134,13 @@ func TestSamplerSeriesLength(t *testing.T) {
 }
 
 func TestSamplerRingDropsOldest(t *testing.T) {
-	rec := New(Config{SampleInterval: 1, RingCap: 4})
+	rec := New(Config{SampleInterval: 1})
 	rec.Probe("p", func(cyc uint64) float64 { return float64(cyc) })
-	for cyc := uint64(1); cyc <= 10; cyc++ {
+	for cyc := uint64(1); cyc <= ringCap+6; cyc++ {
 		rec.Sample(cyc)
 	}
-	if got := rec.Sampler().Len(); got != 4 {
-		t.Fatalf("ring retained %d rows, want 4", got)
+	if got := rec.Sampler().Len(); got != ringCap {
+		t.Fatalf("ring retained %d rows, want %d", got, ringCap)
 	}
 	if got := rec.Sampler().Dropped(); got != 6 {
 		t.Fatalf("ring dropped %d rows, want 6", got)
@@ -258,7 +258,13 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 func TestTracerCapDropsWholeSpans(t *testing.T) {
-	rec := New(Config{TraceCap: 4})
+	rec := New(Config{})
+	if rec.Tracer().cap != traceCap {
+		t.Fatalf("recorder's tracer keeps %d events, want %d", rec.Tracer().cap, traceCap)
+	}
+	// Filling the real 2^20-event cap costs ~100 MB; a 4-event tracer
+	// exercises the same drop rule.
+	rec.tracer = newTracer(4)
 	rec.Span("t", "a", 0, 1)
 	rec.Span("t", "b", 1, 2)
 	rec.Span("t", "c", 2, 3) // over cap: dropped as a pair
@@ -293,7 +299,7 @@ func TestTracerCapDropsWholeSpans(t *testing.T) {
 // TestConcurrentInstruments exercises the registry, sampler and tracer
 // from many goroutines; run under -race this is the data-race guard.
 func TestConcurrentInstruments(t *testing.T) {
-	rec := New(Config{SampleInterval: 1, RingCap: 64, TraceCap: 1024})
+	rec := New(Config{SampleInterval: 1})
 	rec.Probe("p", func(uint64) float64 { return 1 })
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -41,10 +41,12 @@ type Tracer struct {
 	dropped uint64
 }
 
+// traceCap bounds a recorder's retained trace events; newer ones are
+// dropped.
+const traceCap = 1 << 20
+
+// newTracer returns a tracer keeping at most eventCap events.
 func newTracer(eventCap int) *Tracer {
-	if eventCap <= 0 {
-		eventCap = 1 << 20
-	}
 	return &Tracer{cap: eventCap, tids: make(map[string]int)}
 }
 

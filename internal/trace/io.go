@@ -35,10 +35,9 @@ var ErrBadTrace = errors.New("trace: malformed trace stream")
 // TruncatedError reports a trace stream that ended before the record
 // count promised by its header was delivered. It carries the byte
 // offset at which the failing read started and the zero-based index of
-// the record being read, so a corrupted multi-gigabyte trace can be
-// diagnosed (and possibly salvaged up to the offset) without re-parsing
-// it. errors.Is matches it against both ErrBadTrace and
-// io.ErrUnexpectedEOF.
+// the record being read, so a corrupted trace can be diagnosed (and
+// possibly salvaged up to the offset) without re-parsing it. errors.Is
+// matches it against both ErrBadTrace and io.ErrUnexpectedEOF.
 type TruncatedError struct {
 	Offset int64  // byte offset of the failed record read
 	Record uint64 // zero-based index of the record being read
@@ -158,8 +157,14 @@ func readRecord(br *bufio.Reader, i uint64) (Record, error) {
 		Addr:   mem.Addr(binary.LittleEndian.Uint64(buf[16:24])),
 		Count:  binary.LittleEndian.Uint64(buf[24:32]),
 	}
-	if rec.Kind > KindMarker {
+	switch {
+	case rec.Kind > KindMarker:
 		return Record{}, fmt.Errorf("%w: unknown kind %d at record %d", ErrBadTrace, rec.Kind, i)
+	case rec.Kind == KindMarker && int(rec.Marker) >= len(markerNames):
+		return Record{}, fmt.Errorf("%w: unknown marker %d at record %d", ErrBadTrace, rec.Marker, i)
+	case rec.Kind != KindMarker && rec.Marker != MarkNone:
+		return Record{}, fmt.Errorf("%w: %s record carries marker %d at record %d",
+			ErrBadTrace, rec.Kind, rec.Marker, i)
 	}
 	br.Discard(recordSize) // cannot fail: Peek buffered these bytes
 	return rec, nil

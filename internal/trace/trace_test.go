@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -145,12 +146,14 @@ func TestIORoundTrip(t *testing.T) {
 func TestIORoundTripProperty(t *testing.T) {
 	prop := func(pc, addr, count uint64, aux int32, kindSel, markSel uint8) bool {
 		rec := Record{
-			Kind:   Kind(kindSel % 4),
-			Marker: Marker(markSel % uint8(MarkROIEnd+1)),
-			PC:     pc,
-			Addr:   mem.Addr(addr),
-			Count:  count,
-			Aux:    aux,
+			Kind:  Kind(kindSel % 4),
+			PC:    pc,
+			Addr:  mem.Addr(addr),
+			Count: count,
+			Aux:   aux,
+		}
+		if rec.Kind == KindMarker { // only marker records carry a marker
+			rec.Marker = Marker(markSel % uint8(MarkROIEnd+1))
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, []Record{rec}); err != nil {
@@ -171,6 +174,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 		[]byte("XXXX\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"),     // bad magic
 		[]byte("RNRT\x99\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"),     // bad version
 		[]byte("RNRT\x01\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x01"), // truncated records
+		[]byte("RNRT\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00"),     // count 2^33: implausible
 	}
 	for i, c := range cases {
 		if _, err := Read(bytes.NewReader(c)); !errors.Is(err, ErrBadTrace) {
@@ -196,6 +200,140 @@ func TestReadHugeCountBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestReadTruncationDetail pins the truncation error contract: a
+// truncated stream fails with a *TruncatedError that matches both
+// ErrBadTrace and io.ErrUnexpectedEOF under errors.Is and carries the
+// byte offset and record index of the failing read.
+func TestReadTruncationDetail(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, []Record{Exec(1), Load(1, 64, 8, -1), Exec(2)}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name       string
+		truncateAt int
+		wantRecord uint64
+		wantOffset int64
+	}{
+		// Mid-record: the second record is chopped in half.
+		{"mid-record", 16 + 32 + 10, 1, 16 + 32},
+		// Exact boundary: the stream ends cleanly after two records, but
+		// the header promised three — a bare EOF must still surface as
+		// io.ErrUnexpectedEOF, not a silent short stream.
+		{"record-boundary", 16 + 32*2, 2, 16 + 32*2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs, err := Read(bytes.NewReader(buf.Bytes()[:tc.truncateAt]))
+			if err == nil {
+				t.Fatalf("truncated stream decoded to %d records without error", len(recs))
+			}
+			if !errors.Is(err, ErrBadTrace) {
+				t.Errorf("errors.Is(err, ErrBadTrace) = false for %v", err)
+			}
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("errors.Is(err, io.ErrUnexpectedEOF) = false for %v", err)
+			}
+			var te *TruncatedError
+			if !errors.As(err, &te) {
+				t.Fatalf("errors.As(*TruncatedError) = false for %v", err)
+			}
+			if te.Record != tc.wantRecord || te.Offset != tc.wantOffset {
+				t.Errorf("TruncatedError = record %d offset %d, want record %d offset %d",
+					te.Record, te.Offset, tc.wantRecord, tc.wantOffset)
+			}
+		})
+	}
+}
+
+// TestReadTruncated: a stream cut inside a record fails with the
+// record's index and byte offset.
+func TestReadTruncated(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, []Record{Exec(1), Exec(2)}); err != nil {
+		t.Fatal(err)
+	}
+	cut := buf.Bytes()[:16+32+4] // header + record 0 + 4 bytes of record 1
+	_, err := Read(bytes.NewReader(cut))
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("Read error %v does not match ErrUnexpectedEOF+ErrBadTrace", err)
+	}
+	var te *TruncatedError
+	if !errors.As(err, &te) {
+		t.Fatalf("errors.As(*TruncatedError) = false for %v", err)
+	}
+	if te.Record != 1 || te.Offset != 16+32 {
+		t.Errorf("TruncatedError = record %d offset %d, want record 1 offset 48", te.Record, te.Offset)
+	}
+}
+
+// TestReadTruncatedHeader covers a stream shorter than the header.
+func TestReadTruncatedHeader(t *testing.T) {
+	_, err := Read(bytes.NewReader([]byte("RNRT\x01\x00")))
+	if !errors.Is(err, ErrBadTrace) {
+		t.Errorf("errors.Is(err, ErrBadTrace) = false for %v", err)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("errors.Is(err, io.ErrUnexpectedEOF) = false for %v", err)
+	}
+}
+
+// TestReadRejectsUnknownKind: a kind byte past KindMarker is a corrupt
+// record, not a record to coerce.
+func TestReadRejectsUnknownKind(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, []Record{Exec(1), Exec(2)}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	raw[headerSize+recordSize] = byte(KindMarker) + 1 // record 1's kind
+	if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("Read = %v, want ErrBadTrace", err)
+	}
+}
+
+// badMarkerTraces are traces Write accepts but the format forbids: a
+// marker record naming no marker, and a non-marker record carrying a
+// marker byte.
+func badMarkerTraces(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, rec := range []Record{
+		Mark(Marker(len(markerNames)), 0, 0, 0),
+		Mark(0xEE, 0x1000, 1, 0),
+		{Kind: KindLoad, Marker: 0xEE, PC: 1, Addr: 64, Count: 8, Aux: -1},
+		{Kind: KindExec, Marker: MarkReplay, Count: 3},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, []Record{Exec(1), rec}); err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// TestReadRejectsBadMarkerByte: the marker byte is validated like the
+// kind byte, so a record never decodes into a marker no producer emits
+// or a load that hides a marker.
+func TestReadRejectsBadMarkerByte(t *testing.T) {
+	for i, raw := range badMarkerTraces(t) {
+		recs, err := Read(bytes.NewReader(raw))
+		if !errors.Is(err, ErrBadTrace) {
+			t.Errorf("case %d: Read = %v, %v; want ErrBadTrace", i, recs, err)
+		}
+	}
+	// The last marker and a marker record naming none still decode.
+	var buf bytes.Buffer
+	ok := []Record{Mark(MarkROIEnd, 0, 0, 0), Mark(MarkNone, 0, 0, 0)}
+	if err := Write(&buf, ok); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Read(&buf); err != nil || !slices.Equal(got, ok) {
+		t.Errorf("Read = %v, %v; want %v", got, err, ok)
+	}
+}
+
 // FuzzReadTrace: Read never panics, every error it returns is an
 // ErrBadTrace, and whatever it accepts re-encodes and decodes to the
 // same records.
@@ -209,6 +347,9 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte("RNRT\x01\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00"))
 	f.Add([]byte("RNRT\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte("short"))
+	for _, raw := range badMarkerTraces(f) {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := Read(bytes.NewReader(data))
 		if err != nil {
