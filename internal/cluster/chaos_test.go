@@ -29,6 +29,10 @@ func TestRetryWithExclusionChaos(t *testing.T) {
 	baseline := baselineStateHash(t, spec)
 	wantHash := baseline[serve.RunJobID(spec)]
 
+	// The timeout ends the victim's hung attempt and also bounds the
+	// survivor's whole run, a test-scale simulation that takes ~3 s
+	// under -race on a loaded 2-CPU machine.
+	const dispatchTimeout = 4 * time.Second
 	cases := []struct {
 		kind  string
 		delay time.Duration
@@ -39,13 +43,13 @@ func TestRetryWithExclusionChaos(t *testing.T) {
 		{chaos.Hang, 0},
 		// Slow beyond the dispatch timeout is indistinguishable from a
 		// hang to the coordinator but exercises the delay path.
-		{chaos.Slow, 5 * time.Second},
+		{chaos.Slow, 2 * dispatchTimeout},
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind, func(t *testing.T) {
 			w1, w2 := newTestWorker(t, "w1"), newTestWorker(t, "w2")
 			c := newTestCoordinator(t, Config{
-				DispatchTimeout: 2 * time.Second,
+				DispatchTimeout: dispatchTimeout,
 			}, w1, w2)
 
 			owner, _, ok := c.pickWorker(serve.RunJobID(spec), nil)
@@ -233,9 +237,13 @@ func TestSweepChaosDifferential(t *testing.T) {
 	baseline := baselineStateHash(t, specs...)
 
 	w1, w2 := newTestWorker(t, "w1"), newTestWorker(t, "w2")
+	// After the kill, w2 holds all sweepParallelism dispatches on its
+	// GOMAXPROCS job slots, so a cell's dispatch also waits behind the
+	// cells ahead of it in w2's queue; the timeout must cover that wait
+	// on a loaded (-race) test machine.
 	c := newTestCoordinator(t, Config{
 		HeartbeatInterval: 15 * time.Millisecond,
-		DispatchTimeout:   5 * time.Second,
+		DispatchTimeout:   30 * time.Second,
 	}, w1, w2)
 	ts := httptest.NewServer(NewServer(c))
 	defer ts.Close()

@@ -206,7 +206,7 @@ func TestMISBMetadataCacheCap(t *testing.T) {
 	}
 	c := &collector{}
 	// Lines 0x4000 apart map to distinct metadata lines (8 mappings per
-	// metadata line); misses are hits=false so every access trains.
+	// metadata line); every access is a miss, so each one trains.
 	line := func(i int) mem.Addr { return mem.Addr(0x100000 + i*0x4000) }
 	for i := 0; i < 2*misbMetaCacheLines; i++ {
 		p.OnAccess(access(1, line(i), false), c.issue)
