@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -140,7 +141,7 @@ func diff(old, cur Artifact, threshold float64) Diff {
 			if higherIsBetter(u) {
 				worse = delta.Change < 0
 			}
-			if ov != 0 && worse && abs(delta.Change) > threshold {
+			if ov != 0 && worse && math.Abs(delta.Change) > threshold {
 				delta.Regression = true
 				d.Regressions = append(d.Regressions, delta)
 			}
@@ -153,13 +154,6 @@ func diff(old, cur Artifact, threshold float64) Diff {
 		}
 	}
 	return d
-}
-
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }
 
 func (d Diff) write(w io.Writer, oldLabel, newLabel string) {

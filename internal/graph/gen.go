@@ -136,10 +136,3 @@ func (g *Graph) SortAdjacency() {
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

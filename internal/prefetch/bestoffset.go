@@ -21,9 +21,7 @@ type BestOffset struct {
 	tested  int
 	candIdx int
 
-	recent     map[mem.Addr]struct{} // lines recently requested (base of X-D test)
-	recentFIFO []mem.Addr
-	recentPos  int
+	recent fifoTable[mem.Addr, struct{}] // lines recently requested (base of X-D test)
 }
 
 // NewBestOffset returns a best-offset prefetcher with the original
@@ -36,7 +34,7 @@ func NewBestOffset() *BestOffset {
 	p.offsets = append(p.offsets, 10, 12, 16, -1, -2)
 	p.scores = make([]int, len(p.offsets))
 	p.current = 1
-	p.recent = make(map[mem.Addr]struct{})
+	p.recent = newFIFOTable[mem.Addr, struct{}](boRecentCap)
 	return p
 }
 
@@ -60,7 +58,7 @@ func (p *BestOffset) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	// requested? If so, D would have been timely for this miss.
 	d := p.offsets[p.candIdx]
 	if line-d >= 0 {
-		if _, ok := p.recent[mem.Addr(line-d)<<mem.LineShift]; ok {
+		if p.recent.has(mem.Addr(line-d) << mem.LineShift) {
 			p.scores[p.candIdx]++
 			if p.scores[p.candIdx] >= boScoreMax {
 				p.elect(p.candIdx)
@@ -73,7 +71,7 @@ func (p *BestOffset) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 		p.electBest()
 	}
 
-	p.remember(ev.Line)
+	p.recent.put(ev.Line, struct{}{})
 
 	if p.current != 0 {
 		target := line + p.current
@@ -109,18 +107,4 @@ func (p *BestOffset) resetRound() {
 	}
 	p.tested = 0
 	p.rounds++
-}
-
-func (p *BestOffset) remember(line mem.Addr) {
-	if _, ok := p.recent[line]; ok {
-		return
-	}
-	if len(p.recentFIFO) < boRecentCap {
-		p.recentFIFO = append(p.recentFIFO, line)
-	} else {
-		delete(p.recent, p.recentFIFO[p.recentPos])
-		p.recentFIFO[p.recentPos] = line
-		p.recentPos = (p.recentPos + 1) % boRecentCap
-	}
-	p.recent[line] = struct{}{}
 }

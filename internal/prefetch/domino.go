@@ -12,13 +12,9 @@ import (
 // both 12 and 20) gives for single-address GHB lookup. A one-address
 // fallback covers cold pairs.
 type Domino struct {
-	buf   []mem.Addr
-	pos   int
-	count int
-	// pairIdx maps (prev, cur) to the position after cur; oneIdx maps a
-	// single address to its most recent position.
+	hist missRing
+	// pairIdx maps (prev, cur) to the slot after cur's record.
 	pairIdx map[[2]mem.Addr]int
-	oneIdx  map[mem.Addr]int
 	prev    mem.Addr
 	hasPrev bool
 }
@@ -31,9 +27,8 @@ const (
 // NewDomino returns a Domino prefetcher with a typical configuration.
 func NewDomino() *Domino {
 	return &Domino{
-		buf:     make([]mem.Addr, dominoSize),
+		hist:    newMissRing(dominoSize, 0),
 		pairIdx: make(map[[2]mem.Addr]int),
-		oneIdx:  make(map[mem.Addr]int),
 	}
 }
 
@@ -47,60 +42,21 @@ func (p *Domino) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	var at int
 	var found bool
 	if p.hasPrev {
-		at, found = p.lookupPair(p.prev, ev.Line)
+		at, found = p.pairIdx[[2]mem.Addr{p.prev, ev.Line}]
 	}
 	if !found {
-		at, found = p.lookupOne(ev.Line)
+		at, found = p.hist.after(ev.Line)
 	}
 	if found {
-		for i := 1; i <= dominoDegree; i++ {
-			idx := (at + i - 1) % dominoSize
-			if !p.valid(idx) || idx == p.pos {
-				break
-			}
-			issue(p.buf[idx])
-		}
+		p.hist.successors(at, dominoDegree, issue)
 	}
 
-	p.record(ev.Line)
-}
-
-func (p *Domino) lookupPair(a, b mem.Addr) (int, bool) {
-	at, ok := p.pairIdx[[2]mem.Addr{a, b}]
-	return at, ok
-}
-
-func (p *Domino) lookupOne(a mem.Addr) (int, bool) {
-	at, ok := p.oneIdx[a]
-	if !ok {
-		return 0, false
-	}
-	return (at + 1) % dominoSize, true
-}
-
-func (p *Domino) record(line mem.Addr) {
-	if p.count == dominoSize {
-		old := p.buf[p.pos]
-		delete(p.oneIdx, old)
-		// Pair entries referencing overwritten slots age out naturally
-		// via the valid() guard; a full GC pass would be hardware-free.
-	}
-	p.buf[p.pos] = line
-	p.oneIdx[line] = p.pos
+	p.hist.record(ev.Line)
 	if p.hasPrev {
-		p.pairIdx[[2]mem.Addr{p.prev, line}] = (p.pos + 1) % dominoSize
+		// Pair entries pointing at overwritten slots are never deleted;
+		// they alias as the finite hardware table would.
+		p.pairIdx[[2]mem.Addr{p.prev, ev.Line}] = p.hist.pos
 	}
-	p.pos = (p.pos + 1) % dominoSize
-	if p.count < dominoSize {
-		p.count++
-	}
-	p.prev = line
+	p.prev = ev.Line
 	p.hasPrev = true
-}
-
-func (p *Domino) valid(at int) bool {
-	if p.count == dominoSize {
-		return true
-	}
-	return at < p.pos
 }

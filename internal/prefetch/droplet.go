@@ -28,21 +28,20 @@ type Droplet struct {
 	// Resolve maps an edge line to the vertex lines it references.
 	Resolve IndirectResolver
 
-	resolved     map[mem.Addr]struct{} // edge lines already decoded
-	resFIFO      []mem.Addr
-	resPos       int
-	pendingFills []mem.Addr // edge lines filled this cycle, decoded in OnCycle
+	resolved     fifoTable[mem.Addr, struct{}] // edge lines already decoded
+	pendingFills []mem.Addr                    // edge lines filled this cycle, decoded in OnCycle
 }
 
 const (
-	dropletStreamAhead = 4  // edge lines streamed ahead of demand
-	dropletMaxIndirect = 32 // vertex prefetches per decoded edge line
+	dropletStreamAhead = 4       // edge lines streamed ahead of demand
+	dropletMaxIndirect = 32      // vertex prefetches per decoded edge line
+	dropletResolvedCap = 1 << 14 // decoded edge lines remembered
 )
 
 // NewDroplet returns a DROPLET-like prefetcher; the caller must set
 // EdgeRegion and Resolve before use.
 func NewDroplet() *Droplet {
-	return &Droplet{resolved: make(map[mem.Addr]struct{})}
+	return &Droplet{resolved: newFIFOTable[mem.Addr, struct{}](dropletResolvedCap)}
 }
 
 // OnAccess implements Prefetcher: stream the edge array ahead of demand.
@@ -93,10 +92,10 @@ func (p *Droplet) decode(edgeLine mem.Addr, issue IssueFunc) {
 	if p.Resolve == nil {
 		return
 	}
-	if _, ok := p.resolved[edgeLine]; ok {
+	if p.resolved.has(edgeLine) {
 		return
 	}
-	p.remember(edgeLine)
+	p.resolved.put(edgeLine, struct{}{})
 	targets := p.Resolve(edgeLine)
 	n := 0
 	for _, t := range targets {
@@ -106,17 +105,4 @@ func (p *Droplet) decode(edgeLine mem.Addr, issue IssueFunc) {
 		issue(t)
 		n++
 	}
-}
-
-const dropletResolvedCap = 1 << 14
-
-func (p *Droplet) remember(edgeLine mem.Addr) {
-	if len(p.resFIFO) < dropletResolvedCap {
-		p.resFIFO = append(p.resFIFO, edgeLine)
-	} else {
-		delete(p.resolved, p.resFIFO[p.resPos])
-		p.resFIFO[p.resPos] = edgeLine
-		p.resPos = (p.resPos + 1) % dropletResolvedCap
-	}
-	p.resolved[edgeLine] = struct{}{}
 }

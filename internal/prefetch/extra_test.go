@@ -88,7 +88,7 @@ func TestDominoNoTrainOnHits(t *testing.T) {
 	c := &collector{}
 	p.OnAccess(access(1, 0x1000, true), c.issue)
 	p.OnAccess(access(1, 0x2000, true), c.issue)
-	if len(c.lines) != 0 || p.count != 0 {
+	if len(c.lines) != 0 || p.hist.count != 0 {
 		t.Error("Domino trained on hits")
 	}
 }

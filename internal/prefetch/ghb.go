@@ -1,9 +1,6 @@
 package prefetch
 
-import (
-	"rnrsim/internal/cache"
-	"rnrsim/internal/mem"
-)
+import "rnrsim/internal/cache"
 
 // GHB is a Global History Buffer temporal prefetcher in the G/AC
 // (global, address-correlating) organisation of Nesbit & Smith [38]: a
@@ -16,10 +13,7 @@ import (
 // address is followed by different successors in interleaved streams, the
 // GHB picks the most recent one and mispredicts.
 type GHB struct {
-	buf   []mem.Addr // circular global history of miss lines
-	pos   int        // next write position
-	count int
-	index map[mem.Addr]int // line -> last buffer position
+	hist missRing
 }
 
 const (
@@ -29,10 +23,7 @@ const (
 
 // NewGHB returns a GHB prefetcher with a typical configuration.
 func NewGHB() *GHB {
-	return &GHB{
-		buf:   make([]mem.Addr, ghbSize),
-		index: make(map[mem.Addr]int, ghbSize),
-	}
+	return &GHB{hist: newMissRing(ghbSize, ghbSize)}
 }
 
 // OnAccess implements Prefetcher. Training and triggering happen on demand
@@ -41,43 +32,10 @@ func (p *GHB) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
 	if ev.Hit {
 		return
 	}
-	prev, seen := p.index[ev.Line]
-
-	// Record this miss in the global history.
-	p.record(ev.Line)
-
-	if !seen || !p.valid(prev) {
-		return
+	next, seen := p.hist.after(ev.Line)
+	p.hist.record(ev.Line)
+	if seen {
+		// Prefetch the addresses that followed the previous occurrence.
+		p.hist.successors(next, ghbDegree, issue)
 	}
-	// Prefetch the addresses that followed the previous occurrence.
-	for i := 1; i <= ghbDegree; i++ {
-		at := (prev + i) % ghbSize
-		if !p.valid(at) || at == p.pos {
-			break
-		}
-		issue(p.buf[at])
-	}
-}
-
-func (p *GHB) record(line mem.Addr) {
-	if p.count == ghbSize {
-		// The slot being overwritten may still be indexed; leave the stale
-		// index entry — valid() guards against wrapped positions loosely,
-		// and address-correlation tolerates occasional aliasing just as
-		// the finite hardware table does.
-		delete(p.index, p.buf[p.pos])
-	}
-	p.buf[p.pos] = line
-	p.index[line] = p.pos
-	p.pos = (p.pos + 1) % ghbSize
-	if p.count < ghbSize {
-		p.count++
-	}
-}
-
-func (p *GHB) valid(at int) bool {
-	if p.count == ghbSize {
-		return true
-	}
-	return at < p.pos
 }

@@ -28,10 +28,8 @@ type MISB struct {
 	lastByPC  map[uint64]mem.Addr // training state: last miss line per PC
 	nextAlloc uint64              // next structural region to allocate
 
-	metaCache map[mem.Addr]struct{} // resident metadata lines
-	metaFIFO  []mem.Addr            // eviction order (FIFO approximates LRU)
-	metaPos   int
-	metaBase  mem.Addr // synthetic address of the off-chip metadata store
+	metaCache fifoTable[mem.Addr, struct{}] // resident metadata lines (FIFO approximates LRU)
+	metaBase  mem.Addr                      // synthetic address of the off-chip metadata store
 }
 
 const (
@@ -49,7 +47,7 @@ func NewMISB() *MISB {
 		ps:        make(map[mem.Addr]uint64),
 		sp:        make(map[uint64]mem.Addr),
 		lastByPC:  make(map[uint64]mem.Addr),
-		metaCache: make(map[mem.Addr]struct{}),
+		metaCache: newFIFOTable[mem.Addr, struct{}](misbMetaCacheLines),
 		metaBase:  0x7f00_0000_0000,
 	}
 }
@@ -135,7 +133,7 @@ func (p *MISB) lookupSP(s uint64) (mem.Addr, bool) {
 // off-chip write.
 func (p *MISB) touchMeta(key mem.Addr, dirty bool) {
 	metaLine := p.metaBase + mem.LineAddr(key>>3)
-	if _, ok := p.metaCache[metaLine]; ok {
+	if p.metaCache.has(metaLine) {
 		return
 	}
 	if p.Meta != nil {
@@ -144,12 +142,5 @@ func (p *MISB) touchMeta(key mem.Addr, dirty bool) {
 			p.Meta(true, metaLine) // new mapping written back eventually
 		}
 	}
-	if len(p.metaFIFO) < misbMetaCacheLines {
-		p.metaFIFO = append(p.metaFIFO, metaLine)
-	} else {
-		delete(p.metaCache, p.metaFIFO[p.metaPos])
-		p.metaFIFO[p.metaPos] = metaLine
-		p.metaPos = (p.metaPos + 1) % misbMetaCacheLines
-	}
-	p.metaCache[metaLine] = struct{}{}
+	p.metaCache.put(metaLine, struct{}{})
 }

@@ -211,9 +211,8 @@ func TestMISBMetadataCacheCap(t *testing.T) {
 	for i := 0; i < 2*misbMetaCacheLines; i++ {
 		p.OnAccess(access(1, line(i), false), c.issue)
 	}
-	if len(p.metaCache) != misbMetaCacheLines || len(p.metaFIFO) != misbMetaCacheLines {
-		t.Fatalf("metadata cache holds %d lines (%d in FIFO), want the cap %d",
-			len(p.metaCache), len(p.metaFIFO), misbMetaCacheLines)
+	if n := len(p.metaCache.m); n != misbMetaCacheLines {
+		t.Fatalf("metadata cache holds %d lines, want the cap %d", n, misbMetaCacheLines)
 	}
 	before := reads
 	p.OnAccess(access(1, line(0), false), c.issue)
@@ -233,7 +232,7 @@ func TestBingoFootprintReplay(t *testing.T) {
 	for _, o := range offs {
 		p.OnAccess(access(7, base+mem.Addr(o*mem.LineSize), false), c.issue)
 	}
-	p.retire(base, p.active[base])
+	p.gens.retire(base, p)
 	c.lines = nil
 	p.OnAccess(access(7, base, false), c.issue)
 	if !c.has(base+3*mem.LineSize) || !c.has(base+5*mem.LineSize) {
@@ -253,7 +252,7 @@ func TestBingoShortEventFallback(t *testing.T) {
 	for _, o := range []int{1, 4, 6} {
 		p.OnAccess(access(9, r1+mem.Addr(o*mem.LineSize), false), c.issue)
 	}
-	p.retire(r1, p.active[r1])
+	p.gens.retire(r1, p)
 	c.lines = nil
 	p.OnAccess(access(9, r2+mem.Addr(1*mem.LineSize), false), c.issue)
 	if !c.has(r2+4*mem.LineSize) || !c.has(r2+6*mem.LineSize) {
@@ -272,9 +271,7 @@ func TestSteMSReplaysRegionOrder(t *testing.T) {
 		}
 	}
 	for _, r := range regions {
-		if g, ok := p.active[r]; ok {
-			p.retire(r, g)
-		}
+		p.gens.retire(r, p)
 	}
 	c.lines = nil
 	// Second pass trigger on A: B and C footprints should stream in.

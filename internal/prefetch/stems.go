@@ -15,12 +15,10 @@ import (
 // and the temporal stream is keyed on trigger events seen during the whole
 // run, so distinct-but-similar long irregular sequences alias.
 type SteMS struct {
-	active    map[mem.Addr]*bingoGen
-	footHist  map[uint64]uint64 // trigger key -> footprint
-	footFIFO  []uint64
-	footPos   int
-	stream    []uint64         // temporal order of trigger keys
-	streamIdx map[uint64][]int // trigger key -> positions in stream
+	gens      regionTracker
+	footHist  fifoTable[uint64, uint64] // trigger key -> footprint
+	stream    []uint64                  // temporal order of trigger keys
+	streamIdx map[uint64][]int          // trigger key -> positions in stream
 	keyRegion map[uint64]mem.Addr
 }
 
@@ -32,43 +30,24 @@ const (
 // NewSteMS returns a SteMS prefetcher with SMS-style 2 KB regions.
 func NewSteMS() *SteMS {
 	return &SteMS{
-		active:    make(map[mem.Addr]*bingoGen),
-		footHist:  make(map[uint64]uint64),
+		gens:      newRegionTracker(),
+		footHist:  newFIFOTable[uint64, uint64](stemsHistEntries),
 		streamIdx: make(map[uint64][]int),
 		keyRegion: make(map[uint64]mem.Addr),
 	}
 }
 
-func (p *SteMS) key(pc uint64, region mem.Addr) uint64 {
-	return pc*0x9e3779b97f4a7c15 ^ uint64(region)
-}
-
 // OnAccess implements Prefetcher.
 func (p *SteMS) OnAccess(ev cache.AccessInfo, issue IssueFunc) {
-	region := ev.Line &^ (regionBytes - 1)
-	off := uint(uint64(ev.Line-region) >> mem.LineShift)
+	p.gens.access(ev, issue, p)
+}
 
-	gen, ok := p.active[region]
-	if !ok {
-		gen = &bingoGen{trigPC: ev.PC, trigOff: off}
-		p.active[region] = gen
-		k := p.key(ev.PC, region)
-		p.appendStream(k, region)
-		p.replay(k, issue)
-		if len(p.active) > 256 {
-			for base, g := range p.active {
-				if base != region {
-					p.retire(base, g)
-					break
-				}
-			}
-		}
-	}
-	gen.footprint |= 1 << off
-	gen.touches++
-	if gen.touches >= regionLines*2 {
-		p.retire(region, gen)
-	}
+// trigger appends the new generation's trigger to the temporal stream and
+// replays the regions that followed its previous occurrence.
+func (p *SteMS) trigger(pc uint64, region mem.Addr, _ uint, issue IssueFunc) {
+	k := regionKey(pc, region)
+	p.appendStream(k, region)
+	p.replay(k, issue)
 }
 
 func (p *SteMS) appendStream(k uint64, region mem.Addr) {
@@ -106,7 +85,7 @@ func (p *SteMS) replay(k uint64, issue IssueFunc) {
 		if !ok {
 			continue
 		}
-		fp, ok := p.footHist[nk]
+		fp, ok := p.footHist.get(nk)
 		if !ok {
 			continue
 		}
@@ -118,20 +97,6 @@ func (p *SteMS) replay(k uint64, issue IssueFunc) {
 	}
 }
 
-func (p *SteMS) retire(region mem.Addr, gen *bingoGen) {
-	delete(p.active, region)
-	if gen.footprint == 0 {
-		return
-	}
-	k := p.key(gen.trigPC, region)
-	if _, ok := p.footHist[k]; !ok {
-		if len(p.footFIFO) < stemsHistEntries {
-			p.footFIFO = append(p.footFIFO, k)
-		} else {
-			delete(p.footHist, p.footFIFO[p.footPos])
-			p.footFIFO[p.footPos] = k
-			p.footPos = (p.footPos + 1) % stemsHistEntries
-		}
-	}
-	p.footHist[k] = gen.footprint
+func (p *SteMS) store(region mem.Addr, g *regionGen) {
+	p.footHist.put(regionKey(g.trigPC, region), g.footprint)
 }

@@ -93,10 +93,3 @@ func TestExportEnvelopeGolden(t *testing.T) {
 		t.Errorf("export does not start with the envelope:\n%s", got[:min(len(got), 120)])
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

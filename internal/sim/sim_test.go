@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"rnrsim/internal/apps"
 	"rnrsim/internal/graph"
+	"rnrsim/internal/mem"
 	"rnrsim/internal/rnr"
 	"rnrsim/internal/sparse"
+	"rnrsim/internal/trace"
 )
 
 // testConfig is the miniature machine paired with tiny test inputs.
@@ -223,5 +226,58 @@ func TestDeterminism(t *testing.T) {
 	if a.Cycles != b.Cycles || a.L2.DemandMisses != b.L2.DemandMisses ||
 		a.RnR.Prefetches != b.RnR.Prefetches {
 		t.Errorf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+// liveRegionsApp is a 1-core trace that sweeps 600 distinct 2 KB
+// regions four times, three consecutive lines per visit, so far more
+// than the spatial prefetchers' 256 regions are live at once and their
+// bound retires a generation on nearly every trigger.
+func liveRegionsApp() *apps.App {
+	const regions = 600
+	data := mem.NewAllocator(0x1_0000).AllocPage("regions.data", regions*2048)
+	b := trace.NewBuilder(0)
+	b.IterBegin(0)
+	for pass := 0; pass < 4; pass++ {
+		for i := 0; i < regions; i++ {
+			r := (i*7 + pass*13) % regions
+			for k := 0; k < 3; k++ {
+				off := (r + pass + k) % 32
+				b.Exec(1)
+				b.Load(0x400+uint64(r%16)*4, data.Base+mem.Addr(r*2048+off*64), 8, int32(data.ID))
+			}
+		}
+	}
+	b.IterEnd(0)
+	return &apps.App{
+		Name: "regions", Input: "direct", Cores: 1,
+		Traces:     [][]trace.Record{b.Records()},
+		Iterations: 1,
+		InputBytes: data.Size,
+	}
+}
+
+// TestSpatialPrefetchersReproducible runs Bingo and SteMS past their
+// live-region bound twice on the event-driven engine and once stepped:
+// all three Results must be DeepEqual. The generation the bound retires
+// must follow from the access stream alone, never from Go's map order.
+func TestSpatialPrefetchersReproducible(t *testing.T) {
+	app := liveRegionsApp()
+	for _, pf := range []PrefetcherKind{PFBingo, PFSteMS} {
+		cfg := testConfig().WithPrefetcher(pf)
+		cfg.Cores = 1
+		a := runOne(t, cfg, app)
+		b := runOne(t, cfg, app)
+		cfg.ForceCycleStepped = true
+		s := runOne(t, cfg, app)
+		if a.L2.PrefetchIssued == 0 {
+			t.Errorf("%s issued no prefetches: the trace does not exercise history", pf)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two runs differ: %d vs %d cycles, hash %016x vs %016x", pf, a.Cycles, b.Cycles, a.StateHash, b.StateHash)
+		}
+		if !reflect.DeepEqual(a, s) {
+			t.Errorf("%s: event and stepped runs differ: %d vs %d cycles, hash %016x vs %016x", pf, a.Cycles, s.Cycles, a.StateHash, s.StateHash)
+		}
 	}
 }
