@@ -1,8 +1,9 @@
 // Command tracegen builds a workload and writes its per-core memory
 // traces (including the RnR software-interface markers) in the binary
 // trace format, one file per core, or prints the first records with
-// -dump. The simulator builds its traces in memory and reads no trace
-// files.
+// -dump. Both write the expanded record stream, every iteration's
+// kernel body in full, as the simulator reads it. The simulator builds
+// its traces in memory and reads no trace files.
 //
 // Usage:
 //
@@ -42,8 +43,10 @@ func main() {
 		float64(app.InputBytes)/(1<<20))
 
 	if *dump {
-		for i, rec := range app.Traces[0] {
-			if i >= *n {
+		src := app.Traces[0].Source()
+		for i := 0; i < *n; i++ {
+			rec, ok := src.Next()
+			if !ok {
 				break
 			}
 			fmt.Println(rec)
@@ -53,7 +56,8 @@ func main() {
 	if *out == "" {
 		fatal("need -out or -dump")
 	}
-	for c, recs := range app.Traces {
+	for c, t := range app.Traces {
+		recs := t.Records()
 		name := fmt.Sprintf("%s.core%d.rnrt", *out, c)
 		f, err := os.Create(name)
 		if err != nil {

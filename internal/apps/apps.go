@@ -46,8 +46,10 @@ type App struct {
 	Input string // "urand", "amazon", ...
 	Cores int
 
-	// Traces holds one record slice per core (SPMD: same program).
-	Traces [][]trace.Record
+	// Traces holds one trace per core (SPMD: same program). Each
+	// distinct kernel body is stored once, and every iteration that runs
+	// it refers to the same segments (see algorithm1).
+	Traces []trace.Trace
 
 	// InputBytes is the in-memory input footprint, the denominator of the
 	// Fig. 13 storage overhead.
@@ -87,17 +89,17 @@ type App struct {
 // Sources returns fresh trace sources over the app's per-core traces.
 func (a *App) Sources() []*trace.SliceSource {
 	out := make([]*trace.SliceSource, len(a.Traces))
-	for i, recs := range a.Traces {
-		out[i] = trace.NewSliceSource(recs)
+	for i, t := range a.Traces {
+		out[i] = t.Source()
 	}
 	return out
 }
 
-// Records returns the total record count across cores.
+// Records returns the total dynamic record count across cores.
 func (a *App) Records() int {
 	n := 0
 	for _, t := range a.Traces {
-		n += len(t)
+		n += t.Len()
 	}
 	return n
 }
@@ -105,10 +107,8 @@ func (a *App) Records() int {
 // Instructions returns the total dynamic instruction count across cores.
 func (a *App) Instructions() uint64 {
 	var n uint64
-	for _, recs := range a.Traces {
-		for _, r := range recs {
-			n += r.Instructions()
-		}
+	for _, t := range a.Traces {
+		n += t.Instructions()
 	}
 	return n
 }
@@ -139,6 +139,11 @@ func (l *layout) metaTables(cores int, perCore uint64) (seq, div []mem.Region) {
 	return seq, div
 }
 
+// emitter emits Algorithm 1's per-core traces around a workload's kernel;
+// algorithm1 is the one the workloads use.
+type emitter func(cfg Config, seq, div, targets []mem.Region,
+	kernel func(b *trace.Builder, core int, cur, next mem.Region)) []trace.Trace
+
 // algorithm1 emits Algorithm 1's SPMD program, one trace per core. It is
 // the one place the RnR software interface (Table I) is driven; a
 // workload supplies only its metadata tables, its targets and kernel,
@@ -147,26 +152,30 @@ func (l *layout) metaTables(cores int, perCore uint64) (seq, div []mem.Region) {
 // zero Region. With two (PageRank's p_curr/p_next) they ping-pong: after
 // every iteration but the last, slot 0 is re-pointed at the array the
 // next iteration reads (Alg. 1 lines 31-33).
+//
+// The kernel is a pure function of its arguments, so it runs once per
+// distinct (core, cur, next): once per core with one target, twice with
+// two. Every iteration appends its body's segments by reference, and
+// the markers between the bodies are small segments of their own.
 func algorithm1(cfg Config, seq, div, targets []mem.Region,
-	kernel func(b *trace.Builder, core int, cur, next mem.Region)) [][]trace.Record {
-	builders := make([]*trace.Builder, cfg.Cores)
-	for c := range builders {
-		b := trace.NewBuilder(1 << 16)
+	kernel func(b *trace.Builder, core int, cur, next mem.Region)) []trace.Trace {
+	swap := len(targets) == 2
+	traces := make([]trace.Trace, cfg.Cores)
+	for c := range traces {
+		bodies := map[[2]mem.Region]trace.Trace{}
+		// Prologue, markers and epilogue take a few dozen records.
+		b := trace.NewBuilder(64)
 		b.Exec(64) // Init(): allocate and zero
 		b.RnRInit(seq[c], div[c], 0)
 		for slot, t := range targets { // slot 0 = read target, slot 1 = write target
 			b.AddrBaseSet(slot, t.Base, t.Size)
 		}
 		b.ROIBegin()
-		builders[c] = b
-	}
-	swap := len(targets) == 2
-	cur, next := targets[0], mem.Region{}
-	if swap {
-		next = targets[1]
-	}
-	for it := 0; it < cfg.Iterations; it++ {
-		for c, b := range builders {
+		cur, next := targets[0], mem.Region{}
+		if swap {
+			next = targets[1]
+		}
+		for it := 0; it < cfg.Iterations; it++ {
 			b.IterBegin(it)
 			switch it {
 			case 0: // warm-up iteration, RnR disabled
@@ -176,24 +185,27 @@ func algorithm1(cfg Config, seq, div, targets []mem.Region,
 			default: // replay iterations
 				b.Replay()
 			}
-			kernel(b, c, cur, next)
+			key := [2]mem.Region{cur, next}
+			body, ok := bodies[key]
+			if !ok {
+				kb := trace.NewBuilder(1 << 16)
+				kernel(kb, c, cur, next)
+				body = kb.Trace()
+				bodies[key] = body
+			}
+			b.Append(body)
 			b.IterEnd(it)
 			if swap && it < cfg.Iterations-1 {
 				b.AddrBaseSet(0, next.Base, next.Size)
 				b.AddrBaseSet(1, cur.Base, cur.Size)
 				b.AddrBaseEnable(0)
+				cur, next = next, cur
 			}
 		}
-		if swap {
-			cur, next = next, cur
-		}
-	}
-	traces := make([][]trace.Record, cfg.Cores)
-	for c, b := range builders {
 		b.PrefetchEnd() // line 35
 		b.RnREnd()      // line 36
 		b.ROIEnd()
-		traces[c] = b.Records()
+		traces[c] = b.Trace()
 	}
 	return traces
 }

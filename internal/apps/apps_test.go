@@ -109,7 +109,8 @@ func TestPageRankTraceStructure(t *testing.T) {
 	if len(app.Traces) != 2 {
 		t.Fatalf("%d traces for 2 cores", len(app.Traces))
 	}
-	for c, recs := range app.Traces {
+	for c, tr := range app.Traces {
+		recs := tr.Records()
 		ms := markerSummary(recs)
 		// Must contain, in order: init, record start, replay x2, end.
 		idx := func(m trace.Marker) int {
@@ -159,7 +160,7 @@ func TestPageRankIrregularLoadsCoverTarget(t *testing.T) {
 	pcurr := app.Targets[0]
 	pnext := app.Targets[1]
 	inTarget := 0
-	for _, r := range app.Traces[0] {
+	for _, r := range app.Traces[0].Records() {
 		if r.Kind == trace.KindLoad && (pcurr.Contains(r.Addr) || pnext.Contains(r.Addr)) {
 			inTarget++
 		}
@@ -178,7 +179,7 @@ func TestPageRankBaseSwapMarkers(t *testing.T) {
 	// Collect slot-0 base sets in order; they must alternate between the
 	// two buffers starting with pcurr.
 	var bases []mem.Addr
-	for _, r := range app.Traces[0] {
+	for _, r := range app.Traces[0].Records() {
 		if r.Kind == trace.KindMarker && r.Marker == trace.MarkAddrBaseSet && r.Aux == 0 {
 			bases = append(bases, r.Addr)
 		}
@@ -232,7 +233,8 @@ func TestHyperANFTraceAndEstimate(t *testing.T) {
 	if app.Check < float64(g.N) {
 		t.Errorf("neighbourhood estimate %f < N=%d", app.Check, g.N)
 	}
-	for c, recs := range app.Traces {
+	for c, tr := range app.Traces {
+		recs := tr.Records()
 		if countKind(recs, trace.KindLoad) == 0 {
 			t.Errorf("core %d: empty trace", c)
 		}
@@ -248,7 +250,8 @@ func TestSpCGTraceAndConvergence(t *testing.T) {
 	// The irregular gather must appear once per nonzero per iteration.
 	pv := app.Targets[0]
 	gathers := 0
-	for _, recs := range app.Traces {
+	for _, tr := range app.Traces {
+		recs := tr.Records()
 		for _, r := range recs {
 			if r.Kind == trace.KindLoad && pv.Contains(r.Addr) && r.PC == pcSpCG+0x0c {
 				gathers++
@@ -265,7 +268,7 @@ func TestSpCGNoBaseSwap(t *testing.T) {
 	m := sparse.Stencil3D(6, 6, 6)
 	app := SpCG(m, "atmosmodj", Config{Cores: 1, Iterations: 4})
 	sets := 0
-	for _, r := range app.Traces[0] {
+	for _, r := range app.Traces[0].Records() {
 		if r.Kind == trace.KindMarker && r.Marker == trace.MarkAddrBaseSet {
 			sets++
 		}

@@ -25,9 +25,10 @@ func workloadDigest(app *App) uint64 {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	for _, recs := range app.Traces {
-		put(h, uint64(len(recs)))
-		for _, r := range recs {
+	for _, t := range app.Traces {
+		put(h, uint64(t.Len()))
+		src := t.Source()
+		for r, ok := src.Next(); ok; r, ok = src.Next() {
 			put(h, uint64(r.Kind)|uint64(r.Marker)<<8|uint64(uint32(r.Aux))<<32)
 			put(h, r.PC)
 			put(h, uint64(r.Addr))
@@ -107,7 +108,8 @@ func TestTracesRoundTripFileFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for c, recs := range app.Traces {
+			for c, tr := range app.Traces {
+				recs := tr.Records()
 				var buf bytes.Buffer
 				if err := trace.Write(&buf, recs); err != nil {
 					t.Fatal(err)

@@ -13,6 +13,11 @@ import (
 // destination sketch hll_next[v]. The sketch arrays are the irregular RnR
 // targets; the edge list is the stream DROPLET is configured with.
 func HyperANF(g *graph.Graph, input string, cfg Config) *App {
+	return hyperANF(g, input, cfg, algorithm1)
+}
+
+// hyperANF is HyperANF with the trace emitter as a parameter.
+func hyperANF(g *graph.Graph, input string, cfg Config, emit emitter) *App {
 	cfg = cfg.withFloors()
 	n := g.N
 	const sketchBytes = hllRegisters // 16 B per vertex
@@ -37,7 +42,7 @@ func HyperANF(g *graph.Graph, input string, cfg Config) *App {
 	}
 	app.Resolve = app.MakeResolver(hcurr.Base)
 
-	app.Traces = algorithm1(cfg, seqT, divT, app.Targets, func(b *trace.Builder, c int, cur, next mem.Region) {
+	app.Traces = emit(cfg, seqT, divT, app.Targets, func(b *trace.Builder, c int, cur, next mem.Region) {
 		emitHyperANFIteration(b, g, parts[c], cur, next, offsets, edges, sketchBytes)
 	})
 

@@ -12,6 +12,11 @@ import (
 // worker, the kernel's memory trace with RnR markers placed exactly as the
 // paper's listing places them.
 func PageRank(g *graph.Graph, input string, cfg Config) *App {
+	return pageRank(g, input, cfg, algorithm1)
+}
+
+// pageRank is PageRank with the trace emitter as a parameter.
+func pageRank(g *graph.Graph, input string, cfg Config, emit emitter) *App {
 	cfg = cfg.withFloors()
 	n := g.N
 
@@ -42,7 +47,7 @@ func PageRank(g *graph.Graph, input string, cfg Config) *App {
 	}
 	app.Resolve = app.MakeResolver(pcurr.Base)
 
-	app.Traces = algorithm1(cfg, seqT, divT, app.Targets, func(b *trace.Builder, c int, cur, next mem.Region) {
+	app.Traces = emit(cfg, seqT, divT, app.Targets, func(b *trace.Builder, c int, cur, next mem.Region) {
 		emitPageRankIteration(b, g, parts[c], cur, next, offsets, edges)
 	})
 

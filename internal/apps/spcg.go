@@ -14,6 +14,11 @@ import (
 // target. Unlike PageRank, the target vector's *base* never moves — only
 // its values change — so the recorded pattern replays without swaps.
 func SpCG(m *sparse.Matrix, input string, cfg Config) *App {
+	return spCG(m, input, cfg, algorithm1)
+}
+
+// spCG is SpCG with the trace emitter as a parameter.
+func spCG(m *sparse.Matrix, input string, cfg Config, emit emitter) *App {
 	cfg = cfg.withFloors()
 	n := m.N
 
@@ -39,7 +44,7 @@ func SpCG(m *sparse.Matrix, input string, cfg Config) *App {
 		Iterations: cfg.Iterations,
 		Resolve:    indirectResolver(cols, m.Cols, pvec.Base, 8),
 	}
-	app.Traces = algorithm1(cfg, seqT, divT, app.Targets, func(b *trace.Builder, c int, _, _ mem.Region) {
+	app.Traces = emit(cfg, seqT, divT, app.Targets, func(b *trace.Builder, c int, _, _ mem.Region) {
 		emitSpCGIteration(b, m, rowsOf[c], rowptr, cols, vals, pvec, apvec, rvec, xvec)
 	})
 

@@ -50,7 +50,7 @@ func TestPageRankIterationsRepeatModuloBaseSwap(t *testing.T) {
 	// must be identical, and k vs k+1 identical after swapping the bases.
 	g := graph.Uniform(300, 5, 11)
 	app := PageRank(g, "urand", Config{Cores: 1, Iterations: 4})
-	iters := iterSlices(app.Traces[0])
+	iters := iterSlices(app.Traces[0].Records())
 	if len(iters) != 4 {
 		t.Fatalf("found %d iterations", len(iters))
 	}
@@ -95,7 +95,7 @@ func TestSpCGIterationsIdentical(t *testing.T) {
 	// spCG's p vector never moves: every iteration's loads are identical.
 	m := sparse.Banded(300, 40, 0.05, 5)
 	app := SpCG(m, "bbmat", Config{Cores: 1, Iterations: 4})
-	iters := iterSlices(app.Traces[0])
+	iters := iterSlices(app.Traces[0].Records())
 	l0 := loadsOf(iters[0])
 	for k := 1; k < len(iters); k++ {
 		lk := loadsOf(iters[k])
@@ -115,7 +115,7 @@ func TestHyperANFBaseSwapMarkers(t *testing.T) {
 	app := HyperANF(g, "urand", Config{Cores: 1, Iterations: 4})
 	hcurr, hnext := app.Targets[0], app.Targets[1]
 	var bases []mem.Addr
-	for _, r := range app.Traces[0] {
+	for _, r := range app.Traces[0].Records() {
 		if r.Kind == trace.KindMarker && r.Marker == trace.MarkAddrBaseSet && r.Aux == 0 {
 			bases = append(bases, r.Addr)
 		}
@@ -140,7 +140,7 @@ func TestRegionTaggingMatchesAllocator(t *testing.T) {
 	for _, tgt := range app.Targets {
 		regions[int32(tgt.ID)] = tgt
 	}
-	for _, r := range app.Traces[0] {
+	for _, r := range app.Traces[0].Records() {
 		if r.Kind != trace.KindLoad && r.Kind != trace.KindStore {
 			continue
 		}
@@ -157,7 +157,8 @@ func TestMetadataTablesSizedForWorstCase(t *testing.T) {
 	// rate: capacity must be at least the per-core edge count.
 	g := graph.Uniform(500, 6, 21)
 	app := PageRank(g, "urand", Config{Cores: 2, Iterations: 3})
-	for c, recs := range app.Traces {
+	for c, tr := range app.Traces {
+		recs := tr.Records()
 		var seqBytes uint64
 		for _, r := range recs {
 			if r.Kind == trace.KindMarker && r.Marker == trace.MarkSeqTable {

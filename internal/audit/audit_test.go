@@ -215,12 +215,12 @@ func TestFuzzDeterministicAndShaped(t *testing.T) {
 		t.Fatalf("defaults: cores=%d traces=%d", a1.Cores, len(a1.Traces))
 	}
 	for c := range a1.Traces {
-		if len(a1.Traces[c]) != len(a2.Traces[c]) {
-			t.Fatalf("core %d: nondeterministic length %d vs %d",
-				c, len(a1.Traces[c]), len(a2.Traces[c]))
+		r1, r2 := a1.Traces[c].Records(), a2.Traces[c].Records()
+		if len(r1) != len(r2) {
+			t.Fatalf("core %d: nondeterministic length %d vs %d", c, len(r1), len(r2))
 		}
-		for i := range a1.Traces[c] {
-			if a1.Traces[c][i] != a2.Traces[c][i] {
+		for i := range r1 {
+			if r1[i] != r2[i] {
 				t.Fatalf("core %d record %d differs between builds", c, i)
 			}
 		}
@@ -231,8 +231,8 @@ func TestFuzzDeterministicAndShaped(t *testing.T) {
 
 	// Loads stay inside the declared target region.
 	target := a1.Targets[0]
-	for c, recs := range a1.Traces {
-		for i, r := range recs {
+	for c, tr := range a1.Traces {
+		for i, r := range tr.Records() {
 			if r.Kind == 1 || r.Kind == 2 { // load/store
 				if !target.Contains(r.Addr) {
 					t.Fatalf("core %d rec %d: %#x outside target %v", c, i, uint64(r.Addr), target)

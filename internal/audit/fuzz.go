@@ -72,12 +72,12 @@ func Fuzz(cfg FuzzConfig) *apps.App {
 	// One shared irregularly-accessed target, like the apps' vertex
 	// arrays, plus per-core RnR metadata tables.
 	target := al.AllocPage("fuzz.target", 1<<16)
-	traces := make([][]trace.Record, cfg.Cores)
+	traces := make([]trace.Trace, cfg.Cores)
 	for core := 0; core < cfg.Cores; core++ {
 		seq := al.AllocPage("rnr.seq", cfg.SeqCap*rnr.SeqEntryBytes)
 		div := al.AllocPage("rnr.div", (cfg.SeqCap/4+8)*rnr.DivEntryBytes)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(core)*0x9e37))
-		traces[core] = fuzzTrace(rng, cfg, core, target, seq, div)
+		traces[core] = trace.Trace{fuzzTrace(rng, cfg, core, target, seq, div)}
 	}
 	return &apps.App{
 		Name:       "fuzz",

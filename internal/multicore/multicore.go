@@ -67,7 +67,7 @@ func Compose(s apps.Scale, jobs []JobSpec) (*apps.App, error) {
 	composed := &apps.App{
 		Name:   "corun",
 		Cores:  len(jobs),
-		Traces: make([][]trace.Record, len(jobs)),
+		Traces: make([]trace.Trace, len(jobs)),
 		Groups: make([][]int, len(jobs)),
 	}
 	for k, j := range jobs {
@@ -82,7 +82,13 @@ func Compose(s apps.Scale, jobs []JobSpec) (*apps.App, error) {
 		// apps.BuildCores emits a fresh trace on every call and keeps no
 		// reference to it, so nothing else can observe the shift: relocate
 		// it in place instead of copying a trace of up to a few hundred MB.
-		relocate(app.Traces[0], delta)
+		// A kernel body occurs once per iteration but is stored once, so
+		// each distinct segment is shifted exactly once.
+		if delta != 0 {
+			for _, seg := range app.Traces[0].Distinct() {
+				relocate(seg, delta)
+			}
+		}
 		composed.Traces[k] = app.Traces[0]
 		composed.Groups[k] = []int{k}
 		for _, r := range app.Targets {
@@ -106,9 +112,6 @@ func Compose(s apps.Scale, jobs []JobSpec) (*apps.App, error) {
 // allocator starting above the null page never hands out address zero,
 // and all other markers emit Addr 0 by construction, see trace.Builder).
 func relocate(recs []trace.Record, delta mem.Addr) {
-	if delta == 0 {
-		return
-	}
 	for i := range recs {
 		r := &recs[i]
 		switch r.Kind {

@@ -187,7 +187,7 @@ func TestHugeIterationIndexBounded(t *testing.T) {
 	b.IterEnd(0)
 	app := &apps.App{
 		Name: "bugh", Input: "direct", Cores: 1,
-		Traces:     [][]trace.Record{b.Records()},
+		Traces:     []trace.Trace{b.Trace()},
 		Iterations: 1,
 		Targets:    []mem.Region{region},
 		InputBytes: region.Size,

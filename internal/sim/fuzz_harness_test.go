@@ -275,7 +275,7 @@ func TestFuzzedHugeIterAuxBounded(t *testing.T) {
 		app := audit.Fuzz(fc)
 		huge := false
 		for _, tr := range app.Traces {
-			for _, rec := range tr {
+			for _, rec := range tr.Records() {
 				if rec.Marker == trace.MarkIterEnd && int(rec.Aux) >= maxTrackedIterations {
 					huge = true
 				}

@@ -93,7 +93,7 @@ func TestMulticoreIdleCoreSubHash(t *testing.T) {
 
 	padded := *composed
 	padded.Cores = 2
-	padded.Traces = [][]trace.Record{composed.Traces[0], nil}
+	padded.Traces = []trace.Trace{composed.Traces[0], nil}
 	padded.Groups = nil // one SPMD group; the drained core counts as arrived
 	cfg := Test().WithPrefetcher(PFRnR)
 	cfg.Cores = 2

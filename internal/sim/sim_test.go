@@ -251,7 +251,7 @@ func liveRegionsApp() *apps.App {
 	b.IterEnd(0)
 	return &apps.App{
 		Name: "regions", Input: "direct", Cores: 1,
-		Traces:     [][]trace.Record{b.Records()},
+		Traces:     []trace.Trace{b.Trace()},
 		Iterations: 1,
 		InputBytes: data.Size,
 	}

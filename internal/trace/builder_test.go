@@ -3,6 +3,7 @@ package trace
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,18 +11,24 @@ import (
 )
 
 // appendOracle is the naive reference Builder: one slice grown by
-// append, with the same Exec coalescing rule.
-type appendOracle struct{ recs []Record }
+// append, with the same Exec coalescing rule. sealed marks a last
+// record that came from an appended trace, which an Exec never merges
+// into.
+type appendOracle struct {
+	recs   []Record
+	sealed bool
+}
 
 func (o *appendOracle) exec(n uint64) {
 	if n == 0 {
 		return
 	}
-	if k := len(o.recs); k > 0 && o.recs[k-1].Kind == KindExec {
+	if k := len(o.recs); k > 0 && o.recs[k-1].Kind == KindExec && !o.sealed {
 		o.recs[k-1].Count += n
 		return
 	}
 	o.recs = append(o.recs, Exec(n))
+	o.sealed = false
 }
 
 func (o *appendOracle) instructions() uint64 {
@@ -32,12 +39,18 @@ func (o *appendOracle) instructions() uint64 {
 	return n
 }
 
-// TestBuilderMatchesAppendOracle drives random Exec/Load/Store/Mark
-// sequences through small-chunk Builders, so the sequences cross many
-// chunk boundaries, and checks every view of the trace against the
+// TestBuilderMatchesAppendOracle drives random Exec/Load/Store/Mark/
+// Append sequences through small-chunk Builders, so the sequences cross
+// many chunk boundaries, and checks every view of the trace against the
 // oracle, including joins taken mid-build and then appended to again.
+// The appended traces end in an Exec, and must come out unchanged.
 func TestBuilderMatchesAppendOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	shared := []Trace{
+		{{Load(1, 64, 8, 0), Exec(2)}},
+		{{Exec(4)}, {Store(2, 128, 8, 1), Exec(1)}},
+	}
+	snapshots := []([]Record){shared[0].Records(), shared[1].Records()}
 	crossMerges := 0
 	for trial := 0; trial < 400; trial++ {
 		chunk := 1 + rng.Intn(5)
@@ -45,6 +58,13 @@ func TestBuilderMatchesAppendOracle(t *testing.T) {
 		var o appendOracle
 		ops := rng.Intn(60)
 		for i := 0; i < ops; i++ {
+			if rng.Intn(8) == 0 {
+				k := rng.Intn(len(shared))
+				b.Append(shared[k])
+				o.recs = append(o.recs, snapshots[k]...)
+				o.sealed = true
+				continue
+			}
 			switch rng.Intn(6) {
 			case 0, 1:
 				n := uint64(rng.Intn(4)) // includes the no-op Exec(0)
@@ -57,14 +77,17 @@ func TestBuilderMatchesAppendOracle(t *testing.T) {
 				pc, addr, region := rng.Uint64(), mem.Addr(rng.Uint64()), int32(rng.Intn(4)-1)
 				b.Load(pc, addr, 8, region)
 				o.recs = append(o.recs, Load(pc, addr, 8, region))
+				o.sealed = false
 			case 3:
 				pc, addr := rng.Uint64(), mem.Addr(rng.Uint64())
 				b.Store(pc, addr, 4, 0)
 				o.recs = append(o.recs, Store(pc, addr, 4, 0))
+				o.sealed = false
 			case 4:
 				m, addr := Marker(rng.Intn(int(MarkROIEnd)+1)), mem.Addr(rng.Intn(3)*64)
 				b.Mark(m, addr, uint64(i), int32(i))
 				o.recs = append(o.recs, Mark(m, addr, uint64(i), int32(i)))
+				o.sealed = false
 			default:
 				if rng.Intn(4) == 0 {
 					checkBuilder(t, trial, b, &o)
@@ -72,6 +95,14 @@ func TestBuilderMatchesAppendOracle(t *testing.T) {
 			}
 			if b.Len() != len(o.recs) {
 				t.Fatalf("trial %d op %d: Len() = %d, oracle %d", trial, i, b.Len(), len(o.recs))
+			}
+		}
+		if got := b.Trace().Records(); !slices.Equal(got, o.recs) {
+			t.Fatalf("trial %d: Trace() = %v, oracle %v", trial, got, o.recs)
+		}
+		for k := range shared {
+			if !slices.Equal(shared[k].Records(), snapshots[k]) {
+				t.Fatalf("trial %d: appended trace %d changed to %v", trial, k, shared[k].Records())
 			}
 		}
 		checkBuilder(t, trial, b, &o)
@@ -118,6 +149,63 @@ func checkBuilder(t *testing.T, trial int, b *Builder, o *appendOracle) {
 	}
 }
 
+// TestAppendSealsSharedSegment checks that an appended trace is shared,
+// not copied, and that nothing the builder does afterwards writes into
+// it: an Exec that follows starts a record of its own instead of merging
+// into the shared last Exec, in the chunk the shared body came from and
+// in one whose spare capacity follows the run Append cut off.
+func TestAppendSealsSharedSegment(t *testing.T) {
+	kb := NewBuilder(4)
+	for i := 0; i < 5; i++ {
+		kb.Load(0x40, mem.Addr(i)*8, 8, 0)
+		kb.Exec(2)
+	}
+	body := kb.Trace()
+	snapshot := body.Records()
+	if last := snapshot[len(snapshot)-1]; last.Kind != KindExec {
+		t.Fatalf("body ends in %v, want an Exec", last)
+	}
+
+	b := NewBuilder(64)
+	b.Exec(7)
+	b.Append(body)
+	b.Exec(3)
+	b.Mark(MarkIterEnd, 0, 0, 0)
+	b.Append(body)
+	b.Exec(5)
+	tr := b.Trace()
+
+	if !slices.Equal(body.Records(), snapshot) {
+		t.Fatalf("shared body changed: %v, was %v", body.Records(), snapshot)
+	}
+	want := append([]Record{Exec(7)}, snapshot...)
+	want = append(want, Exec(3), Mark(MarkIterEnd, 0, 0, 0))
+	want = append(want, snapshot...)
+	want = append(want, Exec(5))
+	if got := tr.Records(); !slices.Equal(got, want) {
+		t.Fatalf("stream %v, want %v", got, want)
+	}
+	for _, seg := range body {
+		n := 0
+		for _, s := range tr {
+			if len(s) > 0 && &s[0] == &seg[0] {
+				n++
+			}
+		}
+		if n != 2 {
+			t.Fatalf("body segment occurs %d times by reference, want 2", n)
+		}
+	}
+	// The builder's Records view copies the shared body; an Exec merged
+	// into its copy leaves the body alone too.
+	b.Append(body)
+	b.Records()
+	b.Exec(1)
+	if !slices.Equal(body.Records(), snapshot) {
+		t.Fatalf("shared body changed after Records: %v, was %v", body.Records(), snapshot)
+	}
+}
+
 // benchRecords is the trace length of the Builder and SliceSource
 // benchmarks: just under four of the 1<<16-record chunks the workload
 // generators use, so the trace fills exactly four chunks.
@@ -139,8 +227,8 @@ func emitBenchTrace(b *Builder) {
 }
 
 // BenchmarkBuilderAppend measures building a trace and joining it, per
-// record. B/record is a deterministic allocation counter: 40 B for the
-// chunk write plus 40 B for the exact-size join.
+// record. B/record is a deterministic allocation counter: 32 B for the
+// chunk write plus 32 B for the exact-size join.
 func BenchmarkBuilderAppend(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -11,7 +11,9 @@
 package trace
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 
 	"rnrsim/internal/mem"
 )
@@ -103,14 +105,16 @@ func (m Marker) String() string {
 }
 
 // Record is one trace entry. The meaning of Addr/Count/Aux depends on Kind
-// and Marker as documented on the constants above.
+// and Marker as documented on the constants above. The fields are
+// ordered widest first so the record packs into 32 bytes, the size of
+// its on-disk form; TestRecordIs32Bytes holds it there.
 type Record struct {
-	Kind   Kind
-	Marker Marker
 	PC     uint64   // static access-site id for loads/stores
 	Addr   mem.Addr // byte address (loads/stores) or marker operand
 	Count  uint64   // bytes (loads/stores), instructions (exec), operand (markers)
 	Aux    int32    // region id for loads/stores (-1 unknown), slot/iter for markers
+	Kind   Kind
+	Marker Marker
 }
 
 // Exec returns a bundle of n non-memory instructions.
@@ -162,27 +166,103 @@ type Source interface {
 	Next() (rec Record, ok bool)
 }
 
-// SliceSource adapts an in-memory record slice to a Source.
-type SliceSource struct {
-	recs []Record
-	pos  int
+// Trace is one hardware thread's trace as an ordered list of record
+// segments: its record stream is the records of every segment in order.
+// A segment may occur several times, so a loop body that every
+// iteration runs is stored once (see Builder.Append). Segments are
+// read-only once they are in a Trace, and two segments either are the
+// same slice or share no record.
+type Trace [][]Record
+
+// Len returns the number of records in the stream, counting a segment
+// once per occurrence.
+func (t Trace) Len() int {
+	n := 0
+	for _, seg := range t {
+		n += len(seg)
+	}
+	return n
 }
 
-// NewSliceSource returns a Source that replays recs in order.
-func NewSliceSource(recs []Record) *SliceSource { return &SliceSource{recs: recs} }
-
-// Next implements Source.
-func (s *SliceSource) Next() (Record, bool) {
-	if s.pos >= len(s.recs) {
-		return Record{}, false
+// Instructions returns the dynamic instruction count of the stream.
+func (t Trace) Instructions() uint64 {
+	var n uint64
+	for _, seg := range t {
+		n += instructions(seg)
 	}
-	r := s.recs[s.pos]
-	s.pos++
-	return r, true
+	return n
+}
+
+// Records returns the stream as one new slice, every occurrence of a
+// segment written out; nil when the stream is empty.
+func (t Trace) Records() []Record { return slices.Concat(t...) }
+
+// Distinct returns each segment of t once, in order of first
+// occurrence. Segments are told apart by the address of their first
+// record; empty segments are left out.
+func (t Trace) Distinct() [][]Record {
+	seen := make(map[*Record]bool, len(t))
+	var out [][]Record
+	for _, seg := range t {
+		if len(seg) > 0 && !seen[&seg[0]] {
+			seen[&seg[0]] = true
+			out = append(out, seg)
+		}
+	}
+	return out
+}
+
+// MarshalJSON encodes t as the JSON array of its record stream, the
+// bytes the same records give as one []Record.
+func (t Trace) MarshalJSON() ([]byte, error) { return json.Marshal(t.Records()) }
+
+// Source returns a Source that replays t's record stream in order.
+func (t Trace) Source() *SliceSource { return NewSliceSource(t...) }
+
+// SliceSource is the Source over in-memory record segments: it walks
+// the segments in order and each segment's records in order.
+type SliceSource struct {
+	segs [][]Record
+	seg  int      // index in segs of cur
+	cur  []Record // segment being read
+	pos  int      // next record in cur
+}
+
+// NewSliceSource returns a Source that replays the records of segs in
+// order; NewSliceSource(recs) replays one slice.
+func NewSliceSource(segs ...[]Record) *SliceSource {
+	s := &SliceSource{segs: segs}
+	s.Reset()
+	return s
+}
+
+// Next implements Source. Within a segment it costs one bounds check;
+// only a segment's end reaches nextSegment.
+func (s *SliceSource) Next() (Record, bool) {
+	if s.pos < len(s.cur) {
+		r := s.cur[s.pos]
+		s.pos++
+		return r, true
+	}
+	return s.nextSegment()
+}
+
+// nextSegment moves to the next nonempty segment and returns its first
+// record, or reports the trace drained.
+func (s *SliceSource) nextSegment() (Record, bool) {
+	for s.seg+1 < len(s.segs) {
+		s.seg++
+		s.cur, s.pos = s.segs[s.seg], 0
+		if len(s.cur) > 0 {
+			s.pos = 1
+			return s.cur[0], true
+		}
+	}
+	return Record{}, false
 }
 
 // Reset rewinds the source to the beginning of the trace.
-func (s *SliceSource) Reset() { s.pos = 0 }
+func (s *SliceSource) Reset() { s.seg, s.cur, s.pos = -1, nil, 0 }
 
 // Len returns the total number of records in the trace.
-func (s *SliceSource) Len() int { return len(s.recs) }
+func (s *SliceSource) Len() int { return Trace(s.segs).Len() }

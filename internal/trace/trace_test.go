@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rnrsim/internal/mem"
 )
@@ -100,6 +102,84 @@ func TestSliceSource(t *testing.T) {
 	s.Reset()
 	if r, ok := s.Next(); !ok || r.Kind != KindExec {
 		t.Errorf("after Reset got %v,%v", r, ok)
+	}
+}
+
+// TestRecordIs32Bytes holds the in-memory record at the size of its
+// on-disk form: a field order that leaves padding grows every trace by
+// a quarter.
+func TestRecordIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != recordSize {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want %d", n, recordSize)
+	}
+}
+
+// TestSegmentWalk walks multi-segment traces, with repeated and empty
+// segments, against their expanded form, and checks that Len,
+// Instructions, Distinct and the JSON encoding all read the expanded
+// stream.
+func TestSegmentWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	body := randomRecords(5, rng)
+	other := randomRecords(2, rng)
+	for _, tr := range []Trace{
+		nil,
+		{},
+		{nil},
+		{body},
+		{body, body},
+		{nil, body, {}, other, body, nil},
+		{other[:1], body, other[1:], body, body},
+	} {
+		var want []Record
+		for _, seg := range tr {
+			want = append(want, seg...)
+		}
+		src := tr.Source()
+		for pass := 0; pass < 2; pass++ {
+			var got []Record
+			for r, ok := src.Next(); ok; r, ok = src.Next() {
+				got = append(got, r)
+			}
+			if _, ok := src.Next(); ok {
+				t.Fatalf("%d segments: Next after drain returned ok", len(tr))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d segments, pass %d: walked %v, want %v", len(tr), pass, got, want)
+			}
+			src.Reset()
+		}
+		if !slices.Equal(tr.Records(), want) || tr.Len() != len(want) || src.Len() != len(want) {
+			t.Fatalf("%d segments: Records/Len disagree with the expanded stream", len(tr))
+		}
+		if got, want := tr.Instructions(), instructions(want); got != want {
+			t.Fatalf("%d segments: Instructions = %d, want %d", len(tr), got, want)
+		}
+		gotJSON, err := json.Marshal([]Trace{tr, {body}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, _ := json.Marshal([][]Record{want, body})
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("%d segments: JSON %s, want %s", len(tr), gotJSON, wantJSON)
+		}
+		stored := 0
+		for _, seg := range tr.Distinct() {
+			stored += len(seg)
+		}
+		distinct := map[*Record]int{}
+		for _, seg := range tr {
+			if len(seg) > 0 {
+				distinct[&seg[0]] = len(seg)
+			}
+		}
+		wantStored := 0
+		for _, n := range distinct {
+			wantStored += n
+		}
+		if stored != wantStored {
+			t.Fatalf("%d segments: Distinct holds %d records, want %d", len(tr), stored, wantStored)
+		}
 	}
 }
 
