@@ -130,10 +130,12 @@ func main() {
 			jobSpecs = append(jobSpecs, j)
 		}
 		app, err = multicore.Compose(sc, jobSpecs)
-	case *cores > 0:
-		app, err = apps.BuildCores(*workload, *input, sc, *cores)
 	default:
-		app, err = apps.Build(*workload, *input, sc)
+		cfg := apps.DefaultConfig()
+		if *cores > 0 {
+			cfg.Cores = *cores
+		}
+		app, err = apps.BuildConfig(*workload, *input, sc, cfg)
 	}
 	if err != nil {
 		fatal("%v", err)

@@ -20,10 +20,13 @@ import (
 type Config struct {
 	Cores      int // SPMD workers, one trace each (>= 1)
 	Iterations int // total kernel iterations in the trace (>= 3)
+	// Offset moves the layout's allocator base, and with it every address
+	// the workload emits; a co-run builds job k at k·multicore.Stride.
+	Offset mem.Addr
 }
 
 // DefaultConfig is every workload's evaluation configuration: 4 SPMD
-// cores, 1 warm-up + 1 record + 3 replay iterations.
+// cores, 1 warm-up + 1 record + 3 replay iterations, at offset 0.
 func DefaultConfig() Config { return Config{Cores: 4, Iterations: 5} }
 
 // DefaultPageRank and DefaultSpCG are DefaultConfig under the names
@@ -125,7 +128,7 @@ type layout struct {
 	al *mem.Allocator
 }
 
-func newLayout() *layout { return &layout{al: mem.NewAllocator(0x1000_0000)} }
+func newLayout(offset mem.Addr) *layout { return &layout{al: mem.NewAllocator(0x1000_0000 + offset)} }
 
 // metaTables allocates per-core RnR metadata (sequence + division tables),
 // as RnR.init() does from the heap, sized for perCore recorded misses.

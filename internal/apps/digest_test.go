@@ -83,8 +83,10 @@ func TestWorkloadTraceDigests(t *testing.T) {
 		for _, in := range InputsFor(w) {
 			key := w + "/" + in
 			var got [2]uint64
-			for i, cores := range []int{0, 1} {
-				app, err := BuildCores(w, in, ScaleTest, cores)
+			for i, cores := range []int{DefaultConfig().Cores, 1} {
+				cfg := DefaultConfig()
+				cfg.Cores = cores
+				app, err := BuildConfig(w, in, ScaleTest, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

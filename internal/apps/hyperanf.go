@@ -22,7 +22,7 @@ func hyperANF(g *graph.Graph, input string, cfg Config, emit emitter) *App {
 	n := g.N
 	const sketchBytes = hllRegisters // 16 B per vertex
 
-	l := newLayout()
+	l := newLayout(cfg.Offset)
 	offsets := l.al.AllocPage("anf.offsets", uint64(n+1)*8)
 	edges := l.al.AllocPage("anf.edges", uint64(g.M())*4)
 	hcurr := l.al.AllocPage("anf.hcurr", uint64(n)*sketchBytes)

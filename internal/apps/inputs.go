@@ -126,17 +126,13 @@ var MatrixInputOrder = []string{"atmosmodj", "bbmat", "nlpkkt80", "pdb1HYS"}
 // input (via GraphInput/MatrixInput), so concurrent Builds memoised per
 // (workload, input) never pay for inputs they discard.
 func Build(workload, input string, s Scale) (*App, error) {
-	return BuildCores(workload, input, s, 0)
+	return BuildConfig(workload, input, s, DefaultConfig())
 }
 
-// BuildCores is Build with an explicit SPMD core count; cores <= 0
-// keeps each workload's default partitioning. The multicore composer
-// uses cores == 1 to obtain single-core programs it can co-schedule.
-func BuildCores(workload, input string, s Scale, cores int) (*App, error) {
-	cfg := DefaultConfig()
-	if cores > 0 {
-		cfg.Cores = cores
-	}
+// BuildConfig is Build under cfg. Callers start from DefaultConfig and
+// change the core count (rnrsim -cores, the core-scaling sweep) or the
+// offset (the multicore composer's one-core jobs).
+func BuildConfig(workload, input string, s Scale, cfg Config) (*App, error) {
 	switch workload {
 	case "pagerank", "hyperanf":
 		g, ok := GraphInput(s, input)

@@ -158,10 +158,16 @@ func TestStoredRecordsShareBodies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Segments are the same slice or share no record, so the
+			// address of a segment's first record identifies it.
 			stored := 0
+			seen := map[*trace.Record]bool{}
 			for _, tr := range app.Traces {
-				for _, seg := range tr.Distinct() {
-					stored += len(seg)
+				for _, seg := range tr {
+					if len(seg) > 0 && !seen[&seg[0]] {
+						seen[&seg[0]] = true
+						stored += len(seg)
+					}
 				}
 			}
 			if ratio := float64(stored) / float64(app.Records()); ratio > bound {

@@ -21,7 +21,7 @@ func pageRank(g *graph.Graph, input string, cfg Config, emit emitter) *App {
 	n := g.N
 
 	// Memory layout (master process, §VI).
-	l := newLayout()
+	l := newLayout(cfg.Offset)
 	offsets := l.al.AllocPage("pr.offsets", uint64(n+1)*8)
 	edges := l.al.AllocPage("pr.edges", uint64(g.M())*4)
 	pcurr := l.al.AllocPage("pr.pcurr", uint64(n)*8)

@@ -22,7 +22,7 @@ func spCG(m *sparse.Matrix, input string, cfg Config, emit emitter) *App {
 	cfg = cfg.withFloors()
 	n := m.N
 
-	l := newLayout()
+	l := newLayout(cfg.Offset)
 	rowptr := l.al.AllocPage("cg.rowptr", uint64(n+1)*8)
 	cols := l.al.AllocPage("cg.cols", uint64(m.NNZ())*4)
 	vals := l.al.AllocPage("cg.vals", uint64(m.NNZ())*8)

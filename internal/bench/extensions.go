@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rnrsim/internal/apps"
-	"rnrsim/internal/graph"
 	"rnrsim/internal/rnr"
 	"rnrsim/internal/sim"
 )
@@ -75,24 +74,15 @@ func (s *Suite) scalingRun(cores int, pf sim.PrefetcherKind) *sim.Result {
 		Key: fmt.Sprintf("scaling:%d/%s", cores, pf),
 		cfg: cfg,
 		compose: func(s *Suite) (*apps.App, error) {
-			return apps.PageRank(s.scalingGraph(), "amazon", apps.Config{Cores: cores, Iterations: 5}), nil
+			appCfg := apps.DefaultConfig()
+			appCfg.Cores = cores
+			return apps.BuildConfig("pagerank", "amazon", s.Scale, appCfg)
 		},
 	})
 	if err != nil {
 		panic(err)
 	}
 	return r
-}
-
-// scalingGraph returns the shared input of the core-scaling sweep,
-// memoised so every core count records the same graph.
-func (s *Suite) scalingGraph() *graph.Graph {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.scaleG == nil {
-		s.scaleG, _ = apps.GraphInput(s.Scale, "amazon")
-	}
-	return s.scaleG
 }
 
 // RecordAllVariant enables the naive every-access recording §III rejects.

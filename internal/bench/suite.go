@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rnrsim/internal/apps"
-	"rnrsim/internal/graph"
 	"rnrsim/internal/rnr"
 	"rnrsim/internal/sim"
 	"rnrsim/internal/telemetry"
@@ -47,7 +46,6 @@ type Suite struct {
 	apps      map[string]*appCall
 	results   map[string]*runCall
 	requested map[string]struct{} // every run key ever asked for (hit or miss)
-	scaleG    *graph.Graph        // memoised core-scaling input
 
 	// plan, when set, makes this a dry-run suite (see Plan): run logs
 	// each request here and answers it with a placeholder result.

@@ -2,6 +2,7 @@ package multicore
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"rnrsim/internal/apps"
@@ -29,6 +30,11 @@ func TestParseJob(t *testing.T) {
 		{"a/b/c", JobSpec{"a", "b/c"}, true},
 		{"/urand", JobSpec{}, false},
 		{"pagerank/", JobSpec{}, false},
+		// A leading separator rejects the string even when the other kind
+		// follows: splitting "./0" at "/" would give workload ".", whose
+		// String form "..0" does not parse back (found by FuzzParseJob).
+		{"./0", JobSpec{}, false},
+		{"/a.b", JobSpec{}, false},
 	} {
 		got, err := ParseJob(tc.in)
 		if (err == nil) != tc.ok || got != tc.want {
@@ -38,10 +44,7 @@ func TestParseJob(t *testing.T) {
 }
 
 func TestComposeSingleJobIsIdentity(t *testing.T) {
-	solo, err := apps.BuildCores("pagerank", "urand", apps.ScaleTest, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := buildSolo(t, JobSpec{"pagerank", "urand"})
 	co, err := Compose(apps.ScaleTest, []JobSpec{{"pagerank", "urand"}})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +94,7 @@ func TestComposeRelocatesDisjointSlices(t *testing.T) {
 			}
 		}
 	}
-	// Targets relocate with their jobs.
+	// Targets lie in their jobs' slices.
 	seen := map[int]bool{}
 	for _, r := range co.Targets {
 		seen[int(r.Base/Stride)] = true
@@ -119,8 +122,10 @@ func TestComposeRejectsUnknownJob(t *testing.T) {
 	}
 }
 
-// copyRelocate is the reference relocation Compose used to perform: a
-// fresh copy of the trace with every address-carrying record shifted.
+// copyRelocate is the reference placement of a job in a slot: a copy
+// of its solo trace with every address-carrying record shifted by
+// delta. Loads and stores always carry an address; a marker carries one
+// exactly when it is nonzero (table and boundary bases).
 func copyRelocate(recs []trace.Record, delta mem.Addr) []trace.Record {
 	out := make([]trace.Record, len(recs))
 	copy(out, recs)
@@ -133,54 +138,83 @@ func copyRelocate(recs []trace.Record, delta mem.Addr) []trace.Record {
 	return out
 }
 
+// buildSolo builds j as the one-core program at offset 0.
+func buildSolo(t *testing.T, j JobSpec) *apps.App {
+	t.Helper()
+	cfg := apps.DefaultConfig()
+	cfg.Cores = 1
+	app, err := apps.BuildConfig(j.Workload, j.Input, apps.ScaleTest, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
 var coRunJobs = []JobSpec{{"pagerank", "urand"}, {"spcg", "bbmat"}}
 
-// TestComposeRelocationMatchesCopyOracle pins the in-place relocation to
-// copy-then-relocate over independently built, expanded job traces, and
-// checks that two compositions are equal: relocating in place must not
-// reach any input a later Compose call reads. A PageRank and an spCG job
-// both sit in a relocated slot, and their kernel bodies are shared by
-// several iterations, so a body shifted once per occurrence instead of
-// once in all shows as a record off by a multiple of the slot's delta.
+// TestComposeRelocationMatchesCopyOracle pins build-at-offset to the
+// relocation oracle: every workload × input pair, placed in a slot
+// k >= 1, must have the records and targets of its solo build shifted
+// by k·Stride, record for record. An address that does not come from
+// the job's layout (and so does not move with the offset) shows as a
+// record that differs from the oracle.
 func TestComposeRelocationMatchesCopyOracle(t *testing.T) {
-	jobs := []JobSpec{{"pagerank", "urand"}, {"spcg", "bbmat"}, {"pagerank", "urand"}}
-	first, err := Compose(apps.ScaleTest, jobs)
+	var pairs []JobSpec
+	for _, w := range apps.Workloads {
+		for _, in := range apps.InputsFor(w) {
+			pairs = append(pairs, JobSpec{w, in})
+		}
+	}
+	// Slot 0 holds the first pair again, so every pair sits in a slot k >= 1.
+	jobs := append([]JobSpec{pairs[0]}, pairs...)
+	co, err := Compose(apps.ScaleTest, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Compose(apps.ScaleTest, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var targets []mem.Region
 	for k, j := range jobs {
-		if tr := first.Traces[k]; len(tr.Distinct()) >= len(tr) {
-			t.Fatalf("core %d (%s): no segment occurs twice; the test lost its shared bodies", k, j)
+		solo := buildSolo(t, j)
+		delta := Stride * mem.Addr(k)
+		want := copyRelocate(solo.Traces[0].Records(), delta)
+		got := co.Traces[k].Records()
+		if len(got) != len(want) {
+			t.Fatalf("core %d (%s): %d records, oracle %d", k, j, len(got), len(want))
 		}
-		solo, err := apps.BuildCores(j.Workload, j.Input, apps.ScaleTest, 1)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("core %d (%s) record %d = %v, oracle %v", k, j, i, got[i], want[i])
+			}
+		}
+		for _, r := range solo.Targets {
+			r.Base += delta
+			targets = append(targets, r)
+		}
+	}
+	if !slices.Equal(co.Targets, targets) {
+		t.Fatalf("targets %v, oracle %v", co.Targets, targets)
+	}
+}
+
+// FuzzParseJob checks ParseJob on arbitrary strings: it never panics,
+// an accepted job names a nonempty workload and input, and the job's
+// String form parses back to the same job.
+func FuzzParseJob(f *testing.F) {
+	for _, s := range []string{"pagerank.urand", "spcg/bbmat", "a/b.c", "a.b/c", ".x", "x/", "", "..", "a..b"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		j, err := ParseJob(s)
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		want := copyRelocate(solo.Traces[0].Records(), Stride*mem.Addr(k))
-		for name, tr := range map[string]trace.Trace{"first": first.Traces[k], "second": second.Traces[k]} {
-			got := tr.Records()
-			if len(got) != len(want) {
-				t.Fatalf("%s compose, core %d: %d records, oracle %d", name, k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s compose, core %d record %d = %v, oracle %v", name, k, i, got[i], want[i])
-				}
-			}
+		if j.Workload == "" || j.Input == "" {
+			t.Fatalf("ParseJob(%q) = %+v: empty field", s, j)
 		}
-	}
-	if len(first.Targets) != len(second.Targets) {
-		t.Fatalf("targets differ between compositions: %v vs %v", first.Targets, second.Targets)
-	}
-	for i := range first.Targets {
-		if first.Targets[i] != second.Targets[i] {
-			t.Fatalf("target %d differs between compositions: %v vs %v", i, first.Targets[i], second.Targets[i])
+		back, err := ParseJob(j.String())
+		if err != nil || back != j {
+			t.Fatalf("ParseJob(%q) = %+v, but ParseJob(%q) = %+v, %v", s, j, j.String(), back, err)
 		}
-	}
+	})
 }
 
 // BenchmarkCompose measures composing the test-scale co-run pair. B/record

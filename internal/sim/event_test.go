@@ -130,7 +130,9 @@ func TestEventSteppedDifferentialMatrix(t *testing.T) {
 	uncoherent.Coherence = false
 	cases = append(cases, tcase{name: "corun-uncoherent", cfg: uncoherent, app: coRunApp(t)})
 
-	oneCoreApp, err := apps.BuildCores("pagerank", "urand", apps.ScaleTest, 1)
+	solo := apps.DefaultConfig()
+	solo.Cores = 1
+	oneCoreApp, err := apps.BuildConfig("pagerank", "urand", apps.ScaleTest, solo)
 	if err != nil {
 		t.Fatal(err)
 	}

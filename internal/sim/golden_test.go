@@ -8,18 +8,19 @@ import (
 	"testing"
 
 	"rnrsim/internal/apps"
+	"rnrsim/internal/multicore"
 )
 
 // TestPrefetcherStateHashGolden pins the end-of-run state hash of every
 // prefetcher kind on PageRank/urand (test scale, test machine), of every
 // kind that a context switch replaces with a fresh instance under
-// periodic switches, and of the 2-core coherent co-run with the
-// cross-core LLC prefetcher. A change to any prefetcher's parameters or
-// tables moves its row. Run with -update to regenerate after an
+// periodic switches, and of the two served 2-core coherent co-runs with
+// the cross-core LLC prefetcher. A change to any prefetcher's parameters
+// or tables moves its row. Run with -update to regenerate after an
 // intentional behaviour change.
 func TestPrefetcherStateHashGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("25 sequential simulations; the race tier runs with -short")
+		t.Skip("27 sequential simulations; the race tier runs with -short")
 	}
 	app, err := apps.Build("pagerank", "urand", apps.ScaleTest)
 	if err != nil {
@@ -42,11 +43,20 @@ func TestPrefetcherStateHashGolden(t *testing.T) {
 		cfg.CtxSwitch = CtxSwitchConfig{Period: 20000, Duration: 5000}
 		row("pagerank/urand/"+string(kind)+"/ctxsw", cfg, app)
 	}
-	corun := coRunApp(t)
-	for _, kind := range []PrefetcherKind{PFNone, PFRnR} {
-		cfg := coRunConfig()
-		cfg.Prefetcher = kind
-		row("corun:pagerank.urand+spcg.bbmat/"+string(kind)+"/xcore", cfg, corun)
+	// The two co-run pairs rnrd's served traffic composes.
+	for _, jobs := range [][]multicore.JobSpec{
+		{{Workload: "pagerank", Input: "urand"}, {Workload: "spcg", Input: "bbmat"}},
+		{{Workload: "hyperanf", Input: "amazon"}, {Workload: "spcg", Input: "atmosmodj"}},
+	} {
+		corun, err := multicore.Compose(apps.ScaleTest, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []PrefetcherKind{PFNone, PFRnR} {
+			cfg := coRunConfig()
+			cfg.Prefetcher = kind
+			row("corun:"+corun.Input+"/"+string(kind)+"/xcore", cfg, corun)
+		}
 	}
 	got := b.String()
 

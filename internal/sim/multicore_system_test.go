@@ -39,7 +39,9 @@ func TestMulticoreOneCoreIdentity(t *testing.T) {
 	for _, pf := range []PrefetcherKind{PFNone, PFNextLine, PFRnR} {
 		pf := pf
 		t.Run(string(pf), func(t *testing.T) {
-			legacyApp, err := apps.BuildCores("pagerank", "urand", apps.ScaleTest, 1)
+			solo := apps.DefaultConfig()
+			solo.Cores = 1
+			legacyApp, err := apps.BuildConfig("pagerank", "urand", apps.ScaleTest, solo)
 			if err != nil {
 				t.Fatal(err)
 			}

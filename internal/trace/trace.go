@@ -197,21 +197,6 @@ func (t Trace) Instructions() uint64 {
 // segment written out; nil when the stream is empty.
 func (t Trace) Records() []Record { return slices.Concat(t...) }
 
-// Distinct returns each segment of t once, in order of first
-// occurrence. Segments are told apart by the address of their first
-// record; empty segments are left out.
-func (t Trace) Distinct() [][]Record {
-	seen := make(map[*Record]bool, len(t))
-	var out [][]Record
-	for _, seg := range t {
-		if len(seg) > 0 && !seen[&seg[0]] {
-			seen[&seg[0]] = true
-			out = append(out, seg)
-		}
-	}
-	return out
-}
-
 // MarshalJSON encodes t as the JSON array of its record stream, the
 // bytes the same records give as one []Record.
 func (t Trace) MarshalJSON() ([]byte, error) { return json.Marshal(t.Records()) }
