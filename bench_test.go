@@ -83,6 +83,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := func(b *testing.B, mutate func(*rnrsim.MachineConfig)) {
+		b.ReportAllocs()
 		b.ResetTimer()
 		var w work
 		for i := 0; i < b.N; i++ {
@@ -124,6 +125,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	run2 := func(b *testing.B, stepped bool) {
+		b.ReportAllocs() // CI gates /2core's allocs/op
 		b.ResetTimer()
 		var w work
 		for i := 0; i < b.N; i++ {
@@ -175,6 +177,7 @@ func BenchmarkRnRReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := func(b *testing.B, obsCfg *obs.Config) {
+		b.ReportAllocs() // CI gates /base's allocs/op
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cfg := rnrsim.TestMachine()

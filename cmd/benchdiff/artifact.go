@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -23,10 +24,63 @@ type Artifact struct {
 
 // Bench is one benchmark's measurements: the standard testing metrics
 // plus any custom b.ReportMetric units (cycles/s, ...), keyed by unit.
+// A folded perfbench run keys its metrics by name instead and lists each
+// name's unit in Units.
 type Bench struct {
 	Name    string             `json:"name"`
 	Iters   uint64             `json:"iters"`
 	Metrics map[string]float64 `json:"metrics"`
+	Units   map[string]string  `json:"units,omitempty"`
+}
+
+// unit returns the unit of metric key: its entry in Units, else the key.
+func (b Bench) unit(key string) string {
+	if u, ok := b.Units[key]; ok {
+		return u
+	}
+	return key
+}
+
+// foldPerfbench parses one perfbench run's standard output, whose last
+// non-empty line is its JSON result, into the Bench
+// "perfbench/<workload>". A run that reports correct=false is refused:
+// its numbers come from a simulator whose state hashes did not match.
+func foldPerfbench(workload string, r io.Reader) (Bench, error) {
+	var last string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for sc.Scan() {
+		if line := strings.TrimSpace(sc.Text()); line != "" {
+			last = line
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return Bench{}, err
+	}
+	var res struct {
+		Correct *bool `json:"correct"`
+		Metrics map[string]struct {
+			Value float64 `json:"value"`
+			Unit  string  `json:"unit"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(last), &res); err != nil || res.Correct == nil || len(res.Metrics) == 0 {
+		return Bench{}, fmt.Errorf("perfbench %s: last line is not a perfbench result: %.80q", workload, last)
+	}
+	if !*res.Correct {
+		return Bench{}, fmt.Errorf("perfbench %s: run reports correct=false", workload)
+	}
+	b := Bench{
+		Name:    "perfbench/" + workload,
+		Iters:   1,
+		Metrics: make(map[string]float64, len(res.Metrics)),
+		Units:   make(map[string]string, len(res.Metrics)),
+	}
+	for name, m := range res.Metrics {
+		b.Metrics[name] = m.Value
+		b.Units[name] = m.Unit
+	}
+	return b, nil
 }
 
 // gomaxprocsSuffix strips the "-8" GOMAXPROCS tail from a benchmark
@@ -88,9 +142,15 @@ func parseBenchOutput(r io.Reader) (Artifact, error) {
 }
 
 // higherIsBetter classifies a metric unit's good direction: rates
-// (anything per second) should go up, costs (ns/op, B/op, allocs/op
-// and any other per-op unit) should go down.
+// (anything per second, perfbench's Minstr/s and 1/s included) and
+// perfbench's instr/cycle (IPC), x (speedup) and fraction (ok_frac)
+// should go up; costs (ns/op, B/op, allocs/op, any other per-op unit,
+// and perfbench's s, ms, MB and MB/Minstr) should go down.
 func higherIsBetter(unit string) bool {
+	switch unit {
+	case "instr/cycle", "x", "fraction":
+		return true
+	}
 	return strings.HasSuffix(unit, "/s")
 }
 
@@ -138,7 +198,7 @@ func diff(old, cur Artifact, threshold float64) Diff {
 				delta.Change = (nv - ov) / ov
 			}
 			worse := delta.Change > 0
-			if higherIsBetter(u) {
+			if higherIsBetter(nb.unit(u)) {
 				worse = delta.Change < 0
 			}
 			if ov != 0 && worse && math.Abs(delta.Change) > threshold {

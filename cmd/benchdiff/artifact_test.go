@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -129,5 +131,104 @@ func TestWriteDiff(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("diff output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// perfbenchOut is a perfbench stdout: notes, then the JSON result line.
+const perfbenchOut = `perfbench: workload corun-coherent seed 1 seconds 20 trace 0
+  alloc_mb_per_minstr            1.2 MB/Minstr
+{"correct":true,"attempted":3,"failed":0,"metrics":{"alloc_mb_per_minstr":{"value":1.2,"unit":"MB/Minstr"},"sim_minstr_per_s":{"value":2.5,"unit":"Minstr/s"},"sim_ipc":{"value":0.8,"unit":"instr/cycle"},"rnr_speedup":{"value":1.1,"unit":"x"},"ok_frac":{"value":1,"unit":"fraction"},"setup_s":{"value":0.4,"unit":"s"}}}
+
+`
+
+func TestFoldPerfbench(t *testing.T) {
+	b, err := foldPerfbench("corun-coherent", strings.NewReader(perfbenchOut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Name != "perfbench/corun-coherent" || b.Metrics["alloc_mb_per_minstr"] != 1.2 ||
+		b.Units["sim_minstr_per_s"] != "Minstr/s" || len(b.Metrics) != 6 {
+		t.Fatalf("folded bench = %+v", b)
+	}
+
+	// Each metric's direction follows its unit: a faster, leaner run is
+	// no regression, and every metric moved 50% the wrong way is one.
+	better, worse := b, Bench{Name: b.Name, Units: b.Units, Metrics: map[string]float64{}}
+	better.Metrics = map[string]float64{}
+	for name, v := range b.Metrics {
+		up := higherIsBetter(b.unit(name))
+		if up {
+			better.Metrics[name], worse.Metrics[name] = v*1.5, v*0.5
+		} else {
+			better.Metrics[name], worse.Metrics[name] = v*0.5, v*1.5
+		}
+	}
+	for _, u := range []string{"Minstr/s", "instr/cycle", "x", "fraction"} {
+		if !higherIsBetter(u) {
+			t.Errorf("higherIsBetter(%q) = false", u)
+		}
+	}
+	for _, u := range []string{"MB/Minstr", "s", "ms", "MB"} {
+		if higherIsBetter(u) {
+			t.Errorf("higherIsBetter(%q) = true", u)
+		}
+	}
+	old := Artifact{Benchmarks: []Bench{b}}
+	if d := diff(old, Artifact{Benchmarks: []Bench{better}}, 0.10); len(d.Regressions) != 0 {
+		t.Errorf("improvements flagged: %+v", d.Regressions)
+	}
+	if d := diff(old, Artifact{Benchmarks: []Bench{worse}}, 0.10); len(d.Regressions) != 6 {
+		t.Errorf("%d of 6 worsened metrics flagged: %+v", len(d.Regressions), d.Regressions)
+	}
+}
+
+func TestFoldPerfbenchRefusesBadRuns(t *testing.T) {
+	incorrect := strings.Replace(perfbenchOut, `"correct":true`, `"correct":false`, 1)
+	for name, text := range map[string]string{
+		"incorrect": incorrect,
+		"no json":   "perfbench: workload solo-fig6\nbuild failed\n",
+		"empty":     "",
+	} {
+		if _, err := foldPerfbench("solo-fig6", strings.NewReader(text)); err == nil {
+			t.Errorf("%s: folded without error", name)
+		}
+	}
+	var p perfbenchRuns
+	for _, v := range []string{"solo-fig6", "=f.txt", "solo-fig6="} {
+		if err := p.Set(v); err == nil {
+			t.Errorf("-perfbench %q accepted", v)
+		}
+	}
+	if err := p.Set("solo-fig6=a.txt"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Set("solo-fig6=b.txt"); err == nil {
+		t.Error("a workload given twice was accepted")
+	}
+}
+
+func TestRunParseFoldsPerfbench(t *testing.T) {
+	dir := t.TempDir()
+	pb, out := filepath.Join(dir, "corun.txt"), filepath.Join(dir, "BENCH_c.json")
+	if err := os.WriteFile(pb, []byte(perfbenchOut), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runParse(strings.NewReader(benchText), out, "c", perfbenchRuns{{"corun-coherent", pb}}); err != nil {
+		t.Fatal(err)
+	}
+	art, err := loadArtifact(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, b := range art.Benchmarks {
+		names = append(names, b.Name)
+	}
+	want := "CounterInc SimulatorThroughput SimulatorThroughput/obs perfbench/corun-coherent"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("benchmarks = %s, want %s", got, want)
+	}
+	if u := art.Benchmarks[3].Units["alloc_mb_per_minstr"]; u != "MB/Minstr" {
+		t.Errorf("unit of alloc_mb_per_minstr = %q after the JSON round trip", u)
 	}
 }

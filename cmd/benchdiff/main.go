@@ -10,6 +10,13 @@
 //	benchdiff BENCH_fc150d6.json BENCH_new.json              # default 10% threshold
 //	benchdiff -threshold 0.5 BENCH_fc150d6.json BENCH_new.json
 //
+// -perfbench workload=file (repeatable, with -parse) folds the JSON result
+// on the last line of a saved `bash perfbench/run.sh --workload <w>`
+// stdout into the artifact as the benchmark perfbench/<w>, its metrics
+// keyed by name with their units alongside:
+//
+//	benchdiff -parse -commit c -perfbench solo-fig6=solo.txt -perfbench corun-coherent=corun.txt < bench.txt
+//
 // Comparison is direction-aware: for throughput metrics (any unit
 // ending in "/s", e.g. the simulator's cycles/s) lower is a regression;
 // for cost metrics (ns/op, B/op, allocs/op) higher is. Benchmarks
@@ -23,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 
 	"rnrsim/internal/sim"
 )
@@ -33,10 +42,12 @@ func main() {
 	out := flag.String("o", "", "output file (with -parse; default stdout)")
 	threshold := flag.Float64("threshold", 0.10,
 		"relative change beyond which a wrong-direction move is a regression (0.10 = 10%)")
+	var perf perfbenchRuns
+	flag.Var(&perf, "perfbench", "`workload=file`: fold a saved perfbench stdout into the artifact (with -parse; repeatable)")
 	flag.Parse()
 
 	if *parse {
-		if err := runParse(os.Stdin, *out, *commit); err != nil {
+		if err := runParse(os.Stdin, *out, *commit, perf); err != nil {
 			fatal("%v", err)
 		}
 		return
@@ -60,7 +71,26 @@ func main() {
 	}
 }
 
-func runParse(in io.Reader, out, commit string) error {
+// perfbenchRuns collects the repeatable -perfbench workload=file flag.
+type perfbenchRuns [][2]string
+
+func (p *perfbenchRuns) String() string { return fmt.Sprint(*p) }
+
+func (p *perfbenchRuns) Set(v string) error {
+	wl, file, ok := strings.Cut(v, "=")
+	if !ok || wl == "" || file == "" {
+		return fmt.Errorf("want workload=file, got %q", v)
+	}
+	for _, run := range *p {
+		if run[0] == wl {
+			return fmt.Errorf("workload %q given twice", wl)
+		}
+	}
+	*p = append(*p, [2]string{wl, file})
+	return nil
+}
+
+func runParse(in io.Reader, out, commit string, perf perfbenchRuns) error {
 	art, err := parseBenchOutput(in)
 	if err != nil {
 		return err
@@ -68,6 +98,21 @@ func runParse(in io.Reader, out, commit string) error {
 	if len(art.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines found on stdin (expected `go test -bench` output)")
 	}
+	for _, run := range perf {
+		f, err := os.Open(run[1])
+		if err != nil {
+			return err
+		}
+		b, err := foldPerfbench(run[0], f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		art.Benchmarks = append(art.Benchmarks, b)
+	}
+	sort.Slice(art.Benchmarks, func(i, j int) bool {
+		return art.Benchmarks[i].Name < art.Benchmarks[j].Name
+	})
 	art.SchemaVersion, art.GeneratedAt = sim.Stamp()
 	art.Commit = commit
 	w := os.Stdout

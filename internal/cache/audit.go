@@ -74,6 +74,36 @@ func (c *Cache) AuditInvariants(report func(law string)) {
 	auditRing("readQ", &c.readQ, report)
 	auditRing("prefQ", &c.prefQ, report)
 	auditRing("writeQ", &c.writeQ, report)
+
+	// Posted-request ownership: every copy the pool handed out is still
+	// queued or waiting on an MSHR. A leak raises the pool's live count,
+	// a double release lowers it.
+	held := ringOwned(&c.readQ) + ringOwned(&c.prefQ) + ringOwned(&c.writeQ)
+	for _, m := range c.mshrs {
+		for _, w := range m.waiters {
+			if owned(w) {
+				held++
+			}
+		}
+	}
+	if live := c.posted.Live(); live != held {
+		report(fmt.Sprintf("posted-request ownership: %d pool copies live != %d owned requests held", live, held))
+	}
+}
+
+// ringOwned counts the ring's entries that hold the cache's own copies.
+func ringOwned(q *reqRing) int {
+	n := 0
+	for i := 0; i < q.n; i++ {
+		idx := q.head + i
+		if idx >= len(q.buf) {
+			idx -= len(q.buf)
+		}
+		if owned(q.buf[idx].req) {
+			n++
+		}
+	}
+	return n
 }
 
 // auditRing checks ring-deque structural sanity: occupancy within the

@@ -165,10 +165,15 @@ type Cache struct {
 	// the miss-path lookups scan this contiguous slice instead of
 	// dereferencing every active MSHR.
 	mshrLines []mem.Addr
-	arena     []mshr        // chunk allocator for MSHRs (see newMSHR)
-	mshrFree  []*mshr       // retired MSHRs available for reuse
-	wbArena   []mem.Request // chunk allocator for eviction writebacks
-	unsent    []*mshr       // MSHRs whose child could not be enqueued below yet
+	arena     []mshr  // chunk allocator for MSHRs (see newMSHR)
+	mshrFree  []*mshr // retired MSHRs available for reuse
+	unsent    []*mshr // MSHRs whose child could not be enqueued below yet
+	// posted holds the cache's copies of the posted requests it accepted:
+	// every held request whose Done is nil is one (see owned). wb is the
+	// scratch request evict offers the level below, which copies it in
+	// turn.
+	posted mem.Pool
+	wb     mem.Request
 	// wakeDirty is set whenever the cache receives external input (an
 	// enqueue from above, a fill from below, an invalidation) — anything
 	// that can move its Wakeup earlier. The event scheduler owns the flag
@@ -284,14 +289,15 @@ func (c *Cache) removeMSHR(m *mshr) {
 
 // TryEnqueue accepts a demand or writeback request into the cache's input
 // queues. It implements mem.Backend so caches stack naturally. Prefetches
-// arriving from above are routed into the prefetch queue.
+// arriving from above are routed into the prefetch queue. A posted
+// request is queued as the cache's own copy (see mem.Backend).
 func (c *Cache) TryEnqueue(r *mem.Request) bool {
 	switch r.Type {
 	case mem.ReqWriteback:
 		if c.writeQ.len() >= c.cfg.WriteQ {
 			return false
 		}
-		c.writeQ.pushBack(queued{r, c.clock + c.cfg.Latency})
+		c.writeQ.pushBack(c.admit(r))
 		*c.wakeDirty = true
 	case mem.ReqPrefetch:
 		return c.TryPrefetch(r)
@@ -299,11 +305,27 @@ func (c *Cache) TryEnqueue(r *mem.Request) bool {
 		if c.readQ.len() >= c.cfg.ReadQ {
 			return false
 		}
-		c.readQ.pushBack(queued{r, c.clock + c.cfg.Latency})
+		c.readQ.pushBack(c.admit(r))
 		*c.wakeDirty = true
 	}
 	return true
 }
+
+// admit builds the queue entry for an accepted request: by reference when
+// it carries Done, as a pool copy when it is posted.
+func (c *Cache) admit(r *mem.Request) queued {
+	if r.Done == nil {
+		r = c.posted.Copy(r)
+	}
+	return queued{r, c.clock + c.cfg.Latency}
+}
+
+// owned reports whether a request the cache holds is its own pool copy.
+// Copies are posted and requests held by reference carry Done until the
+// cache completes them, so the answer is exact only before Complete,
+// which clears Done: asked afterwards it would take a parent's MSHR
+// child for a copy.
+func owned(r *mem.Request) bool { return r.Done == nil }
 
 // TryPrefetch accepts a prefetch request. Locally-generated prefetches
 // (no completion callback) that target a resident line or an in-flight
@@ -322,7 +344,7 @@ func (c *Cache) TryPrefetch(r *mem.Request) bool {
 		c.Stats.PrefetchDropped++
 		return false
 	}
-	c.prefQ.pushBack(queued{r, c.clock + c.cfg.Latency})
+	c.prefQ.pushBack(c.admit(r))
 	*c.wakeDirty = true
 	c.Stats.PrefetchIssued++
 	return true
@@ -419,8 +441,7 @@ func (c *Cache) Tick(now uint64) {
 
 	budget := c.cfg.Bandwidth
 	for budget > 0 && c.readQ.n > 0 && c.readQ.front().ready <= now {
-		q := c.readQ.popFront()
-		c.access(q.req, now)
+		c.access(c.readQ.popFront().req, now)
 		budget--
 	}
 	// The prefetch queue has its own port (as in ChampSim, where RQ and
@@ -439,25 +460,34 @@ func (c *Cache) Tick(now uint64) {
 		if len(c.mshrs) >= c.cfg.MSHRs-reserved {
 			break
 		}
-		q := c.prefQ.popFront()
-		c.access(q.req, now)
+		c.access(c.prefQ.popFront().req, now)
 		prefBudget--
 	}
 	// Writebacks are off the critical path but must keep pace with the
 	// eviction rate or they clog the hierarchy.
 	wbBudget := c.cfg.Bandwidth
 	for wbBudget > 0 && c.writeQ.n > 0 && c.writeQ.front().ready <= now {
-		if !c.applyWriteback(c.writeQ.front().req, now) {
+		r := c.writeQ.front().req
+		own := owned(r) // before a lower DRAM completes r
+		if !c.applyWriteback(r, now) {
 			break
 		}
 		c.writeQ.popFront()
+		if own {
+			c.posted.Release(r)
+		}
 		wbBudget--
 	}
 }
 
 // access performs one tag lookup and either completes a hit or allocates /
-// merges an MSHR for a miss.
+// merges an MSHR for a miss. An owned copy goes back to the pool once
+// the lookup is done with it: after a hit, after a no-op merge, or once a
+// miss has copied it into the MSHR's child. A demand copy that merges
+// waits on the MSHR and is released by fill; a structural stall
+// re-queues it.
 func (c *Cache) access(r *mem.Request, now uint64) {
+	own := owned(r)
 	set := c.setSlice(r.Line)
 	demand := r.Type.IsDemand()
 	if demand {
@@ -489,6 +519,9 @@ func (c *Cache) access(r *mem.Request, now uint64) {
 			}
 			c.notifyAccess(r, now, true, false, prefHit)
 			r.Complete(now)
+			if own {
+				c.posted.Release(r)
+			}
 			return
 		}
 	}
@@ -507,7 +540,7 @@ func (c *Cache) access(r *mem.Request, now uint64) {
 			}
 			m.demanded = true
 			m.waiters = append(m.waiters, r)
-		} else if r.Done != nil {
+		} else if !own {
 			// A prefetch child from above: it needs the data, so wait
 			// for the in-flight fill like any other waiter.
 			m.waiters = append(m.waiters, r)
@@ -517,7 +550,9 @@ func (c *Cache) access(r *mem.Request, now uint64) {
 			if c.Lifecycle != nil {
 				c.Lifecycle.PrefetchRedundant(r.Line, now)
 			}
-			r.Complete(now)
+			c.notifyAccess(r, now, false, true, false)
+			c.posted.Release(r)
+			return
 		}
 		c.notifyAccess(r, now, false, true, false)
 		return
@@ -546,10 +581,8 @@ func (c *Cache) access(r *mem.Request, now uint64) {
 	m.demanded = demand
 	m.allocAt = now
 	m.owner = c
-	if r.Done != nil {
+	if !own {
 		m.waiters = append(m.waiters, r)
-	} else if r.Type == mem.ReqPrefetch {
-		// keep nothing; fill path uses the MSHR itself
 	}
 	m.childReq = mem.Request{
 		Type:       childType(r.Type),
@@ -560,6 +593,9 @@ func (c *Cache) access(r *mem.Request, now uint64) {
 		RegionID:   r.RegionID,
 		StructFlag: r.StructFlag,
 		Issue:      now,
+	}
+	if own {
+		c.posted.Release(r) // a posted miss lives on only as the child
 	}
 	child := &m.childReq
 	child.Done = m.boundFill
@@ -637,7 +673,11 @@ func (c *Cache) fill(m *mshr, now uint64) {
 		if w.Type == mem.ReqStore {
 			c.markDirty(m.line)
 		}
+		own := owned(w) // a posted demand that merged
 		w.Complete(now)
+		if own {
+			c.posted.Release(w)
+		}
 	}
 	// The child request completed and every waiter was handed back, so
 	// nothing below or above still points at this MSHR: recycle it.
@@ -682,23 +722,19 @@ func (c *Cache) evict(v *line, now uint64) {
 		c.OnEvict(v.tag, unused, now)
 	}
 	if v.dirty && c.lower != nil {
-		if len(c.wbArena) == 0 {
-			c.wbArena = make([]mem.Request, 128)
-		}
-		wb := &c.wbArena[0]
-		c.wbArena = c.wbArena[1:]
-		*wb = mem.Request{Type: mem.ReqWriteback, Addr: v.tag, Line: v.tag, Core: -1, Issue: now}
-		if !c.lower.TryEnqueue(wb) {
+		c.wb = mem.Request{Type: mem.ReqWriteback, Addr: v.tag, Line: v.tag, Core: -1, Issue: now}
+		if !c.lower.TryEnqueue(&c.wb) {
 			// Model a bounded retry by dropping into our own write queue.
-			c.writeQ.pushBack(queued{wb, now + 1})
+			c.writeQ.pushBack(queued{c.posted.Copy(&c.wb), now + 1})
 		}
 		c.Stats.Writebacks++
 	}
 }
 
 // applyWriteback lands a writeback from the level above: update in place if
-// resident, otherwise pass it down (non-inclusive hierarchy). Returns false
-// if it must be retried because the lower level is full.
+// resident, otherwise pass it down (non-inclusive hierarchy; the level
+// below copies it). Returns false if it must be retried because the lower
+// level is full.
 func (c *Cache) applyWriteback(r *mem.Request, now uint64) bool {
 	set := c.setSlice(r.Line)
 	for i := range set {

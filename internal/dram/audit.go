@@ -58,6 +58,23 @@ func (c *Controller) AuditInvariants(report func(law string)) {
 			report(fmt.Sprintf("inService[%d] holds posted write %s", i, p.req.Type))
 		}
 	}
+	// Posted-request ownership: every copy the pool handed out is still
+	// queued or in service. A leak raises the pool's live count, a double
+	// release lowers it.
+	held := len(c.writeQ)
+	for i := range c.readQ {
+		if c.readQ[i].req.Done == nil {
+			held++
+		}
+	}
+	for _, p := range c.inService {
+		if p.req != nil && p.req.Done == nil {
+			held++
+		}
+	}
+	if live := c.posted.Live(); live != held {
+		report(fmt.Sprintf("posted-request ownership: %d pool copies live != %d owned requests held", live, held))
+	}
 	// The bank decoded at enqueue must still be the address decode's.
 	for _, q := range [2][]queued{c.readQ, c.writeQ} {
 		for i := range q {

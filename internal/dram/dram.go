@@ -132,7 +132,12 @@ type Controller struct {
 	// the audit layer checks Stats.Reads == doneReads + len(inService)
 	// (every issued read is either delivered or still on the bus).
 	doneReads uint64
-	Stats     Stats
+	// posted holds the controller's copies of posted requests: every
+	// queued write, and every held read whose Done is nil. A read held
+	// by reference carries Done until complete runs it, so ownership is
+	// read from Done before Complete, never after.
+	posted mem.Pool
+	Stats  Stats
 
 	// Tel, when set, receives a span per write-drain episode (the
 	// watermark-driven bursts that stall the read stream, one of the
@@ -214,14 +219,16 @@ func log2(v uint64) uint {
 
 // TryEnqueue accepts a request into the read or write queue. Writebacks and
 // metadata writes are posted (completed immediately from the issuer's view)
-// but still consume write bandwidth later.
+// but still consume write bandwidth later, so the controller queues its
+// own copy of every write. A read without Done is posted too and is
+// copied the same way; a read with Done is queued by reference.
 func (c *Controller) TryEnqueue(r *mem.Request) bool {
 	switch r.Type {
 	case mem.ReqWriteback, mem.ReqMetaWrite:
 		if len(c.writeQ) >= c.cfg.WriteQ {
 			return false
 		}
-		c.writeQ = append(c.writeQ, c.entry(r))
+		c.writeQ = append(c.writeQ, c.entry(c.posted.Copy(r)))
 		*c.wakeDirty = true
 		r.Complete(c.clock) // posted write
 		return true
@@ -229,6 +236,9 @@ func (c *Controller) TryEnqueue(r *mem.Request) bool {
 		if len(c.readQ) >= c.cfg.ReadQ {
 			c.Stats.ReadQFullStall++
 			return false
+		}
+		if r.Done == nil {
+			r = c.posted.Copy(r)
 		}
 		c.readQ = append(c.readQ, c.entry(r))
 		*c.wakeDirty = true
@@ -338,7 +348,11 @@ func (c *Controller) complete(now uint64) {
 	for _, p := range c.inService {
 		if p.finish <= now {
 			c.doneReads++
-			p.req.Complete(now)
+			if p.req.Done == nil {
+				c.posted.Release(p.req)
+			} else {
+				p.req.Complete(now)
+			}
 		} else {
 			kept = append(kept, p)
 		}
@@ -443,6 +457,7 @@ func (c *Controller) issueWrite(now uint64) bool {
 		c.writeQ = append(c.writeQ[:i], c.writeQ[i+1:]...)
 		c.serve(r.Line, bank, now, true)
 		c.account(r)
+		c.posted.Release(r) // writes are always the controller's copies
 		return true
 	}
 	return false

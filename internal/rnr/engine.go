@@ -98,6 +98,12 @@ type Engine struct {
 	Core              int
 
 	meta mem.Backend // metadata path (cache-bypassing, straight to DRAM)
+	// metaPost is the scratch request metaWrite posts (the backend copies
+	// it); metaArena/metaFree recycle the metadata reads, which carry
+	// Done and so stay engine-owned until they complete.
+	metaPost  mem.Request
+	metaArena []metaRead
+	metaFree  []*metaRead
 
 	// Recorded metadata (model of the in-memory tables' contents).
 	seq []SeqEntry
@@ -312,10 +318,74 @@ func (e *Engine) metaWrite(addr mem.Addr, pageReg *mem.Addr) {
 	if e.meta == nil {
 		return
 	}
-	req := mem.NewRequest(mem.ReqMetaWrite, addr, 0, e.Core, 0)
-	e.meta.TryEnqueue(req) // posted; if the queue is full the line is
-	// absorbed by the (unmodelled) core write-combining buffer — the
+	e.metaPost.Init(mem.ReqMetaWrite, addr, 0, e.Core, 0)
+	e.meta.TryEnqueue(&e.metaPost) // posted; if the queue is full the line
+	// is absorbed by the (unmodelled) core write-combining buffer — the
 	// traffic is already counted above.
+}
+
+// metaRead is one in-flight metadata line read: the request plus what its
+// completion needs. Slots are recycled through the engine's freelist, so
+// the replay's metadata stream allocates nothing in steady state.
+type metaRead struct {
+	e   *Engine
+	gen uint64 // e.metaGen at issue; a reset in between orphans the read
+	div bool   // division-table line (else sequence-table line)
+	req mem.Request
+	// boundDone caches the done method value: binding a method allocates,
+	// so it happens once per slot, not once per read.
+	boundDone func(cycle uint64)
+}
+
+// newMetaRead returns a recycled or freshly carved read slot whose request
+// reads the metadata line at addr.
+func (e *Engine) newMetaRead(addr mem.Addr, cycle uint64, div bool) *metaRead {
+	var m *metaRead
+	if n := len(e.metaFree); n > 0 {
+		m = e.metaFree[n-1]
+		e.metaFree = e.metaFree[:n-1]
+	} else {
+		if len(e.metaArena) == 0 {
+			e.metaArena = make([]metaRead, 8)
+		}
+		m = &e.metaArena[0]
+		e.metaArena = e.metaArena[1:]
+		m.e = e
+		m.boundDone = m.done
+	}
+	m.gen, m.div = e.metaGen, div
+	m.req.Init(mem.ReqMetaRead, addr, 0, e.Core, cycle)
+	m.req.Done = m.boundDone
+	return m
+}
+
+// done is a metadata read's completion. The slot goes back to the
+// freelist first, whether or not the read is stale: the backend has
+// dropped its pointer either way.
+func (m *metaRead) done(cy uint64) {
+	e := m.e
+	e.metaFree = append(e.metaFree, m)
+	if e.metaGen != m.gen {
+		return // replay was reset while this read was in flight
+	}
+	if m.div {
+		e.divInFly--
+		e.divFetched += mem.LineSize / DivEntryBytes
+		if e.divFetched > len(e.div) {
+			e.divFetched = len(e.div)
+		}
+		return
+	}
+	e.metaInFly--
+	if e.metaInFly == 0 && e.tel != nil {
+		// The buffer-refill episode (first outstanding read to last
+		// completion) just closed.
+		e.tel.Span(e.telTrack, "seq-refill", e.refillStart, cy)
+	}
+	e.fetchedIdx += mem.LineSize / SeqEntryBytes
+	if e.fetchedIdx > len(e.seq) {
+		e.fetchedIdx = len(e.seq)
+	}
 }
 
 // finalizeRecord flushes partial buffers and terminates the division table
@@ -601,28 +671,13 @@ func (e *Engine) streamMetadata(cycle uint64) {
 	const maxLinesInFlight = 4
 	const entriesPerLine = mem.LineSize / SeqEntryBytes
 	aheadLimit := 2 * SeqEntriesPerBuffer
-	gen := e.metaGen
 
 	for e.metaInFly < maxLinesInFlight && e.metaIssued < len(e.seq) &&
 		e.metaIssued-e.nextIdx < aheadLimit {
 		addr := e.Arch.SeqTableBase + mem.Addr(e.metaIssued*SeqEntryBytes)
-		req := mem.NewRequest(mem.ReqMetaRead, addr, 0, e.Core, cycle)
-		req.Done = func(cy uint64) {
-			if e.metaGen != gen {
-				return // replay was reset while this read was in flight
-			}
-			e.metaInFly--
-			if e.metaInFly == 0 && e.tel != nil {
-				// The buffer-refill episode (first outstanding read to
-				// last completion) just closed.
-				e.tel.Span(e.telTrack, "seq-refill", e.refillStart, cy)
-			}
-			e.fetchedIdx += entriesPerLine
-			if e.fetchedIdx > len(e.seq) {
-				e.fetchedIdx = len(e.seq)
-			}
-		}
-		if !e.meta.TryEnqueue(req) {
+		m := e.newMetaRead(addr, cycle, false)
+		if !e.meta.TryEnqueue(&m.req) {
+			e.metaFree = append(e.metaFree, m)
 			break
 		}
 		e.metaIssued += entriesPerLine
@@ -644,18 +699,9 @@ func (e *Engine) streamMetadata(cycle uint64) {
 	for e.divInFly < 2 && e.divIssued < len(e.div) &&
 		e.divIssued-e.curWindow < 2*DivEntriesPerBuffer {
 		addr := e.Arch.DivTableBase + mem.Addr(e.divIssued*DivEntryBytes)
-		req := mem.NewRequest(mem.ReqMetaRead, addr, 0, e.Core, cycle)
-		req.Done = func(cy uint64) {
-			if e.metaGen != gen {
-				return
-			}
-			e.divInFly--
-			e.divFetched += divPerLine
-			if e.divFetched > len(e.div) {
-				e.divFetched = len(e.div)
-			}
-		}
-		if !e.meta.TryEnqueue(req) {
+		m := e.newMetaRead(addr, cycle, true)
+		if !e.meta.TryEnqueue(&m.req) {
+			e.metaFree = append(e.metaFree, m)
 			break
 		}
 		e.divIssued += divPerLine

@@ -52,9 +52,9 @@ func (m *metaBackend) Tick(now uint64) {
 
 // buildRecorded creates an engine with nEntries recorded misses (one read
 // per miss) and switches it to replay over the fake backend.
-func buildRecorded(t *testing.T, mb *metaBackend, nEntries int, window uint64) *Engine {
+func buildRecorded(t *testing.T, meta mem.Backend, nEntries int, window uint64) *Engine {
 	t.Helper()
-	e := NewEngine(0, mb)
+	e := NewEngine(0, meta)
 	e.DefaultWindow = window
 	base := mem.Addr(0x100000)
 	e.HandleMarker(trace.Mark(trace.MarkInit, 0, 0, 0), 0)

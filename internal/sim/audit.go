@@ -18,7 +18,7 @@ import (
 //	cpu<N>       ROB/LSQ occupancy and ring geometry, dispatch registers
 //	cpu<N>/lsq   LSQ slots == demand requests held by the private L1
 //	l1.<N> l2.<N> llc  queue caps, MSHR conservation, demand accounting,
-//	             ring-deque integrity
+//	             ring-deque integrity, posted-request ownership
 //	rnr.c<N>     replay cursor geometry, metadata credits, division-table
 //	             monotonicity, footprint consistency, prefetch
 //	             classification, Cur Window episode monotonicity, and
@@ -27,7 +27,8 @@ import (
 //	             alone only: rnr-combined shares the L2 counters with
 //	             next-line, the LLC-destination ablation bypasses the L2)
 //	dram         queue caps, read conservation, traffic-class accounting,
-//	             row-buffer accounting, bank-register sanity
+//	             row-buffer accounting, bank-register sanity, posted-request
+//	             ownership
 //	obs          flight-recorder conservation (issued == sum of outcomes
 //	             + open) and outcome-counter monotonicity
 //	obs/div.c<N> divergence-counter monotonicity, compared <= observed,

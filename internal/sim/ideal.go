@@ -22,7 +22,10 @@ func newIdealLLC(latency uint64, lower mem.Backend) *idealLLC {
 	return &idealLLC{latency: latency, lower: lower, resident: make(map[mem.Addr]struct{})}
 }
 
-// TryEnqueue implements mem.Backend.
+// TryEnqueue implements mem.Backend. The only posted requests that reach
+// it, writebacks and metadata, are absorbed or forwarded within the call;
+// reads arrive as L2 miss children with Done, so keeping r by reference
+// follows the ownership rule.
 func (c *idealLLC) TryEnqueue(r *mem.Request) bool {
 	switch r.Type {
 	case mem.ReqWriteback, mem.ReqMetaWrite:

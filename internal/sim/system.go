@@ -42,6 +42,11 @@ type System struct {
 	staleHits uint64
 
 	issueFns []prefetch.IssueFunc // one per core, built once
+	// post is the scratch request every posted issue path (prefetches,
+	// cross-core prefetches, MISB metadata) refills: the receiving cache
+	// or controller copies what it accepts (see mem.Backend), so the
+	// same storage serves the next issue.
+	post mem.Request
 
 	ctx *ctxSwitch
 
@@ -558,8 +563,8 @@ func (s *System) wireCoherence() {
 func (s *System) wireCrossCore() {
 	s.xcore = prefetch.NewCrossCore(s.cfg.Cores)
 	s.xcore.Issue = func(core int, line mem.Addr) bool {
-		req := mem.NewRequest(mem.ReqPrefetch, line, 0, core, s.cycle)
-		return s.llcs[s.bankOf(line)].TryPrefetch(req)
+		s.post.Init(mem.ReqPrefetch, line, 0, core, s.cycle)
+		return s.llcs[s.bankOf(line)].TryPrefetch(&s.post)
 	}
 	for b := range s.llcs {
 		bank := s.llcs[b]
@@ -579,14 +584,14 @@ func (s *System) wireCrossCore() {
 func (s *System) issueFunc(c int) prefetch.IssueFunc {
 	if s.cfg.RnRPrefetchToLLC && len(s.llcs) > 0 {
 		return func(line mem.Addr) bool {
-			req := mem.NewRequest(mem.ReqPrefetch, line, 0, c, s.cycle)
-			return s.llcs[s.bankOf(line)].TryPrefetch(req)
+			s.post.Init(mem.ReqPrefetch, line, 0, c, s.cycle)
+			return s.llcs[s.bankOf(line)].TryPrefetch(&s.post)
 		}
 	}
 	l2 := s.l2s[c]
 	return func(line mem.Addr) bool {
-		req := mem.NewRequest(mem.ReqPrefetch, line, 0, c, s.cycle)
-		return l2.TryPrefetch(req)
+		s.post.Init(mem.ReqPrefetch, line, 0, c, s.cycle)
+		return l2.TryPrefetch(&s.post)
 	}
 }
 
@@ -597,10 +602,10 @@ func (s *System) metaHook(c int) func(write bool, addr mem.Addr) {
 		if write {
 			t = mem.ReqMetaWrite
 		}
-		req := mem.NewRequest(t, addr, 0, c, s.cycle)
+		s.post.Init(t, addr, 0, c, s.cycle)
 		// Best effort: a full queue drops the transaction; the traffic
 		// model is what matters for MISB.
-		s.mc.TryEnqueue(req)
+		s.mc.TryEnqueue(&s.post)
 	}
 }
 
