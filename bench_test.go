@@ -67,7 +67,9 @@ func BenchmarkHardwareOverhead(b *testing.B) {
 //     (ForceCycleStepped), so the perf trajectory records both and CI can
 //     gate on their ratio.
 //   - regime: base is dense (PageRank keeps some component busy ~90% of
-//     cycles, so event-driven wins only by per-component tick gating);
+//     cycles, so event-driven wins only by skipping the ticks of idle
+//     components, which a single short run on a shared host cannot
+//     resolve from /stepped in cycles/s);
 //     /ctxswitch injects the paper's §IV-C descheduling with a realistic
 //     out:in ratio, the idle-heavy regime next-event scheduling exists
 //     for, where the event engine leaps whole descheduled windows.
@@ -76,7 +78,8 @@ func BenchmarkHardwareOverhead(b *testing.B) {
 // of the scheduler, per simulated cycle: ticked/cycle (cycles actually
 // simulated) and wake_evals/cycle (component wakeups evaluated). They do
 // not depend on the host, so a change in them is a change in the
-// scheduler's work, not runner noise.
+// scheduler's work, not runner noise; CI's bench-smoke gates them
+// exactly on /base and /2core.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	app, err := rnrsim.BuildWorkload("pagerank", "urand", rnrsim.ScaleTest)
 	if err != nil {

@@ -358,56 +358,57 @@ func (c *Cache) CanAcceptDemand() bool { return c.readQ.len() < c.cfg.ReadQ }
 // state, or mem.WakeupNever when the cache is quiescent (possibly with
 // MSHRs outstanding — fills are completion callbacks, not tick work).
 // Each input queue is FIFO, so its head gates the whole queue. A head
-// that is ready but structurally blocked is frozen, not busy: a demand
-// head that would miss with every MSHR busy is retried by Tick each
-// cycle, but the retry is a provable no-op (stats cancel out, only the
-// head's requeue stamp churns — and that reconverges at the next real
-// tick), and the prefetch loop breaks before touching its queue when
-// MSHRs are below the demand reservation. Both unblock only via a fill,
-// which is a completion callback after which wakeups are recomputed.
+// that is structurally blocked is frozen, not busy, whatever its ready
+// stamp, because Tick's retry of it is a provable no-op: a demand head
+// that would miss with every MSHR busy is re-queued (stats cancel out;
+// only its ready stamp moves, to now+1, and a stamp at or before the
+// next real tick is as ready as any other), and the prefetch loop breaks
+// before touching its queue while MSHRs are below the demand
+// reservation. Both unblock only via a fill, which sets the wake flag.
+// So the frozen tests come before the stamps: checked after them, the
+// re-queue stamp would wake an MSHR-starved cache every cycle. A ready
+// writeback may still be refused below; the failed retry is pure, but
+// the level below frees space without telling this cache, so it is
+// simulated.
 func (c *Cache) Wakeup(now uint64) uint64 {
 	if len(c.unsent) > 0 {
 		return now + 1 // blocked miss traffic is retried every cycle
 	}
 	w := mem.WakeupNever
 	if c.readQ.n > 0 {
-		if f := c.readQ.front(); f.ready > now {
+		f := c.readQ.front()
+		switch {
+		case len(c.mshrs) >= c.cfg.MSHRs && !c.Lookup(f.req.Line) && !c.InFlight(f.req.Line):
+			// Fresh miss with MSHRs exhausted: frozen until a fill.
+		case f.ready > now:
 			w = f.ready
-		} else if len(c.mshrs) < c.cfg.MSHRs || c.Lookup(f.req.Line) ||
-			c.InFlight(f.req.Line) {
+		default:
 			return now + 1 // hit, merge or MSHR allocation: real work next cycle
 		}
-		// else: fresh miss with MSHRs exhausted — frozen until a fill.
 	}
 	if c.prefQ.n > 0 {
-		if f := c.prefQ.front(); f.ready > now {
-			if f.ready < w {
-				w = f.ready
-			}
-		} else {
-			reserved := 4
-			if reserved > c.cfg.MSHRs/2 {
-				reserved = c.cfg.MSHRs / 2
-			}
-			if len(c.mshrs) < c.cfg.MSHRs-reserved {
-				return now + 1
-			}
-			// else: Tick's prefetch loop breaks untouched — frozen.
+		f := c.prefQ.front()
+		switch {
+		case len(c.mshrs) >= c.cfg.MSHRs-c.prefetchReserve():
+			// Tick's prefetch loop breaks untouched: frozen until a fill.
+		case f.ready > now:
+			w = min(w, f.ready)
+		default:
+			return now + 1
 		}
 	}
 	if c.writeQ.n > 0 {
 		if f := c.writeQ.front(); f.ready > now {
-			if f.ready < w {
-				w = f.ready
-			}
+			w = min(w, f.ready)
 		} else {
-			// A ready writeback may still be blocked below; the failed
-			// apply is pure but cheap certainty isn't — simulate it.
 			return now + 1
 		}
 	}
 	return w
 }
+
+// prefetchReserve is how many MSHRs the prefetch queue leaves to demands.
+func (c *Cache) prefetchReserve() int { return min(4, c.cfg.MSHRs/2) }
 
 // AdvanceClock fast-forwards the internal clock over skipped idle
 // cycles. The clock timestamps enqueues (ready = clock + latency) and
@@ -453,11 +454,7 @@ func (c *Cache) Tick(now uint64) {
 		prefBudget = c.cfg.Bandwidth
 	}
 	for prefBudget > 0 && c.prefQ.n > 0 && c.prefQ.front().ready <= now {
-		reserved := 4
-		if reserved > c.cfg.MSHRs/2 {
-			reserved = c.cfg.MSHRs / 2
-		}
-		if len(c.mshrs) >= c.cfg.MSHRs-reserved {
+		if len(c.mshrs) >= c.cfg.MSHRs-c.prefetchReserve() {
 			break
 		}
 		c.access(c.prefQ.popFront().req, now)

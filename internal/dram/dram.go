@@ -292,14 +292,25 @@ func (c *Controller) Tick(now uint64) {
 // write-drain telemetry span stamps the flip cycle, so a pending flip —
 // possible because fill callbacks can enqueue writebacks after this
 // tick's updateDrainState ran — forces now+1.
+//
+// Everything else Tick does happens in scheduleOne, which needs a free
+// service slot, or in the extra low-priority read issue, which needs
+// fewer than MaxInFlight+1 reads in service. A slot frees only when a
+// transfer completes, at an inService finish time that is already a
+// wakeup, so an issue, a burst start or a stale-credit clear that waits
+// on a slot is not a reason to wake before then.
 func (c *Controller) Wakeup(now uint64) uint64 {
 	if (!c.draining && len(c.writeQ) >= c.drainHi) || (c.draining && len(c.writeQ) <= c.drainLo) {
 		return now + 1 // pending draining flip
 	}
-	if c.burstLeft == 0 && (len(c.writeQ) >= c.cfg.WriteQ || (c.draining && len(c.writeQ) > 0)) {
-		return now + 1 // a write burst would start next tick
+	if c.burstLeft == 0 && len(c.writeQ) >= c.cfg.WriteQ {
+		return now + 1 // updateDrainState forces a burst next tick
 	}
-	if c.burstLeft > 0 && len(c.writeQ) == 0 {
+	slotFree := len(c.inService) < c.cfg.MaxInFlight
+	if slotFree && c.burstLeft == 0 && c.draining && len(c.writeQ) > 0 {
+		return now + 1 // scheduleOne starts a drain burst next tick
+	}
+	if slotFree && c.burstLeft > 0 && len(c.writeQ) == 0 {
 		return now + 1 // stale burst credit is cleared next tick
 	}
 	w := mem.WakeupNever
@@ -308,21 +319,26 @@ func (c *Controller) Wakeup(now uint64) uint64 {
 			w = p.finish
 		}
 	}
-	// Reads issue as soon as a bank is ready, provided a service slot is
-	// free (slot exhaustion resolves at a finish time, already counted).
+	// Reads issue as soon as a bank is ready, provided a slot admits them:
+	// demand reads issue only from scheduleOne, prefetch and metadata
+	// reads also from the extra issue after it.
 	if len(c.inService) <= c.cfg.MaxInFlight {
 		for i := range c.readQ {
+			if c.readQ[i].demand && !slotFree {
+				continue
+			}
 			if ra := c.banks[c.readQ[i].bank].readyAt; ra < w {
 				w = ra
 			}
 		}
 	}
-	// Writes issue during a burst, or opportunistically when the read
-	// queue is idle with enough writes banked (or the controller fully
-	// idle). Outside those regimes a queued write cannot issue no matter
-	// what its bank does, and the regime itself only changes at an event
-	// we already track (read issue, completion, drain flip).
-	if len(c.writeQ) > 0 &&
+	// Writes issue (from scheduleOne, so with a free slot) during a burst,
+	// or opportunistically when the read queue is idle with enough writes
+	// banked (or the controller fully idle). Outside those regimes a
+	// queued write cannot issue no matter what its bank does, and the
+	// regime itself only changes at an event we already track (read
+	// issue, completion, drain flip).
+	if slotFree && len(c.writeQ) > 0 &&
 		(c.burstLeft > 0 ||
 			(len(c.readQ) == 0 && (len(c.writeQ) >= writeBurstMin || len(c.inService) == 0))) {
 		for i := range c.writeQ {

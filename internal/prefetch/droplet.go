@@ -30,6 +30,7 @@ type Droplet struct {
 
 	resolved     fifoTable[mem.Addr, struct{}] // edge lines already decoded
 	pendingFills []mem.Addr                    // edge lines filled this cycle, decoded in OnCycle
+	wakeDirty    *bool                         // set when a fill is buffered; see BindWakeFlag
 }
 
 const (
@@ -41,7 +42,10 @@ const (
 // NewDroplet returns a DROPLET-like prefetcher; the caller must set
 // EdgeRegion and Resolve before use.
 func NewDroplet() *Droplet {
-	return &Droplet{resolved: newFIFOTable[mem.Addr, struct{}](dropletResolvedCap)}
+	return &Droplet{
+		resolved:  newFIFOTable[mem.Addr, struct{}](dropletResolvedCap),
+		wakeDirty: new(bool),
+	}
 }
 
 // OnAccess implements Prefetcher: stream the edge array ahead of demand.
@@ -69,6 +73,7 @@ func (p *Droplet) OnFill(line mem.Addr, prefetch bool, cycle uint64) {
 		return
 	}
 	p.pendingFills = append(p.pendingFills, line)
+	*p.wakeDirty = true
 }
 
 // OnCycle implements CycleDriven: decode the edge lines buffered by OnFill.
@@ -87,6 +92,10 @@ func (p *Droplet) Wakeup(now uint64) uint64 {
 	}
 	return mem.WakeupNever
 }
+
+// BindWakeFlag implements CycleDriven: OnFill, the only input that moves
+// Wakeup, sets *p.
+func (p *Droplet) BindWakeFlag(f *bool) { p.wakeDirty = f }
 
 func (p *Droplet) decode(edgeLine mem.Addr, issue IssueFunc) {
 	if p.Resolve == nil {

@@ -48,9 +48,16 @@ type FillObserver interface {
 // internal/mem; the simulator calls OnCycle only at cycles its wakeup
 // has come due (or every cycle when stepping). Prefetchers that do not
 // implement CycleDriven are never a reason to simulate a cycle.
+//
+// The simulator caches Wakeup and recomputes it only after OnCycle ran
+// or after the prefetcher set the flag handed over by BindWakeFlag. So a
+// CycleDriven prefetcher sets *p on every input outside OnCycle that can
+// move its wakeup earlier (a fill, a demand access, a software marker),
+// and Wakeup reads no state that changes without setting it.
 type CycleDriven interface {
 	OnCycle(cycle uint64, issue IssueFunc)
 	Wakeup(now uint64) uint64
+	BindWakeFlag(p *bool)
 }
 
 // RegionFilter wraps a prefetcher and suppresses its training and issuing
@@ -96,6 +103,13 @@ func (f *RegionFilter) Wakeup(now uint64) uint64 {
 		return cd.Wakeup(now)
 	}
 	return mem.WakeupNever
+}
+
+// BindWakeFlag implements CycleDriven by binding the wrapped prefetcher.
+func (f *RegionFilter) BindWakeFlag(p *bool) {
+	if cd, ok := f.Inner.(CycleDriven); ok {
+		cd.BindWakeFlag(p)
+	}
 }
 
 func (f *RegionFilter) guard(issue IssueFunc) IssueFunc {
@@ -148,4 +162,14 @@ func (c Combine) Wakeup(now uint64) uint64 {
 		}
 	}
 	return w
+}
+
+// BindWakeFlag implements CycleDriven by binding every cycle-driven
+// member to the one flag.
+func (c Combine) BindWakeFlag(p *bool) {
+	for _, m := range c {
+		if cd, ok := m.(CycleDriven); ok {
+			cd.BindWakeFlag(p)
+		}
+	}
 }

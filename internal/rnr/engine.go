@@ -133,6 +133,11 @@ type Engine struct {
 	track          map[mem.Addr]uint8
 	issuedThisIter map[mem.Addr]bool
 
+	// wakeDirty is set on every input outside OnCycle that can move
+	// Wakeup: a replay-time structure read, a metadata arrival, a marker
+	// and a restore. See BindWakeFlag.
+	wakeDirty *bool
+
 	// diverge, when attached, scores observed replay misses against the
 	// recorded sequence per window (see DivergenceProbe). Observational
 	// only: excluded from state hashing and save/restore.
@@ -164,8 +169,13 @@ func NewEngine(core int, meta mem.Backend) *Engine {
 		meta:           meta,
 		track:          make(map[mem.Addr]uint8),
 		issuedThisIter: make(map[mem.Addr]bool),
+		wakeDirty:      new(bool),
 	}
 }
+
+// BindWakeFlag implements prefetch.CycleDriven: the engine sets *p
+// whenever state that Wakeup reads changes outside OnCycle.
+func (e *Engine) BindWakeFlag(p *bool) { e.wakeDirty = p }
 
 // InRange reports whether a line falls inside any *valid* boundary slot
 // (enabled or not). The conventional prefetchers running alongside RnR are
@@ -197,6 +207,12 @@ func (e *Engine) PreAccess(r *mem.Request) {
 	r.StructFlag = true
 	e.curStructRead++
 	e.Stats.StructReads++
+	if e.Arch.State == StateReplay {
+		// Cur Struct Read paces replay. While recording Wakeup is
+		// WakeupNever whatever the count, and the marker that starts
+		// replay sets the flag itself.
+		*e.wakeDirty = true
+	}
 }
 
 // OnAccess implements prefetch.Prefetcher: the L2-side record path and the
@@ -368,6 +384,7 @@ func (m *metaRead) done(cy uint64) {
 	if e.metaGen != m.gen {
 		return // replay was reset while this read was in flight
 	}
+	*e.wakeDirty = true
 	if m.div {
 		e.divInFly--
 		e.divFetched += mem.LineSize / DivEntryBytes
@@ -411,6 +428,7 @@ func (e *Engine) finalizeRecord() {
 func (e *Engine) HandleMarker(rec trace.Record, cycle uint64) {
 	prev := e.Arch.State
 	e.handleMarker(rec, cycle)
+	*e.wakeDirty = true
 	if e.tel != nil && e.Arch.State != prev {
 		if prev != StateIdle {
 			e.tel.Span(e.telTrack, prev.String(), e.stateStart, cycle)
@@ -518,9 +536,7 @@ func (e *Engine) resetReplayState() {
 // boundary: anything prefetched-and-evicted that was never demanded is an
 // out-of-window prefetch.
 func (e *Engine) closeIteration() {
-	if len(e.issuedThisIter) > 0 {
-		e.issuedThisIter = make(map[mem.Addr]bool)
-	}
+	clear(e.issuedThisIter)
 	for line, st := range e.track {
 		if st == trackEvicted {
 			e.Stats.OutOfWindow++
@@ -601,9 +617,10 @@ func (e *Engine) OnCycle(cycle uint64, issue prefetch.IssueFunc) {
 // Wakeup implements prefetch.CycleDriven: it mirrors OnCycle's gating
 // conditions and reports now+1 whenever any of them could make progress,
 // mem.WakeupNever otherwise. Every predicate below is a pure read of
-// state that only changes inside OnCycle or a completion callback (both
-// of which trigger a wakeup recomputation), so "no branch can progress
-// now" really means "no branch can progress until external input".
+// state that changes only inside OnCycle or where the engine sets its
+// wake flag (PreAccess in replay, a metadata completion, HandleMarker,
+// Restore), so "no branch can progress now" really means "no branch can
+// progress until the flag is set".
 func (e *Engine) Wakeup(now uint64) uint64 {
 	if e.Arch.State != StateReplay || len(e.seq) == 0 {
 		return mem.WakeupNever

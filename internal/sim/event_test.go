@@ -118,6 +118,12 @@ func TestEventSteppedDifferentialMatrix(t *testing.T) {
 	ctxCfg.CtxSwitch = CtxSwitchConfig{Period: 20_000, Duration: 7_000}
 	cases = append(cases, tcase{name: "rnr+ctx", cfg: ctxCfg})
 
+	// A switch-in replaces DROPLET with a fresh instance, which must be
+	// bound to the core's wake slot in place of the old one.
+	dropletCtx := testConfig().WithPrefetcher(PFDroplet)
+	dropletCtx.CtxSwitch = ctxCfg.CtxSwitch
+	cases = append(cases, tcase{name: "droplet+ctx", cfg: dropletCtx})
+
 	banked := testConfig().WithPrefetcher(PFNextLine)
 	banked.LLCBanks = 2
 	cases = append(cases, tcase{name: "nextline+2banks", cfg: banked})
@@ -176,37 +182,46 @@ func TestEventEngineSkipsCycles(t *testing.T) {
 	}
 }
 
-// TestSchedulerWorkCounters pins the diagnostics-only work counters on a
-// dense run: they repeat exactly from run to run (so benchmarks can gate
-// them independently of the host), the event engine's counts equal the
-// values pinned below, and the stepped engine, which consults no
-// wakeups, evaluates none. A change to either pinned value is a change
-// to the event engine's work, not noise: re-pin it only together with a
-// deliberate scheduler change.
+// TestSchedulerWorkCounters pins the diagnostics-only work counters on
+// two dense runs, PageRank under RnR and the coherent 2-core co-run of
+// BenchmarkSimulatorThroughput/2core: they repeat exactly from run to run
+// (so benchmarks can gate them independently of the host), the event
+// engine's counts equal the values pinned below, and the stepped engine,
+// which consults no wakeups, evaluates none. A change to any pinned
+// value is a change to the event engine's work, not noise: re-pin it
+// only together with a deliberate scheduler change.
 func TestSchedulerWorkCounters(t *testing.T) {
-	const (
-		wantCycles    = 129132
-		wantTicked    = 124757
-		wantWakeEvals = 1055820
-	)
-	app := testApp(t)
-	cfg := testConfig().WithPrefetcher(PFRnR)
-	r1, s1 := runEngine(t, cfg, app, false)
-	_, s2 := runEngine(t, cfg, app, false)
-	if s1.TickedCycles() != s2.TickedCycles() || s1.WakeEvals() != s2.WakeEvals() {
-		t.Errorf("work counters differ between identical runs: ticked %d/%d, wake evals %d/%d",
-			s1.TickedCycles(), s2.TickedCycles(), s1.WakeEvals(), s2.WakeEvals())
-	}
-	if r1.Cycles != wantCycles || s1.TickedCycles() != wantTicked || s1.WakeEvals() != wantWakeEvals {
-		t.Errorf("event engine: %d cycles, ticked %d, %d wake evals; want %d, %d, %d",
-			r1.Cycles, s1.TickedCycles(), s1.WakeEvals(), wantCycles, wantTicked, wantWakeEvals)
-	}
-	rs, ss := runEngine(t, cfg, app, true)
-	if ss.WakeEvals() != 0 {
-		t.Errorf("stepped engine evaluated %d wakeups", ss.WakeEvals())
-	}
-	if rs.StateHash != r1.StateHash {
-		t.Errorf("state hash: event %016x != stepped %016x", r1.StateHash, rs.StateHash)
+	twoCore := coRunConfig()
+	twoCore.Prefetcher = Test().Prefetcher
+	for _, tc := range []struct {
+		name                              string
+		cfg                               Config
+		app                               func(*testing.T) *apps.App
+		wantCycles, wantTicked, wantEvals uint64
+	}{
+		{"pagerank-rnr", testConfig().WithPrefetcher(PFRnR), testApp, 129132, 114023, 424579},
+		{"2core", twoCore, coRunApp, 1808882, 1337062, 3010740},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			app := tc.app(t)
+			r1, s1 := runEngine(t, tc.cfg, app, false)
+			_, s2 := runEngine(t, tc.cfg, app, false)
+			if s1.TickedCycles() != s2.TickedCycles() || s1.WakeEvals() != s2.WakeEvals() {
+				t.Errorf("work counters differ between identical runs: ticked %d/%d, wake evals %d/%d",
+					s1.TickedCycles(), s2.TickedCycles(), s1.WakeEvals(), s2.WakeEvals())
+			}
+			if r1.Cycles != tc.wantCycles || s1.TickedCycles() != tc.wantTicked || s1.WakeEvals() != tc.wantEvals {
+				t.Errorf("event engine: %d cycles, ticked %d, %d wake evals; want %d, %d, %d",
+					r1.Cycles, s1.TickedCycles(), s1.WakeEvals(), tc.wantCycles, tc.wantTicked, tc.wantEvals)
+			}
+			rs, ss := runEngine(t, tc.cfg, app, true)
+			if ss.WakeEvals() != 0 {
+				t.Errorf("stepped engine evaluated %d wakeups", ss.WakeEvals())
+			}
+			if rs.StateHash != r1.StateHash {
+				t.Errorf("state hash: event %016x != stepped %016x", r1.StateHash, rs.StateHash)
+			}
+		})
 	}
 }
 

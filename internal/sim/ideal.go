@@ -11,6 +11,9 @@ type idealLLC struct {
 	resident map[mem.Addr]struct{}
 	clock    uint64
 	pending  []pendingHit
+	// wakeDirty is set when a hit is buffered, the only input that moves
+	// wakeup; the System binds it to the ideal LLC's wake-table slot.
+	wakeDirty *bool
 }
 
 type pendingHit struct {
@@ -19,7 +22,12 @@ type pendingHit struct {
 }
 
 func newIdealLLC(latency uint64, lower mem.Backend) *idealLLC {
-	return &idealLLC{latency: latency, lower: lower, resident: make(map[mem.Addr]struct{})}
+	return &idealLLC{
+		latency:   latency,
+		lower:     lower,
+		resident:  make(map[mem.Addr]struct{}),
+		wakeDirty: new(bool),
+	}
 }
 
 // TryEnqueue implements mem.Backend. The only posted requests that reach
@@ -41,6 +49,7 @@ func (c *idealLLC) TryEnqueue(r *mem.Request) bool {
 	}
 	if _, ok := c.resident[r.Line]; ok {
 		c.pending = append(c.pending, pendingHit{r, c.clock + c.latency})
+		*c.wakeDirty = true
 		return true
 	}
 	line := r.Line

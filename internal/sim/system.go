@@ -86,7 +86,7 @@ type System struct {
 	// Event-driven scheduler state (see run). pfWake caches the
 	// CycleDriven assertion on each core's prefetcher (refreshed whenever
 	// the instance is swapped); nil means the prefetcher never acts from
-	// the cycle loop, so it is neither ticked nor polled.
+	// the cycle loop, so it is never ticked and its wake slot is unused.
 	pfWake       []prefetch.CycleDriven
 	nextSampleAt uint64 // next telemetry sample event (WakeupNever when off)
 	nextAuditAt  uint64 // next audit sweep event (WakeupNever when off)
@@ -347,8 +347,12 @@ func (s *System) wirePrefetcher(c int) {
 	}
 	// Cache the CycleDriven assertion for the scheduler. wirePrefetcher
 	// also runs on context switch-in (instance swap), so the cache stays
-	// in sync with s.prefs[c].
+	// in sync with s.prefs[c], and the swapped-in instance is bound to
+	// the wake table (New binds the first one in bindWakeTable).
 	s.pfWake[c], _ = s.prefs[c].(prefetch.CycleDriven)
+	if s.wake != nil {
+		s.bindPrefetcherWake(c)
+	}
 }
 
 // wireCore connects the core's hooks, the L2's hooks and the prefetcher.
@@ -683,6 +687,7 @@ func (s *System) step(gated bool) {
 			s.l2s[c].AdvanceClock(now)
 		}
 		if s.pfWake[c] != nil && (!gated || s.pfWakeAt(c, prev) <= now) {
+			s.wake[s.pfSlot(c)].stale = true
 			s.pfWake[c].OnCycle(now, s.issueFns[c])
 			busy = true
 		}
@@ -698,6 +703,7 @@ func (s *System) step(gated bool) {
 	}
 	if s.ideal != nil {
 		if !gated || s.idealWakeAt(prev) <= now {
+			s.wake[s.idealSlot()].stale = true
 			s.ideal.Tick(now)
 			busy = true
 		} else {

@@ -1,25 +1,32 @@
 package sim
 
-// The wake table: one slot per component whose wakeup is cached, laid
-// out in tick order — every core, then each core's L1 and L2, then the
-// LLC banks, then DRAM.
+// The wake table: one slot per scheduled component, laid out in tick
+// order — every core, then each core's L1, L2 and cycle-driven
+// prefetcher, then the LLC banks (or the ideal LLC), then DRAM. Every
+// wakeup the event scheduler consults is cached here; none is polled.
 //
 // A slot caches its component's wakeup until the slot goes stale. The
-// scheduler marks it stale when the component ticks. Cores also go stale
-// when an L1 tick frees demand capacity while the core is blocked on a
-// rejected request (only then does Core.Wakeup probe the L1) and when
-// the iteration barrier releases them (that changes the fetch gate
-// without touching the core). A context switch marks no core: the
-// scheduler skips descheduled cores instead of gating them, and
-// Core.Wakeup reads nothing the switch changes. Components mark
-// their own slot stale on external input that can move their wakeup —
-// an enqueue from above, a fill from below, a completion that frees the
-// ROB head or a full LSQ, an invalidation — through the flag pointer
-// handed over by BindWakeFlag. So a frozen component costs one boolean
-// load per use, with no call through its pointer.
+// scheduler marks it stale when the component ticks (a prefetcher: when
+// its OnCycle runs). Cores also go stale when an L1 tick frees demand
+// capacity while the core is blocked on a rejected request (only then
+// does Core.Wakeup probe the L1) and when the iteration barrier
+// releases them (that changes the fetch gate without touching the
+// core). A context switch marks no core: the scheduler skips
+// descheduled cores instead of gating them, and Core.Wakeup reads
+// nothing the switch changes. A switch that swaps a prefetcher instance
+// binds the new one to the slot and marks it (wirePrefetcher).
 //
-// Prefetcher and ideal-LLC wakeups are polled, never cached: they have no
-// external-input flag, so they have no slot.
+// Components mark their own slot stale on external input that can move
+// their wakeup, through the flag pointer handed over by BindWakeFlag:
+// an enqueue from above, a fill from below, a completion that frees the
+// ROB head or a full LSQ, an invalidation; for the RnR engine a
+// structure read during replay, a metadata arrival, a marker or a
+// restore; for DROPLET a buffered edge-line fill; for the ideal LLC a
+// buffered hit. So a frozen component costs one boolean load per use,
+// with no call through its pointer. The cached value is only worth
+// keeping if it is exact: a wakeup earlier than the component's next
+// state change ticks it for nothing (Cache.Wakeup and
+// dram.Controller.Wakeup spell out which blocked states are frozen).
 
 // wakeSlot is one wake-table entry.
 type wakeSlot struct {
@@ -27,15 +34,21 @@ type wakeSlot struct {
 	stale bool
 }
 
-func (s *System) l1Slot(c int) int  { return len(s.cores) + 2*c }
-func (s *System) l2Slot(c int) int  { return len(s.cores) + 2*c + 1 }
-func (s *System) llcSlot(b int) int { return 3*len(s.cores) + b }
+func (s *System) l1Slot(c int) int  { return len(s.cores) + 3*c }
+func (s *System) l2Slot(c int) int  { return len(s.cores) + 3*c + 1 }
+func (s *System) pfSlot(c int) int  { return len(s.cores) + 3*c + 2 }
+func (s *System) llcSlot(b int) int { return 4*len(s.cores) + b }
+
+// idealSlot is the ideal LLC's slot: it replaces the LLC, so it takes
+// the first LLC slot.
+func (s *System) idealSlot() int { return s.llcSlot(0) }
 
 // bindWakeTable sizes the wake table, starts every slot stale and binds
-// each cached component's external-input flag to its slot. The table is
-// never reallocated afterwards: components hold pointers into it.
+// each component's external-input flag to its slot. The table is never
+// reallocated afterwards: components hold pointers into it.
 func (s *System) bindWakeTable() {
-	s.wake = make([]wakeSlot, 3*len(s.cores)+len(s.llcs)+1)
+	// Without banks the ideal LLC takes the one LLC slot.
+	s.wake = make([]wakeSlot, 4*len(s.cores)+max(len(s.llcs), 1)+1)
 	for i := range s.wake {
 		s.wake[i].stale = true
 	}
@@ -43,11 +56,26 @@ func (s *System) bindWakeTable() {
 		s.cores[c].BindWakeFlag(&s.wake[c].stale)
 		s.l1s[c].BindWakeFlag(&s.wake[s.l1Slot(c)].stale)
 		s.l2s[c].BindWakeFlag(&s.wake[s.l2Slot(c)].stale)
+		s.bindPrefetcherWake(c)
 	}
 	for b := range s.llcs {
 		s.llcs[b].BindWakeFlag(&s.wake[s.llcSlot(b)].stale)
 	}
+	if s.ideal != nil {
+		s.ideal.wakeDirty = &s.wake[s.idealSlot()].stale
+	}
 	s.mc.BindWakeFlag(&s.wake[len(s.wake)-1].stale)
+}
+
+// bindPrefetcherWake binds core c's cycle-driven prefetcher, if it has
+// one, to its slot and marks the slot stale, so a freshly swapped-in
+// instance is asked for its wakeup before the old one's is trusted.
+func (s *System) bindPrefetcherWake(c int) {
+	w := &s.wake[s.pfSlot(c)]
+	w.stale = true
+	if s.pfWake[c] != nil {
+		s.pfWake[c].BindWakeFlag(&w.stale)
+	}
 }
 
 // The *WakeAt accessors return a component's wakeup, evaluating it only
@@ -98,21 +126,30 @@ func (s *System) mcWakeAt(now uint64) uint64 {
 	return w.at
 }
 
-// pfWakeAt polls core c's cycle-driven prefetcher (s.pfWake[c] != nil).
+// pfWakeAt is core c's cycle-driven prefetcher's wakeup (s.pfWake[c] !=
+// nil).
 func (s *System) pfWakeAt(c int, now uint64) uint64 {
-	s.wakeEvals++
-	return s.pfWake[c].Wakeup(now)
+	w := &s.wake[s.pfSlot(c)]
+	if w.stale {
+		w.at, w.stale = s.pfWake[c].Wakeup(now), false
+		s.wakeEvals++
+	}
+	return w.at
 }
 
-// idealWakeAt polls the ideal LLC (s.ideal != nil).
+// idealWakeAt is the ideal LLC's wakeup (s.ideal != nil).
 func (s *System) idealWakeAt(now uint64) uint64 {
-	s.wakeEvals++
-	return s.ideal.wakeup(now)
+	w := &s.wake[s.idealSlot()]
+	if w.stale {
+		w.at, w.stale = s.ideal.wakeup(now), false
+		s.wakeEvals++
+	}
+	return w.at
 }
 
 // WakeEvals reports how many component wakeups the event scheduler
-// evaluated: cached wakeups recomputed after going stale plus prefetcher
-// and ideal-LLC polls. Like TickedCycles it is a deterministic,
+// evaluated, each a cached wakeup recomputed after its slot went stale.
+// Like TickedCycles it is a deterministic,
 // hardware-independent work counter for diagnostics and benchmarks,
 // deliberately not part of Result or the state hash. The stepped engine
 // evaluates none.
