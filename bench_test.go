@@ -8,6 +8,7 @@ package rnrsim_test
 // exercises every experiment end to end and reports its cost.
 
 import (
+	"context"
 	"testing"
 
 	"rnrsim"
@@ -156,7 +157,7 @@ func (w *work) simulate(b *testing.B, cfg rnrsim.MachineConfig, app *rnrsim.Work
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := s.RunAll()
+	r, err := s.RunAllContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}

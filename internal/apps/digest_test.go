@@ -1,16 +1,13 @@
 package apps
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
 	"math"
-	"slices"
 	"testing"
 
 	"rnrsim/internal/mem"
-	"rnrsim/internal/trace"
 )
 
 // workloadDigest folds everything a simulation reads from an App into
@@ -94,35 +91,6 @@ func TestWorkloadTraceDigests(t *testing.T) {
 			}
 			if got != want[key] {
 				t.Errorf("%s: digests %#x, want %#x", key, got, want[key])
-			}
-		}
-	}
-}
-
-// TestTracesRoundTripFileFormat writes every core's trace of every
-// test-scale workload in the binary trace format (as cmd/tracegen does)
-// and decodes it back: the decoder's validation accepts everything the
-// workload builders emit, and the round trip is lossless.
-func TestTracesRoundTripFileFormat(t *testing.T) {
-	for _, w := range Workloads {
-		for _, in := range InputsFor(w) {
-			app, err := Build(w, in, ScaleTest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c, tr := range app.Traces {
-				recs := tr.Records()
-				var buf bytes.Buffer
-				if err := trace.Write(&buf, recs); err != nil {
-					t.Fatal(err)
-				}
-				got, err := trace.Read(&buf)
-				if err != nil {
-					t.Fatalf("%s/%s core %d: %v", w, in, c, err)
-				}
-				if !slices.Equal(got, recs) {
-					t.Errorf("%s/%s core %d: round trip changed the trace", w, in, c)
-				}
 			}
 		}
 	}

@@ -1,6 +1,5 @@
 // Package audit is the simulator's correctness layer: a tick-level
-// invariant checker, an FNV-1a architectural-state hasher and a seeded
-// trace fuzzer.
+// invariant checker and an FNV-1a architectural-state hasher.
 //
 // The checker validates conservation laws the evaluation silently
 // depends on — requests in flight = issued − completed per component,
@@ -11,9 +10,9 @@
 // one pointer compare per simulator tick, and a registered checker
 // runs only every Config.Interval cycles.
 //
-// The package depends only on the standard library (plus the fuzzer's
-// workload imports), so every simulated component can expose audit
-// hooks (AuditInvariants, HashState) without an import cycle.
+// The package depends only on the standard library, so every simulated
+// component can expose audit hooks (AuditInvariants, HashState) without
+// an import cycle.
 package audit
 
 import (

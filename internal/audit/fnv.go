@@ -48,15 +48,6 @@ func (h *Hash) Bool(v bool) {
 	}
 }
 
-// Str folds a string's bytes with a length prefix (so "ab","c" and
-// "a","bc" hash differently).
-func (h *Hash) Str(s string) {
-	h.U64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.Byte(s[i])
-	}
-}
-
 // Sum returns the current digest. The hasher remains usable.
 func (h *Hash) Sum() uint64 { return h.h }
 
@@ -64,16 +55,3 @@ func (h *Hash) Sum() uint64 { return h.h }
 // component HashState hooks accept (func(uint64)) so they need no
 // audit import.
 func (h *Hash) Mix() func(uint64) { return h.U64 }
-
-// HashWords is a convenience one-shot digest over a word sequence,
-// used for order-independent map hashing: hash each entry's words
-// with HashWords and XOR the digests, then fold the XOR into the
-// parent hasher. XOR of per-entry digests is commutative, so Go's
-// randomised map iteration order cannot perturb the state hash.
-func HashWords(words ...uint64) uint64 {
-	h := NewHash()
-	for _, w := range words {
-		h.U64(w)
-	}
-	return h.Sum()
-}

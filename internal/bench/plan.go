@@ -19,7 +19,6 @@ package bench
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"rnrsim/internal/apps"
@@ -323,15 +322,4 @@ dispatch:
 		return ctx.Err()
 	}
 	return nil
-}
-
-// PlanKeys returns the sorted distinct key set of a plan (test helper
-// and progress accounting).
-func PlanKeys(plan []PlannedRun) []string {
-	keys := make([]string, 0, len(plan))
-	for _, r := range plan {
-		keys = append(keys, r.Key)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,10 +160,12 @@ func TestPlannerCompleteness(t *testing.T) {
 		if d := fresh.Load() - before; d != 0 {
 			t.Errorf("%s: assembly performed %d fresh simulations after Prewarm; want 0", e.id, d)
 		}
-		requested := s.RequestedKeys()
+		s.mu.Lock()
+		requested := maps.Clone(s.requested)
+		s.mu.Unlock()
 		planned := make(map[string]struct{}, len(plan))
-		for _, k := range PlanKeys(plan) {
-			planned[k] = struct{}{}
+		for _, r := range plan {
+			planned[r.Key] = struct{}{}
 		}
 		for k := range requested {
 			if _, ok := planned[k]; !ok {

@@ -392,20 +392,6 @@ func progressFrom(ctx context.Context) func(ProgressEvent) {
 	return fn
 }
 
-// RequestedKeys returns a snapshot of every run key (co-run keys
-// included) asked for so far, memoised hits included. The
-// planner-completeness tests use it to verify that a plan covers
-// exactly the keys table assembly requests.
-func (s *Suite) RequestedKeys() map[string]struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]struct{}, len(s.requested))
-	for k := range s.requested {
-		out[k] = struct{}{}
-	}
-	return out
-}
-
 // Baseline returns the no-prefetcher run.
 func (s *Suite) Baseline(workload, input string) *sim.Result {
 	return s.Run(workload, input, sim.PFNone, Variant{})

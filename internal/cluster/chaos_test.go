@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"rnrsim/internal/cluster/chaos"
 	"rnrsim/internal/serve"
 )
 
@@ -38,12 +37,12 @@ func TestRetryWithExclusionChaos(t *testing.T) {
 		delay time.Duration
 	}{
 		// Kill lands 30ms into the dispatch: the job is lost mid-run.
-		{chaos.Kill, 30 * time.Millisecond},
+		{faultKill, 30 * time.Millisecond},
 		// Hang never answers: the dispatch timeout has to fire.
-		{chaos.Hang, 0},
+		{faultHang, 0},
 		// Slow beyond the dispatch timeout is indistinguishable from a
 		// hang to the coordinator but exercises the delay path.
-		{chaos.Slow, 2 * dispatchTimeout},
+		{faultSlow, 2 * dispatchTimeout},
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind, func(t *testing.T) {
@@ -60,7 +59,7 @@ func TestRetryWithExclusionChaos(t *testing.T) {
 			if owner == "w2" {
 				victim, survivor = w2, w1
 			}
-			victim.inj.Arm(chaos.Fault{Worker: victim.id, Kind: tc.kind, After: 0, Delay: tc.delay})
+			victim.inj.arm(fault{Worker: victim.id, Kind: tc.kind, After: 0, Delay: tc.delay})
 
 			res, err := c.Dispatch(context.Background(), spec)
 			if err != nil {
@@ -123,7 +122,7 @@ func TestReplicateCheckVerifiesAndCatchesCorruption(t *testing.T) {
 		if owner == "w2" {
 			victim = w2
 		}
-		victim.inj.Arm(chaos.Fault{Worker: victim.id, Kind: chaos.Corrupt, After: 0})
+		victim.inj.arm(fault{Worker: victim.id, Kind: faultCorrupt, After: 0})
 
 		_, err := c.Dispatch(context.Background(), spec)
 		if !errors.Is(err, ErrHashMismatch) {
@@ -259,7 +258,7 @@ func TestSweepChaosDifferential(t *testing.T) {
 	}
 	// Seeded plan, filtered to the kill on w1: its first dispatch dies
 	// 20ms in, every cell it owned must re-run on w2.
-	w1.inj.Arm(chaos.Fault{Worker: "w1", Kind: chaos.Kill, After: 0, Delay: 20 * time.Millisecond})
+	w1.inj.arm(fault{Worker: "w1", Kind: faultKill, After: 0, Delay: 20 * time.Millisecond})
 
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
 		strings.NewReader(`{"workloads":["pagerank.urand","hyperanf.urand"],"prefetchers":["none","nextline"],"scales":["test"]}`))
@@ -280,7 +279,7 @@ func TestSweepChaosDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sw.WaitDone(120 * time.Second) {
+	if !waitSweepDone(sw, 120*time.Second) {
 		t.Fatalf("sweep never finished: %+v", sw.View(false))
 	}
 
@@ -382,15 +381,32 @@ func TestSweepChaosDifferential(t *testing.T) {
 	}
 }
 
+// waitSweepDone blocks until s is terminal or the timeout lapses.
+func waitSweepDone(s *Sweep, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for {
+		s.mu.Lock()
+		st := s.state
+		s.mu.Unlock()
+		if st == SweepDone {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestChaosPlanDeterministic pins the seeded plan generator.
 func TestChaosPlanDeterministic(t *testing.T) {
 	workers := []string{"w1", "w2", "w3"}
-	a := chaos.Plan(11, workers, 4)
-	b := chaos.Plan(11, workers, 4)
+	a := faultPlan(11, workers, 4)
+	b := faultPlan(11, workers, 4)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("same seed, different plans:\n%v\n%v", a, b)
 	}
-	other := chaos.Plan(12, workers, 4)
+	other := faultPlan(12, workers, 4)
 	if fmt.Sprint(a) == fmt.Sprint(other) {
 		t.Error("different seeds produced identical plans")
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"rnrsim/internal/cluster/chaos"
 	"rnrsim/internal/serve"
 	"rnrsim/internal/telemetry"
 )
@@ -24,7 +23,7 @@ type testWorker struct {
 	id  string
 	url string
 	m   *serve.Manager
-	inj *chaos.Injector
+	inj *injector
 }
 
 func newTestWorker(t testing.TB, id string) *testWorker {
@@ -35,8 +34,8 @@ func newTestWorker(t testing.TB, id string) *testWorker {
 		Registry:     telemetry.NewRegistry(),
 		Logf:         t.Logf,
 	})
-	inj := chaos.NewInjector(id)
-	ts := httptest.NewServer(inj.Wrap(serve.NewServer(m)))
+	inj := newInjector(id)
+	ts := httptest.NewServer(inj.wrap(serve.NewServer(m)))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

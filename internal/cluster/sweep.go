@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"rnrsim/internal/multicore"
 	"rnrsim/internal/serve"
@@ -325,20 +324,3 @@ func (c *Coordinator) Sweeps() []*Sweep {
 
 // EventLog exposes the sweep's SSE log (for serve.StreamSSE).
 func (s *Sweep) EventLog() *serve.EventLog { return s.log }
-
-// WaitDone blocks until the sweep is terminal or the timeout lapses.
-func (s *Sweep) WaitDone(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		s.mu.Lock()
-		st := s.state
-		s.mu.Unlock()
-		if st == SweepDone {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}

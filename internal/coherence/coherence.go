@@ -164,15 +164,6 @@ func (d *Directory) HasSharer(core int, line mem.Addr) bool {
 	return d.lines[line].sharers&(1<<uint(core)) != 0
 }
 
-// Sharers returns the sharer bitmask for line (0 when untracked).
-func (d *Directory) Sharers(line mem.Addr) uint64 { return d.lines[line].sharers }
-
-// LineState returns the tracked state of line.
-func (d *Directory) LineState(line mem.Addr) State { return d.lines[line].state }
-
-// Tracked returns the number of lines currently tracked.
-func (d *Directory) Tracked() int { return len(d.lines) }
-
 // AuditInvariants sweeps the directory's internal laws:
 //
 //	M-entry geometry   a Modified line has exactly one sharer, the owner

@@ -12,17 +12,17 @@ func TestStoreInvalidatesOtherSharers(t *testing.T) {
 	d.OnFill(0, line)
 	d.OnFill(1, line)
 	d.OnFill(3, line)
-	if got := d.Sharers(line); got != 0b1011 {
+	if got := d.lines[line].sharers; got != 0b1011 {
 		t.Fatalf("sharers = %#b, want 0b1011", got)
 	}
 	victims := d.OnStore(1, line)
 	if len(victims) != 2 || victims[0] != 0 || victims[1] != 3 {
 		t.Fatalf("victims = %v, want [0 3]", victims)
 	}
-	if st := d.LineState(line); st != Modified {
+	if st := d.lines[line].state; st != Modified {
 		t.Fatalf("state = %v, want M", st)
 	}
-	if got := d.Sharers(line); got != 0b0010 {
+	if got := d.lines[line].sharers; got != 0b0010 {
 		t.Fatalf("post-store sharers = %#b, want writer only", got)
 	}
 	if d.Stats.Upgrades != 1 || d.Stats.Invalidations != 2 {
@@ -52,13 +52,13 @@ func TestRemoteFillDowngradesModified(t *testing.T) {
 	d.OnFill(0, line)
 	d.OnStore(0, line)
 	d.OnFill(1, line)
-	if st := d.LineState(line); st != Shared {
+	if st := d.lines[line].state; st != Shared {
 		t.Fatalf("state after remote fill = %v, want S", st)
 	}
 	if d.Stats.Downgrades != 1 {
 		t.Fatalf("downgrades = %d, want 1", d.Stats.Downgrades)
 	}
-	if got := d.Sharers(line); got != 0b11 {
+	if got := d.lines[line].sharers; got != 0b11 {
 		t.Fatalf("sharers = %#b, want both", got)
 	}
 }
@@ -69,12 +69,12 @@ func TestEvictDropsEntryAtLastSharer(t *testing.T) {
 	d.OnFill(0, line)
 	d.OnFill(1, line)
 	d.OnEvict(0, line)
-	if d.Tracked() != 1 || d.Sharers(line) != 0b10 {
-		t.Fatalf("after first evict: tracked=%d sharers=%#b", d.Tracked(), d.Sharers(line))
+	if len(d.lines) != 1 || d.lines[line].sharers != 0b10 {
+		t.Fatalf("after first evict: tracked=%d sharers=%#b", len(d.lines), d.lines[line].sharers)
 	}
 	d.OnEvict(1, line)
-	if d.Tracked() != 0 {
-		t.Fatalf("entry survived last evict: tracked=%d", d.Tracked())
+	if len(d.lines) != 0 {
+		t.Fatalf("entry survived last evict: tracked=%d", len(d.lines))
 	}
 	// Evicting an untracked line is a no-op.
 	d.OnEvict(1, line)
@@ -92,7 +92,7 @@ func TestOwnerEvictDemotesToShared(t *testing.T) {
 	d.OnStore(1, line)
 	d.OnFill(0, line) // back to S, owner 1
 	d.OnEvict(1, line)
-	if st := d.LineState(line); st != Shared {
+	if st := d.lines[line].state; st != Shared {
 		t.Fatalf("state after owner evict = %v, want S", st)
 	}
 }
@@ -108,7 +108,7 @@ func TestAuditInvariantsClean(t *testing.T) {
 		}
 	}
 	var violations []string
-	d.AuditInvariants(func(line mem.Addr) uint64 { return d.Sharers(line) },
+	d.AuditInvariants(func(line mem.Addr) uint64 { return d.lines[line].sharers },
 		func(v string) { violations = append(violations, v) })
 	if len(violations) != 0 {
 		t.Fatalf("clean directory reported: %v", violations)

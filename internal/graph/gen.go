@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // The four generators mirror the paper's graph inputs (Table III):
 //
@@ -125,14 +122,4 @@ func Road(w, h int, seed int64) *Graph {
 	}
 	g := FromAdjacency("roadUSA", adj)
 	return g
-}
-
-// SortAdjacency sorts each vertex's neighbour list ascending, as CSR
-// builders typically do; sorted adjacency maximises the spatial locality
-// baseline prefetchers can exploit, keeping comparisons fair.
-func (g *Graph) SortAdjacency() {
-	for v := 0; v < g.N; v++ {
-		s := g.Edges[g.Offsets[v]:g.Offsets[v+1]]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
 }

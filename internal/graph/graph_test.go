@@ -149,20 +149,23 @@ func TestSummaryAndInputBytes(t *testing.T) {
 	}
 }
 
-func TestSortAdjacency(t *testing.T) {
-	g := Uniform(100, 8, 3)
-	g.SortAdjacency()
+// cutEdges counts the edges of g whose endpoints p puts in different
+// parts.
+func cutEdges(p *Partition, g *Graph) int64 {
+	var cut int64
 	for v := 0; v < g.N; v++ {
-		ns := g.Neighbors(v)
-		for i := 1; i < len(ns); i++ {
-			if ns[i-1] > ns[i] {
-				t.Fatalf("vertex %d adjacency unsorted: %v", v, ns)
+		for _, u := range g.Neighbors(v) {
+			if p.Assign[v] != p.Assign[u] {
+				cut++
 			}
 		}
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	return cut
+}
+
+// imbalance returns p's largest part size over the ideal n/K, minus 1.
+func imbalance(p *Partition, n int) float64 {
+	return float64(slices.Max(p.Sizes))/(float64(n)/float64(p.K)) - 1
 }
 
 func TestPartitionCoversAllVerticesOnce(t *testing.T) {
@@ -191,7 +194,7 @@ func TestPartitionCoversAllVerticesOnce(t *testing.T) {
 func TestPartitionBalance(t *testing.T) {
 	g := Uniform(1000, 8, 11)
 	p := PartitionGraph(g, 4)
-	if imb := p.Imbalance(g.N); imb > 0.15 {
+	if imb := imbalance(p, g.N); imb > 0.15 {
 		t.Errorf("imbalance %.3f > 0.15 (sizes %v)", imb, p.Sizes)
 	}
 }
@@ -201,7 +204,7 @@ func TestPartitionLocalityOnRoad(t *testing.T) {
 	// than a random assignment would (~75% cut for k=4).
 	g := Road(40, 40, 13)
 	p := PartitionGraph(g, 4)
-	cut := float64(p.CutEdges(g)) / float64(g.M())
+	cut := float64(cutEdges(p, g)) / float64(g.M())
 	if cut > 0.3 {
 		t.Errorf("road cut fraction %.3f, want well under random 0.75", cut)
 	}
@@ -239,7 +242,7 @@ func TestPartitionVerticesRoundTrip(t *testing.T) {
 func TestPartitionSinglePart(t *testing.T) {
 	g := Uniform(50, 4, 23)
 	p := PartitionGraph(g, 1)
-	if p.CutEdges(g) != 0 {
+	if cutEdges(p, g) != 0 {
 		t.Error("k=1 partition has cut edges")
 	}
 	if p.Sizes[0] != g.N {

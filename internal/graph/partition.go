@@ -122,19 +122,6 @@ func (p *Partition) refine(g *Graph, passes int) {
 	}
 }
 
-// CutEdges counts edges crossing parts.
-func (p *Partition) CutEdges(g *Graph) int64 {
-	var cut int64
-	for v := 0; v < g.N; v++ {
-		for _, u := range g.Neighbors(v) {
-			if p.Assign[v] != p.Assign[u] {
-				cut++
-			}
-		}
-	}
-	return cut
-}
-
 // Parts returns every part's vertex list, each ascending, in one pass
 // over Assign.
 func (p *Partition) Parts() [][]int {
@@ -146,19 +133,4 @@ func (p *Partition) Parts() [][]int {
 		parts[a] = append(parts[a], v)
 	}
 	return parts
-}
-
-// Imbalance returns maxPartSize / idealSize - 1.
-func (p *Partition) Imbalance(n int) float64 {
-	ideal := float64(n) / float64(p.K)
-	maxSz := 0
-	for _, s := range p.Sizes {
-		if s > maxSz {
-			maxSz = s
-		}
-	}
-	if ideal == 0 {
-		return 0
-	}
-	return float64(maxSz)/ideal - 1
 }

@@ -26,28 +26,8 @@ const (
 // LineAddr returns the address of the first byte of a's cache line.
 func LineAddr(a Addr) Addr { return a &^ (LineSize - 1) }
 
-// LineIndex returns the cache-line number of a (address divided by 64).
-func LineIndex(a Addr) Addr { return a >> LineShift }
-
-// LineOffset returns a's offset within its cache line.
-func LineOffset(a Addr) uint64 { return uint64(a) & (LineSize - 1) }
-
-// PageAddr returns the address of the first byte of a's 4 KB page.
-func PageAddr(a Addr) Addr { return a &^ (PageSize - 1) }
-
 // HugeAddr returns the address of the first byte of a's 4 MB metadata page.
 func HugeAddr(a Addr) Addr { return a &^ (HugeSize - 1) }
-
-// LinesIn returns how many cache lines are needed to hold size bytes
-// starting at base, counting partial first/last lines.
-func LinesIn(base Addr, size uint64) uint64 {
-	if size == 0 {
-		return 0
-	}
-	first := LineIndex(base)
-	last := LineIndex(base + Addr(size) - 1)
-	return uint64(last-first) + 1
-}
 
 // AlignUp rounds a up to the next multiple of align (a power of two).
 func AlignUp(a Addr, align Addr) Addr {

@@ -7,57 +7,23 @@ import (
 
 func TestLineMath(t *testing.T) {
 	cases := []struct {
-		addr       Addr
-		line       Addr
-		idx        Addr
-		off        uint64
-		page, huge Addr
+		addr, line, huge Addr
 	}{
-		{0, 0, 0, 0, 0, 0},
-		{1, 0, 0, 1, 0, 0},
-		{63, 0, 0, 63, 0, 0},
-		{64, 64, 1, 0, 0, 0},
-		{4095, 4032, 63, 63, 0, 0},
-		{4096, 4096, 64, 0, 4096, 0},
-		{0x400000, 0x400000, 0x10000, 0, 0x400000, 0x400000},
-		{0x400001, 0x400000, 0x10000, 1, 0x400000, 0x400000},
+		{0, 0, 0},
+		{1, 0, 0},
+		{63, 0, 0},
+		{64, 64, 0},
+		{4095, 4032, 0},
+		{4096, 4096, 0},
+		{0x400000, 0x400000, 0x400000},
+		{0x400001, 0x400000, 0x400000},
 	}
 	for _, c := range cases {
 		if got := LineAddr(c.addr); got != c.line {
 			t.Errorf("LineAddr(%#x) = %#x, want %#x", c.addr, got, c.line)
 		}
-		if got := LineIndex(c.addr); got != c.idx {
-			t.Errorf("LineIndex(%#x) = %#x, want %#x", c.addr, got, c.idx)
-		}
-		if got := LineOffset(c.addr); got != c.off {
-			t.Errorf("LineOffset(%#x) = %#x, want %#x", c.addr, got, c.off)
-		}
-		if got := PageAddr(c.addr); got != c.page {
-			t.Errorf("PageAddr(%#x) = %#x, want %#x", c.addr, got, c.page)
-		}
 		if got := HugeAddr(c.addr); got != c.huge {
 			t.Errorf("HugeAddr(%#x) = %#x, want %#x", c.addr, got, c.huge)
-		}
-	}
-}
-
-func TestLinesIn(t *testing.T) {
-	cases := []struct {
-		base Addr
-		size uint64
-		want uint64
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 64, 1},
-		{0, 65, 2},
-		{63, 2, 2},   // straddles a line boundary
-		{64, 64, 1},  // exactly one aligned line
-		{10, 128, 3}, // unaligned two-and-a-bit lines
-	}
-	for _, c := range cases {
-		if got := LinesIn(c.base, c.size); got != c.want {
-			t.Errorf("LinesIn(%#x, %d) = %d, want %d", c.base, c.size, got, c.want)
 		}
 	}
 }
@@ -69,7 +35,7 @@ func TestLineMathProperties(t *testing.T) {
 		return la <= Addr(a) &&
 			uint64(la)%LineSize == 0 &&
 			LineAddr(la) == la &&
-			uint64(Addr(a)-la) == LineOffset(Addr(a))
+			Addr(a)-la < LineSize
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -113,10 +79,10 @@ func TestAllocatorLayout(t *testing.T) {
 	if c.Base < b.End() || uint64(c.Base)%64 != 0 {
 		t.Errorf("third region misplaced: %v after %v", c, b)
 	}
-	if got := len(al.Regions()); got != 3 {
-		t.Fatalf("Regions() returned %d entries, want 3", got)
+	if got := len(al.regions); got != 3 {
+		t.Fatalf("allocator holds %d regions, want 3", got)
 	}
-	for i, r := range al.Regions() {
+	for i, r := range al.regions {
 		if r.ID != i {
 			t.Errorf("region %d has ID %d", i, r.ID)
 		}
@@ -130,12 +96,22 @@ func TestAllocatorNoOverlap(t *testing.T) {
 		al.Alloc("r", sz, 64)
 		_ = i
 	}
-	rs := al.Regions()
+	rs := al.regions
 	for i := 1; i < len(rs); i++ {
 		if rs[i].Base < rs[i-1].End() {
 			t.Errorf("region %d (%v) overlaps previous (%v)", i, rs[i], rs[i-1])
 		}
 	}
+}
+
+// findRegion returns the region of al containing a, if any.
+func findRegion(al *Allocator, a Addr) (Region, bool) {
+	for _, r := range al.regions {
+		if r.Contains(a) {
+			return r, true
+		}
+	}
+	return Region{}, false
 }
 
 func TestRegionContainsAndFind(t *testing.T) {
@@ -147,14 +123,11 @@ func TestRegionContainsAndFind(t *testing.T) {
 	if r.Contains(r.End()) || r.Contains(r.Base-1) {
 		t.Error("region contains addresses outside itself")
 	}
-	if got, ok := al.FindRegion(r.Base + 5); !ok || got.ID != r.ID {
-		t.Errorf("FindRegion inside = %v,%v", got, ok)
+	if got, ok := findRegion(al, r.Base+5); !ok || got.ID != r.ID {
+		t.Errorf("findRegion inside = %v,%v", got, ok)
 	}
-	if _, ok := al.FindRegion(0); ok {
-		t.Error("FindRegion found a region at unallocated address 0")
-	}
-	if r.Lines() != 4 {
-		t.Errorf("Lines() = %d, want 4", r.Lines())
+	if _, ok := findRegion(al, 0); ok {
+		t.Error("findRegion found a region at unallocated address 0")
 	}
 }
 
@@ -183,9 +156,6 @@ func TestReqTypeClassifiers(t *testing.T) {
 	}
 	if ReqPrefetch.IsDemand() || ReqMetaRead.IsDemand() {
 		t.Error("prefetch/meta must not be demand")
-	}
-	if !ReqMetaRead.IsMeta() || !ReqMetaWrite.IsMeta() {
-		t.Error("meta requests misclassified")
 	}
 	if ReqLoad.String() != "load" || ReqWriteback.String() != "writeback" {
 		t.Errorf("String() = %q/%q", ReqLoad, ReqWriteback)

@@ -22,9 +22,6 @@ func (r Region) Contains(a Addr) bool {
 // End returns the first byte address past the region.
 func (r Region) End() Addr { return r.Base + Addr(r.Size) }
 
-// Lines returns the number of cache lines the region spans.
-func (r Region) Lines() uint64 { return LinesIn(r.Base, r.Size) }
-
 func (r Region) String() string {
 	return fmt.Sprintf("%s[%#x..%#x)", r.Name, uint64(r.Base), uint64(r.End()))
 }
@@ -61,17 +58,4 @@ func (al *Allocator) Alloc(name string, size uint64, align Addr) Region {
 // AllocPage reserves size bytes on a fresh 4 KB page boundary.
 func (al *Allocator) AllocPage(name string, size uint64) Region {
 	return al.Alloc(name, size, PageSize)
-}
-
-// Regions returns every region allocated so far, in allocation order.
-func (al *Allocator) Regions() []Region { return al.regions }
-
-// FindRegion returns the region containing a, if any.
-func (al *Allocator) FindRegion(a Addr) (Region, bool) {
-	for _, r := range al.regions {
-		if r.Contains(a) {
-			return r, true
-		}
-	}
-	return Region{}, false
 }

@@ -34,9 +34,6 @@ func (t ReqType) String() string {
 // IsDemand reports whether the request is a core demand access.
 func (t ReqType) IsDemand() bool { return t == ReqLoad || t == ReqStore }
 
-// IsMeta reports whether the request is RnR metadata traffic.
-func (t ReqType) IsMeta() bool { return t == ReqMetaRead || t == ReqMetaWrite }
-
 // Request is one in-flight memory transaction. A request is created by a
 // core, a prefetcher or the RnR engine, flows down the cache hierarchy
 // (possibly merging into an existing MSHR) and completes by invoking Done

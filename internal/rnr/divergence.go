@@ -143,10 +143,6 @@ func lcsLen(a, b []SeqEntry) int {
 // order (multiple replay iterations revisit the same window indices).
 func (p *DivergenceProbe) WindowScores() []WindowScore { return p.scores }
 
-// DroppedWindows returns how many scored windows exceeded
-// divergenceMaxWindows.
-func (p *DivergenceProbe) DroppedWindows() uint64 { return p.dropped }
-
 // LastScore returns the most recently closed window's score (telemetry
 // probe feed).
 func (p *DivergenceProbe) LastScore() float64 { return p.lastScore }

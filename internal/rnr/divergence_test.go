@@ -172,8 +172,8 @@ func TestDivergenceCapsBound(t *testing.T) {
 		p.observe(NewSeqEntry(0, 1), false)
 		p.closeWindow(w, pred[:1])
 	}
-	if len(p.WindowScores()) != divergenceMaxWindows || p.DroppedWindows() != 3 {
-		t.Errorf("retained %d dropped %d, want %d/3", len(p.WindowScores()), p.DroppedWindows(), divergenceMaxWindows)
+	if len(p.WindowScores()) != divergenceMaxWindows || p.dropped != 3 {
+		t.Errorf("retained %d dropped %d, want %d/3", len(p.WindowScores()), p.dropped, divergenceMaxWindows)
 	}
 	if p.Stats.WindowsScored != divergenceMaxWindows+3 {
 		t.Errorf("windows scored = %d, want %d (aggregates keep counting past the cap)",

@@ -891,12 +891,6 @@ func (e *Engine) RegisterProbes(tel *telemetry.Recorder, prefix string) {
 	}
 }
 
-// Sequence exposes the recorded sequence for tests and tools.
-func (e *Engine) Sequence() []SeqEntry { return e.seq }
-
-// Division exposes the recorded division table.
-func (e *Engine) Division() []uint64 { return e.div }
-
 // CurStructRead exposes the progress counter.
 func (e *Engine) CurStructRead() uint64 { return e.curStructRead }
 

@@ -68,7 +68,7 @@ func TestRecordSequenceAndOffsets(t *testing.T) {
 	for _, off := range misses {
 		structMiss(e, base+mem.Addr(off*mem.LineSize))
 	}
-	seq := e.Sequence()
+	seq := e.seq
 	if len(seq) != len(misses) {
 		t.Fatalf("recorded %d entries, want %d", len(seq), len(misses))
 	}
@@ -85,8 +85,8 @@ func TestRecordIgnoresHitsAndUnflagged(t *testing.T) {
 	e.OnAccess(cache.AccessInfo{Line: 0x10000, Hit: true, StructFlag: true}, nil)
 	e.OnAccess(cache.AccessInfo{Line: 0x10000, Merged: true, StructFlag: true}, nil)
 	e.OnAccess(cache.AccessInfo{Line: 0x10000, StructFlag: false}, nil)
-	if len(e.Sequence()) != 0 {
-		t.Errorf("recorded %d entries from non-misses", len(e.Sequence()))
+	if len(e.seq) != 0 {
+		t.Errorf("recorded %d entries from non-misses", len(e.seq))
 	}
 }
 
@@ -108,7 +108,7 @@ func TestDivisionTableCumulativeReads(t *testing.T) {
 		}
 		structMiss(e, base+mem.Addr(p.off*mem.LineSize))
 	}
-	div := e.Division()
+	div := e.div
 	// Window of 2: boundaries after miss 2 (reads=5) and miss 4 (reads=10).
 	if len(div) != 2 || div[0] != 5 || div[1] != 10 {
 		t.Errorf("division table = %v, want [5 10]", div)
@@ -150,8 +150,8 @@ func TestFinalizeFlushesPartialBuffers(t *testing.T) {
 	if got := e.Stats.SeqTableBytes; got != 5*SeqEntryBytes {
 		t.Errorf("SeqTableBytes = %d, want %d", got, 5*SeqEntryBytes)
 	}
-	if len(e.Division()) != 1 {
-		t.Errorf("division table %v, want one terminator entry", e.Division())
+	if len(e.div) != 1 {
+		t.Errorf("division table %v, want one terminator entry", e.div)
 	}
 }
 
@@ -352,16 +352,16 @@ func TestPauseResumeRoundTrip(t *testing.T) {
 	}
 	// Misses while paused are not recorded.
 	structMiss(e, base+mem.LineSize)
-	if len(e.Sequence()) != 1 {
-		t.Errorf("recorded while paused: %d entries", len(e.Sequence()))
+	if len(e.seq) != 1 {
+		t.Errorf("recorded while paused: %d entries", len(e.seq))
 	}
 	e.HandleMarker(trace.Mark(trace.MarkResume, 0, 0, 0), 0)
 	if e.Arch.State != StateRecord {
 		t.Fatalf("state after resume = %v", e.Arch.State)
 	}
 	structMiss(e, base+2*mem.LineSize)
-	if len(e.Sequence()) != 2 {
-		t.Errorf("sequence after resume = %d entries, want 2", len(e.Sequence()))
+	if len(e.seq) != 2 {
+		t.Errorf("sequence after resume = %d entries, want 2", len(e.seq))
 	}
 	if e.Stats.Pauses != 1 || e.Stats.Resumes != 1 {
 		t.Errorf("pause/resume stats %d/%d", e.Stats.Pauses, e.Stats.Resumes)
@@ -413,8 +413,8 @@ func TestSeqTableOverflowStopsRecording(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		structMiss(e, base+mem.Addr(i*mem.LineSize))
 	}
-	if len(e.Sequence()) != 8 {
-		t.Errorf("sequence grew to %d, cap 8", len(e.Sequence()))
+	if len(e.seq) != 8 {
+		t.Errorf("sequence grew to %d, cap 8", len(e.seq))
 	}
 	if e.Stats.SeqOverflows != 12 {
 		t.Errorf("overflows = %d, want 12", e.Stats.SeqOverflows)

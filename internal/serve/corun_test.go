@@ -117,7 +117,7 @@ func TestCoRunJobReportsProgress(t *testing.T) {
 	if st := j.State(); st != StateDone {
 		t.Fatalf("state = %q, want done (err %q)", st, j.View(false).Error)
 	}
-	history, _, cancel := j.log.Subscribe()
+	history, _, cancel := j.log.SubscribeFrom(-1)
 	cancel()
 	key, phases := j.Spec.key(), 0
 	for _, ev := range history {

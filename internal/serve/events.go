@@ -121,18 +121,12 @@ func (l *EventLog) Close() {
 	l.subs = nil
 }
 
-// Subscribe returns the full retained history and a live channel (nil
-// when the log is already closed — the history is complete). cancel
-// must be called when the subscriber goes away; it is safe to call
-// after Close.
-func (l *EventLog) Subscribe() (history []Event, live <-chan Event, cancel func()) {
-	return l.SubscribeFrom(-1)
-}
-
-// SubscribeFrom is Subscribe with resume semantics: only retained
-// events with Seq > after are replayed, so a client reconnecting with
-// Last-Event-ID sees exactly the events it missed rather than the full
-// history. after < 0 replays everything.
+// SubscribeFrom returns the retained events with Seq > after and a live
+// channel (nil when the log is already closed — the history is
+// complete), so a client reconnecting with Last-Event-ID sees exactly
+// the events it missed rather than the full history. after < 0 replays
+// everything. cancel must be called when the subscriber goes away; it
+// is safe to call after Close.
 func (l *EventLog) SubscribeFrom(after int) (history []Event, live <-chan Event, cancel func()) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -91,7 +91,7 @@ func counterValue(r *telemetry.Registry, name string) uint64 {
 // before the workload finishes building).
 func waitPhase(t *testing.T, j *Job, timeout time.Duration) {
 	t.Helper()
-	history, live, cancel := j.log.Subscribe()
+	history, live, cancel := j.log.SubscribeFrom(-1)
 	defer cancel()
 	for _, ev := range history {
 		if ev.Type == EventPhase {

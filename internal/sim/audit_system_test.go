@@ -33,7 +33,7 @@ func TestAuditCleanAcrossPrefetchers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			audited, err := s.RunAll()
+			audited, err := runAll(s)
 			if err != nil {
 				t.Fatalf("audited run failed: %v", err)
 			}
@@ -74,7 +74,7 @@ func TestStateHashDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.RunAll()
+	d, err := runAll(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		s.Tick()
 	}
 	corruptL2(s)
-	_, err = s.RunAll()
+	_, err = runAll(s)
 	if err == nil {
 		t.Fatal("corrupted run completed without an audit error")
 	}
@@ -151,7 +151,7 @@ func TestAuditFailFastAborts(t *testing.T) {
 		s.Tick()
 	}
 	corruptL2(s)
-	_, err = s.RunAll()
+	_, err = runAll(s)
 	if err == nil {
 		t.Fatal("audited run completed despite corruption")
 	}
@@ -200,7 +200,7 @@ func TestHugeIterationIndexBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunAll()
+	r, err := runAll(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func runEngine(t *testing.T, cfg Config, app *apps.App, stepped bool) (*Result, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunAll()
+	r, err := runAll(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +275,8 @@ func (s *System) legacyDone() bool {
 // memoised predicate must agree with the original O(components) rescan
 // at every step of a run, including the final drained state.
 func TestDoneMatchesLegacyPredicate(t *testing.T) {
-	fc := audit.FuzzConfig{Seed: 11}.WithDefaults()
-	s, err := New(fuzzMachine(fc.Cores).WithPrefetcher(PFRnR), audit.Fuzz(fc))
+	fc := fuzzConfig{Seed: 11}.withDefaults()
+	s, err := New(fuzzMachine(fc.Cores).WithPrefetcher(PFRnR), fuzzApp(fc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +344,8 @@ func TestCtxSwitchZeroDuration(t *testing.T) {
 // and must stay byte-identical to the stepped engine.
 func TestCtxSwitchStormDegeneratesGracefully(t *testing.T) {
 	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
-	fc := audit.FuzzConfig{Seed: 3}.WithDefaults()
-	app := audit.Fuzz(fc)
+	fc := fuzzConfig{Seed: 3}.withDefaults()
+	app := fuzzApp(fc)
 	cfg := fuzzMachine(fc.Cores).WithPrefetcher(PFRnR)
 	cfg.Audit = nil
 	// Flips every 25-50 cycles — under the memory round-trip, so the
@@ -373,8 +373,8 @@ func TestCtxSwitchStormDegeneratesGracefully(t *testing.T) {
 func TestSimultaneousWakeupsPreserveTickOrder(t *testing.T) {
 	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
 	for _, seed := range []int64{5, 17} {
-		fc := audit.FuzzConfig{Seed: seed, Pathological: true}.WithDefaults()
-		app := audit.Fuzz(fc)
+		fc := fuzzConfig{Seed: seed, Pathological: true}.withDefaults()
+		app := fuzzApp(fc)
 		cfg := fuzzMachine(fc.Cores).WithPrefetcher(PFRnRCombined)
 		cfg.Audit = nil
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

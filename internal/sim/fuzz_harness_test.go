@@ -43,13 +43,13 @@ var fuzzSeqCaps = [4]uint64{8, 16, 64, 256}
 
 // fuzzInput decodes FuzzSimulate's raw inputs into the fuzzed workload
 // and the machine it runs on.
-func fuzzInput(seed int64, pathological bool, pf, shape, cores, seqCap uint8) (audit.FuzzConfig, Config) {
-	fc := audit.FuzzConfig{
+func fuzzInput(seed int64, pathological bool, pf, shape, cores, seqCap uint8) (fuzzConfig, Config) {
+	fc := fuzzConfig{
 		Seed:         seed,
 		Pathological: pathological,
 		Cores:        1 + int(cores%4),
 		SeqCap:       fuzzSeqCaps[seqCap%4],
-	}.WithDefaults()
+	}.withDefaults()
 	cfg := fuzzMachine(fc.Cores).WithPrefetcher(AllPrefetchers[int(pf)%len(AllPrefetchers)])
 	cfg.Coherence = shape&shapeCoherence != 0
 	if shape&shapeBanked != 0 {
@@ -141,7 +141,7 @@ func fuzzCheck(t *testing.T, seed int64, pathological bool, pf, shape, cores, se
 	fc, cfg := fuzzInput(seed, pathological, pf, shape, cores, seqCap)
 	input := fmt.Sprintf("seed %d pathological=%v %s cores=%d seqcap=%d shape=%#x",
 		seed, pathological, cfg.Prefetcher, fc.Cores, fc.SeqCap, shape)
-	app := audit.Fuzz(fc)
+	app := fuzzApp(fc)
 	run := func(stepped bool) *Result {
 		cfg := cfg
 		cfg.ForceCycleStepped = stepped
@@ -149,7 +149,7 @@ func fuzzCheck(t *testing.T, seed int64, pathological bool, pf, shape, cores, se
 		if err != nil {
 			t.Fatalf("%s: %v", input, err)
 		}
-		r, err := s.RunAll()
+		r, err := runAll(s)
 		if err != nil {
 			for _, v := range s.Audit().Violations() {
 				t.Logf("%s: %s", input, v)
@@ -167,7 +167,7 @@ func fuzzCheck(t *testing.T, seed int64, pathological bool, pf, shape, cores, se
 }
 
 // FuzzSimulate is the simulator's fuzz target: randomized marker/load
-// interleavings from audit.Fuzz — including the pathological shapes
+// interleavings from fuzzApp — including the pathological shapes
 // real workloads never emit — on random machine shapes, each checked
 // by fuzzCheck. Short mode skips inputs with seed > 8.
 //
@@ -243,13 +243,13 @@ func TestFuzzedCoherenceAuditClean(t *testing.T) {
 // to end: same seed, same app, same machine, same state hash. This is
 // what makes a fuzz failure reportable as a seed.
 func TestFuzzedTracesDeterministic(t *testing.T) {
-	fc := audit.FuzzConfig{Seed: 7, Pathological: true}.WithDefaults()
+	fc := fuzzConfig{Seed: 7, Pathological: true}.withDefaults()
 	run := func() uint64 {
-		s, err := New(fuzzMachine(fc.Cores).WithPrefetcher(PFRnR), audit.Fuzz(fc))
+		s, err := New(fuzzMachine(fc.Cores).WithPrefetcher(PFRnR), fuzzApp(fc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.RunAll()
+		r, err := runAll(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,8 +271,8 @@ func TestFuzzedHugeIterAuxBounded(t *testing.T) {
 	// (probability a few percent per iteration per core).
 	hit := false
 	for seed := int64(1); seed <= 40 && !hit; seed++ {
-		fc := audit.FuzzConfig{Seed: seed, Pathological: true, Iterations: 6}.WithDefaults()
-		app := audit.Fuzz(fc)
+		fc := fuzzConfig{Seed: seed, Pathological: true, Iterations: 6}.withDefaults()
+		app := fuzzApp(fc)
 		huge := false
 		for _, tr := range app.Traces {
 			for _, rec := range tr.Records() {
@@ -289,7 +289,7 @@ func TestFuzzedHugeIterAuxBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.RunAll()
+		r, err := runAll(s)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -155,7 +155,7 @@ func TestCoRunAuditClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunAll()
+	r, err := runAll(s)
 	if err != nil {
 		t.Fatalf("audited co-run failed: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestCoRunEngineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.RunAll()
+		r, err := runAll(s)
 		if err != nil {
 			t.Fatalf("stepped=%v: %v", stepped, err)
 		}

@@ -111,7 +111,7 @@ func TestObsCtxSwitchNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunAll()
+	r, err := runAll(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestObsAuditClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunAll()
+	r, err := runAll(s)
 	if err != nil {
 		t.Fatalf("audited+observed run failed: %v", err)
 	}

@@ -37,7 +37,7 @@ func runQuiet(cfg Config, app *apps.App) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.RunAll()
+	return runAll(s)
 }
 
 // runConcurrently runs n copies of run at once, each on its own
@@ -179,8 +179,8 @@ func TestFuzzedTracesParallelDifferential(t *testing.T) {
 	cases := map[bool][]fuzzCase{}
 	for _, patho := range []bool{false, true} {
 		for _, seed := range seeds {
-			fc := audit.FuzzConfig{Seed: seed, Pathological: patho}.WithDefaults()
-			fz := fuzzCase{seed: seed, cfg: fuzzMachine(fc.Cores).WithPrefetcher(PFRnR), app: audit.Fuzz(fc)}
+			fc := fuzzConfig{Seed: seed, Pathological: patho}.withDefaults()
+			fz := fuzzCase{seed: seed, cfg: fuzzMachine(fc.Cores).WithPrefetcher(PFRnR), app: fuzzApp(fc)}
 			r, err := runQuiet(fz.cfg, fz.app)
 			if err != nil {
 				t.Fatalf("seed %d (patho=%v): %v", seed, patho, err)

@@ -17,7 +17,7 @@ func TestPostedIssuePathsAllocateNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunAll(); err != nil {
+	if _, err := runAll(s); err != nil {
 		t.Fatal(err)
 	}
 	issue, meta := s.issueFns[0], s.metaHook(0)

@@ -88,13 +88,6 @@ func (r *Result) IPC() float64 {
 // (Fig. 7), aggregated over cores.
 func (r *Result) L2MPKI() float64 { return r.L2.MPKI(r.Instructions) }
 
-// UsefulPrefetches counts prefetched lines that served a demand: hits on
-// prefetched lines plus demands that merged into in-flight prefetches
-// (late but still useful), the ChampSim convention.
-func (r *Result) UsefulPrefetches() uint64 {
-	return r.L2.PrefetchUseful + r.L2.PrefetchLate
-}
-
 // TotalPrefetches counts prefetches that fetched data from below.
 func (r *Result) TotalPrefetches() uint64 { return r.L2.PrefetchFillsDone }
 

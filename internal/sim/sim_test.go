@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -29,6 +30,9 @@ func runOne(t *testing.T, cfg Config, app *apps.App) *Result {
 	}
 	return r
 }
+
+// runAll drives an assembled system to completion with no deadline.
+func runAll(s *System) (*Result, error) { return s.RunAllContext(context.Background()) }
 
 func TestBaselineRunCompletes(t *testing.T) {
 	app := testApp(t)

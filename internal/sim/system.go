@@ -834,11 +834,6 @@ const CounterRunsCancelled = "sim.runs_cancelled"
 
 var runsCancelled = telemetry.Default.Counter(CounterRunsCancelled)
 
-// RunAll drives an assembled system to completion.
-func (s *System) RunAll() (*Result, error) {
-	return s.RunAllContext(context.Background())
-}
-
 // RunAllContext drives an assembled system to completion, checking ctx
 // every CancelCheckInterval cycles. A cancelled run returns a wrapped
 // ctx error (matching errors.Is against context.Canceled or

@@ -11,8 +11,8 @@ package telemetry
 //     and exact (no lost updates).
 //   - Registry: mutexed maps — first-use registration of the same name
 //     from many goroutines yields one shared instrument.
-//   - Recorder / Sampler / Tracer: mutexed ring buffers — Sample, Span
-//     and Instant may interleave with probe registration and exports.
+//   - Recorder / Sampler / Tracer: mutexed ring buffers — Sample and
+//     Span may interleave with probe registration and exports.
 //
 // Each test below pins one of those properties.
 
@@ -149,8 +149,8 @@ func TestDefaultRegistryConcurrent(t *testing.T) {
 }
 
 // TestRecorderConcurrentUse exercises the full Recorder surface from
-// many goroutines at once: probe registration racing Sample, Span and
-// Instant racing the exports. Only -race correctness is asserted — the
+// many goroutines at once: probe registration racing Sample, and Span on
+// two tracks racing the exports. Only -race correctness is asserted — the
 // sampled contents are unordered by construction.
 func TestRecorderConcurrentUse(t *testing.T) {
 	rec := New(Config{SampleInterval: 1})
@@ -176,7 +176,7 @@ func TestRecorderConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				rec.Span("track", "work", uint64(i), uint64(i+10))
-				rec.Instant("track", "mark", uint64(i))
+				rec.Span("marks", "mark", uint64(i), uint64(i))
 			}
 		}()
 		go func() {

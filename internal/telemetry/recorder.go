@@ -93,14 +93,6 @@ func (r *Recorder) Span(track, name string, start, end uint64) {
 	r.tracer.span(track, name, start, end)
 }
 
-// Instant records a point event on track.
-func (r *Recorder) Instant(track, name string, cycle uint64) {
-	if r == nil {
-		return
-	}
-	r.tracer.instant(track, name, cycle)
-}
-
 // Sampler exposes the series collector (nil when disabled).
 func (r *Recorder) Sampler() *Sampler {
 	if r == nil {

@@ -15,7 +15,7 @@
 //     sample time, so hot loops stay untouched — occupancies, rates and
 //     RnR replay-cursor geometry are read from component state when the
 //     sampler fires, not maintained per event.
-//   - Spans and instants: trace events exported as Chrome trace-event
+//   - Spans: begin/end trace-event pairs exported as Chrome trace-event
 //     JSON, loadable in Perfetto or chrome://tracing.
 //
 // Series are exported as JSONL (one object per sample row), traces as a

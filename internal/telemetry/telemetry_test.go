@@ -27,7 +27,6 @@ func TestDisabledFastPathAllocatesNothing(t *testing.T) {
 		rec.Probe("x", probe)
 		rec.Sample(42)
 		rec.Span("track", "name", 1, 2)
-		rec.Instant("track", "name", 3)
 		_ = rec.SampleInterval()
 		_ = rec.Enabled()
 	})
@@ -192,7 +191,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	rec.Span("iterations", "iter 1", 100, 250)
 	rec.Span("rnr.c0", "record", 10, 90)
 	rec.Span("rnr.c0", "replay", 90, 240)
-	rec.Instant("rnr.c0", "seq-overflow", 42)
+	rec.Span("rnr.c0", "seq-overflow", 42, 42)
 	rec.Span("dram", "write-drain", 55, 77)
 
 	var buf bytes.Buffer
@@ -233,8 +232,6 @@ func TestTraceRoundTrip(t *testing.T) {
 				t.Fatalf("span %q ends at %d before it begins at %d", ev.Name, ev.TS, top.ts)
 			}
 			spans++
-		case "i":
-			// fine
 		default:
 			t.Fatalf("unexpected phase %q", ev.Ph)
 		}
@@ -244,8 +241,8 @@ func TestTraceRoundTrip(t *testing.T) {
 			t.Errorf("tid %d has %d unclosed spans", tid, len(st))
 		}
 	}
-	if spans != 5 {
-		t.Errorf("trace has %d spans, want 5", spans)
+	if spans != 6 {
+		t.Errorf("trace has %d spans, want 6", spans)
 	}
 	// Tracks must be named.
 	wantTracks := map[string]bool{"iterations": true, "rnr.c0": true, "dram": true}
@@ -311,7 +308,7 @@ func TestConcurrentInstruments(t *testing.T) {
 				c.Inc()
 				rec.Gauge("g").Set(float64(i))
 				rec.Span("t", "s", uint64(i), uint64(i+1))
-				rec.Instant("t", "i", uint64(i))
+				rec.Span("u", "s", uint64(i), uint64(i))
 				rec.Sample(uint64(g*1000 + i))
 			}
 		}(g)

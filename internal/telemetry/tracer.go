@@ -7,7 +7,7 @@ import (
 )
 
 // TraceEvent is one Chrome trace-event object. The subset used here
-// (B/E duration pairs, i instants, M metadata) loads in Perfetto and
+// (B/E duration pairs, M metadata) loads in Perfetto and
 // chrome://tracing. Timestamps are simulated CPU cycles presented as
 // microseconds (the trace format's native unit), so "1 ms" on screen is
 // 1000 cycles.
@@ -18,7 +18,6 @@ type TraceEvent struct {
 	TS   uint64         `json:"ts"`
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`    // instant scope
 	Args map[string]any `json:"args,omitempty"` // metadata payload
 }
 
@@ -28,10 +27,10 @@ type TraceFile struct {
 	OtherData   map[string]any `json:"otherData,omitempty"`
 }
 
-// Tracer collects spans and instants. Spans are emitted as matched B/E
-// pairs in one append, so the export never contains an unpaired begin.
-// Each distinct track string becomes one Perfetto thread row, named via
-// an M (thread_name) metadata event.
+// Tracer collects spans, each emitted as a matched B/E pair in one
+// append, so the export never contains an unpaired begin. Each distinct
+// track string becomes one Perfetto thread row, named via an M
+// (thread_name) metadata event.
 type Tracer struct {
 	mu      sync.Mutex
 	cap     int
@@ -76,19 +75,6 @@ func (t *Tracer) span(track, name string, start, end uint64) {
 		TraceEvent{Name: name, Cat: track, Ph: "B", TS: start, TID: id},
 		TraceEvent{Name: name, Cat: track, Ph: "E", TS: end, TID: id},
 	)
-}
-
-// instant appends a point event on track.
-func (t *Tracer) instant(track, name string, cycle uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.events)+1 > t.cap {
-		t.dropped++
-		return
-	}
-	t.events = append(t.events, TraceEvent{
-		Name: name, Cat: track, Ph: "i", TS: cycle, TID: t.tid(track), S: "t",
-	})
 }
 
 // Len returns the number of recorded events (metadata excluded).

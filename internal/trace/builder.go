@@ -132,12 +132,6 @@ func (b *Builder) RecordStart() { b.Mark(MarkRecordStart, 0, 0, 0) }
 // Replay emits PrefetchState.replay().
 func (b *Builder) Replay() { b.Mark(MarkReplay, 0, 0, 0) }
 
-// Pause emits PrefetchState.pause().
-func (b *Builder) Pause() { b.Mark(MarkPause, 0, 0, 0) }
-
-// Resume emits PrefetchState.resume().
-func (b *Builder) Resume() { b.Mark(MarkResume, 0, 0, 0) }
-
 // PrefetchEnd emits PrefetchState.end().
 func (b *Builder) PrefetchEnd() { b.Mark(MarkPrefetchEnd, 0, 0, 0) }
 
