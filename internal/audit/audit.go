@@ -108,9 +108,6 @@ func (c *Checker) Check(cycle uint64) {
 // Violations returns the retained violations in detection order.
 func (c *Checker) Violations() []Violation { return c.violations }
 
-// Dropped returns how many violations were discarded past the limit.
-func (c *Checker) Dropped() uint64 { return c.dropped }
-
 // Checks returns how many sweeps have run (diagnostics for the
 // harness: zero sweeps means the checker was never wired in).
 func (c *Checker) Checks() uint64 { return c.checks }

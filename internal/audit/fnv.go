@@ -35,19 +35,6 @@ func (h *Hash) U64(v uint64) {
 	}
 }
 
-// Int folds a signed integer (sign-extended through int64, so negative
-// register values hash distinctly from their magnitudes).
-func (h *Hash) Int(v int) { h.U64(uint64(int64(v))) }
-
-// Bool folds a flag.
-func (h *Hash) Bool(v bool) {
-	if v {
-		h.Byte(1)
-	} else {
-		h.Byte(0)
-	}
-}
-
 // Sum returns the current digest. The hasher remains usable.
 func (h *Hash) Sum() uint64 { return h.h }
 

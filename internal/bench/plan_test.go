@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"maps"
 	"sync"
 	"sync/atomic"
@@ -60,7 +61,11 @@ func TestAppSingleflightRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			apps[i] = s.App("spcg", "bbmat")
+			app, err := s.AppContext(context.Background(), "spcg", "bbmat")
+			if err != nil {
+				t.Error(err)
+			}
+			apps[i] = app
 		}(i)
 	}
 	wg.Wait()

@@ -111,17 +111,6 @@ func (s *Suite) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// App returns (building once) the workload on the input. Concurrent
-// callers of the same key share one build; different keys build in
-// parallel.
-func (s *Suite) App(workload, input string) *apps.App {
-	app, err := s.AppContext(context.Background(), workload, input)
-	if err != nil {
-		panic(err) // experiment-definition bug, not a runtime condition
-	}
-	return app
-}
-
 // AppContext is App with cancellation and an error return: a caller
 // whose ctx ends while waiting on another goroutine's build gives up
 // (the build itself keeps running and lands in the cache), and build

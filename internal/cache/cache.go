@@ -811,15 +811,6 @@ func (s Stats) MPKI(instructions uint64) float64 {
 	return float64(s.DemandMisses) / float64(instructions) * 1000
 }
 
-// Accuracy returns the fraction of issued prefetch fills that were useful.
-func (s Stats) Accuracy() float64 {
-	total := s.PrefetchUseful + s.PrefetchEvicted
-	if total == 0 {
-		return 0
-	}
-	return float64(s.PrefetchUseful) / float64(total)
-}
-
 // RegisterProbes registers this cache level's sampled series under
 // prefix (e.g. "l2.0."): instantaneous MSHR and input-queue occupancy
 // plus the demand miss rate over the previous sample interval. Pull-style

@@ -362,18 +362,12 @@ func TestLowerQueueFullRetries(t *testing.T) {
 }
 
 func TestStatsHelpers(t *testing.T) {
-	s := Stats{DemandMisses: 30, PrefetchUseful: 9, PrefetchEvicted: 1}
+	s := Stats{DemandMisses: 30}
 	if got := s.MPKI(3000); got != 10 {
 		t.Errorf("MPKI = %v, want 10", got)
 	}
 	if got := s.MPKI(0); got != 0 {
 		t.Errorf("MPKI(0) = %v", got)
-	}
-	if got := s.Accuracy(); got != 0.9 {
-		t.Errorf("Accuracy = %v, want 0.9", got)
-	}
-	if got := (Stats{}).Accuracy(); got != 0 {
-		t.Errorf("empty Accuracy = %v", got)
 	}
 }
 

@@ -59,14 +59,6 @@ func (s Stats) AvgLoadLatency() float64 {
 	return float64(s.LoadLatencySum) / float64(s.Loads)
 }
 
-// IPC returns retired instructions per cycle.
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Instructions) / float64(s.Cycles)
-}
-
 type robEntry struct {
 	mem     bool
 	done    bool

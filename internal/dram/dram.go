@@ -300,11 +300,8 @@ func (c *Controller) Tick(now uint64) {
 // wakeup, so an issue, a burst start or a stale-credit clear that waits
 // on a slot is not a reason to wake before then.
 func (c *Controller) Wakeup(now uint64) uint64 {
-	if (!c.draining && len(c.writeQ) >= c.drainHi) || (c.draining && len(c.writeQ) <= c.drainLo) {
-		return now + 1 // pending draining flip
-	}
-	if c.burstLeft == 0 && len(c.writeQ) >= c.cfg.WriteQ {
-		return now + 1 // updateDrainState forces a burst next tick
+	if c.drainTarget() != c.draining || c.burstForced() {
+		return now + 1 // updateDrainState flips draining or forces a burst
 	}
 	slotFree := len(c.inService) < c.cfg.MaxInFlight
 	if slotFree && c.burstLeft == 0 && c.draining && len(c.writeQ) > 0 {
@@ -378,11 +375,7 @@ func (c *Controller) complete(now uint64) {
 
 func (c *Controller) updateDrainState() {
 	was := c.draining
-	if len(c.writeQ) >= c.drainHi {
-		c.draining = true
-	} else if len(c.writeQ) <= c.drainLo {
-		c.draining = false
-	}
+	c.draining = c.drainTarget()
 	if c.Tel != nil && c.draining != was {
 		if c.draining {
 			c.drainStart = c.clock
@@ -390,9 +383,27 @@ func (c *Controller) updateDrainState() {
 			c.Tel.Span("dram", "write-drain", c.drainStart, c.clock)
 		}
 	}
-	if len(c.writeQ) >= c.cfg.WriteQ && c.burstLeft == 0 {
+	if c.burstForced() {
 		c.burstLeft = writeBurstMin // full queue: force a burst now
 	}
+}
+
+// drainTarget is the draining state the write queue's fill calls for:
+// on at the high watermark, off at the low one, unchanged in between.
+func (c *Controller) drainTarget() bool {
+	switch {
+	case len(c.writeQ) >= c.drainHi:
+		return true
+	case len(c.writeQ) <= c.drainLo:
+		return false
+	}
+	return c.draining
+}
+
+// burstForced reports whether a full write queue forces a write burst
+// (liveness) where none is running.
+func (c *Controller) burstForced() bool {
+	return c.burstLeft == 0 && len(c.writeQ) >= c.cfg.WriteQ
 }
 
 // scheduleOne issues at most one transaction and reports whether it did.

@@ -106,21 +106,23 @@ func (r *Recorder) Summarize() *Summary {
 	}
 }
 
-// AttachDivergence sets the summary's divergence section from
-// per-window scores (already labelled with their core), computing the
-// aggregate mean and max.
-func (s *Summary) AttachDivergence(windows []WindowScoreJSON) {
-	if len(windows) == 0 {
+// AttachDivergence sets the summary's divergence section. windows are
+// the retained per-window scores, already labelled with their core; the
+// probes keep only a bounded number, so the aggregates come from the
+// probes and cover every scored window: scored counts them, pastCapSum
+// sums the scores of those not retained, and maxScore is the largest.
+func (s *Summary) AttachDivergence(windows []WindowScoreJSON, scored uint64, pastCapSum, maxScore float64) {
+	if scored == 0 {
 		return
 	}
-	d := &DivergenceJSON{WindowsScored: uint64(len(windows)), Windows: windows}
-	var sum float64
+	sum := 0.0
 	for _, w := range windows {
 		sum += w.Score
-		if w.Score > d.MaxScore {
-			d.MaxScore = w.Score
-		}
 	}
-	d.MeanScore = sum / float64(len(windows))
-	s.Lifecycle.Divergence = d
+	s.Lifecycle.Divergence = &DivergenceJSON{
+		WindowsScored: scored,
+		MeanScore:     (sum + pastCapSum) / float64(scored),
+		MaxScore:      maxScore,
+		Windows:       windows,
+	}
 }

@@ -218,12 +218,6 @@ type CacheView struct {
 	stats Stats
 }
 
-// Name returns the level label given to Recorder.View.
-func (v *CacheView) Name() string { return v.name }
-
-// Stats returns this view's outcome totals.
-func (v *CacheView) Stats() Stats { return v.stats }
-
 // PrefetchIssued opens a lifecycle record. A still-open record for the
 // same line should be impossible (the cache filters against residents
 // and in-flight MSHRs); if one appears it is closed as redundant so the

@@ -158,6 +158,14 @@ type Engine struct {
 // cycle.
 const maxIssuePerCycle = 4
 
+// Two 128 B double buffers per table; each buffer's halves can be in
+// flight independently, so up to four sequence-table line reads overlap.
+// The division table streams two lines at a time.
+const (
+	maxSeqLinesInFlight = 4
+	maxDivLinesInFlight = 2
+)
+
 // NewEngine returns an RnR engine for the given core. meta is the path
 // metadata requests take to memory (normally the DRAM controller); it may
 // be nil in unit tests, in which case metadata arrives instantly.
@@ -547,7 +555,7 @@ func (e *Engine) closeIteration() {
 
 // OnCycle implements prefetch.CycleDriven: the replay engine (Fig. 4(b)).
 func (e *Engine) OnCycle(cycle uint64, issue prefetch.IssueFunc) {
-	if e.Arch.State != StateReplay || len(e.seq) == 0 {
+	if !e.replaying() {
 		return
 	}
 	e.streamMetadata(cycle)
@@ -564,32 +572,28 @@ func (e *Engine) OnCycle(cycle uint64, issue prefetch.IssueFunc) {
 			budget--
 			continue
 		}
-		if e.nextIdx >= len(e.seq) || e.nextIdx >= e.fetchedIdx {
+		if !e.entryFetched() {
 			return
 		}
 		// Skip entries whose window the program has already left: their
 		// demand has passed, so prefetching them now is pure pollution.
 		// (The hardware analogue: Cur Window jumped past the buffer head
 		// after a stall; the buffer is advanced rather than drained.)
-		if e.Control != NoControl && e.Arch.WindowSize > 0 {
-			w := e.nextIdx / int(e.Arch.WindowSize)
-			if w < e.curWindow {
-				skipTo := e.curWindow * int(e.Arch.WindowSize)
-				// The last recorded window is usually partial, so Cur
-				// Window can sit one past it and curWindow*W then points
-				// beyond the table. Clamp before skipping: the unclamped
-				// value pushed nextIdx past len(seq) and credited
-				// SkippedEntries for phantom entries that were never
-				// recorded (flushed out by the audit invariant
-				// nextIdx <= len(seq)).
-				if skipTo > len(e.seq) {
-					skipTo = len(e.seq)
-				}
-				e.Stats.SkippedEntries += uint64(skipTo - e.nextIdx)
-				e.nextIdx = skipTo
-				if e.nextIdx >= len(e.seq) || e.nextIdx >= e.fetchedIdx {
-					return
-				}
+		if e.windowPassed() {
+			skipTo := e.curWindow * int(e.Arch.WindowSize)
+			// The last recorded window is usually partial, so Cur Window
+			// can sit one past it and curWindow*W then points beyond the
+			// table. Clamp before skipping: the unclamped value pushed
+			// nextIdx past len(seq) and credited SkippedEntries for
+			// phantom entries that were never recorded (flushed out by
+			// the audit invariant nextIdx <= len(seq)).
+			if skipTo > len(e.seq) {
+				skipTo = len(e.seq)
+			}
+			e.Stats.SkippedEntries += uint64(skipTo - e.nextIdx)
+			e.nextIdx = skipTo
+			if !e.entryFetched() {
+				return
 			}
 		}
 		if !e.eligible(e.nextIdx) {
@@ -614,15 +618,16 @@ func (e *Engine) OnCycle(cycle uint64, issue prefetch.IssueFunc) {
 	}
 }
 
-// Wakeup implements prefetch.CycleDriven: it mirrors OnCycle's gating
-// conditions and reports now+1 whenever any of them could make progress,
-// mem.WakeupNever otherwise. Every predicate below is a pure read of
-// state that changes only inside OnCycle or where the engine sets its
-// wake flag (PreAccess in replay, a metadata completion, HandleMarker,
+// Wakeup implements prefetch.CycleDriven: it tests OnCycle's gates, the
+// same predicates OnCycle, streamMetadata and advanceWindow call, and
+// reports now+1 whenever any of them could make progress,
+// mem.WakeupNever otherwise. Every predicate is a pure read of state
+// that changes only inside OnCycle or where the engine sets its wake
+// flag (PreAccess in replay, a metadata completion, HandleMarker,
 // Restore), so "no branch can progress now" really means "no branch can
 // progress until the flag is set".
 func (e *Engine) Wakeup(now uint64) uint64 {
-	if e.Arch.State != StateReplay || len(e.seq) == 0 {
+	if !e.replaying() {
 		return mem.WakeupNever
 	}
 	if e.meta == nil {
@@ -630,37 +635,60 @@ func (e *Engine) Wakeup(now uint64) uint64 {
 		if e.fetchedIdx != len(e.seq) || e.divFetched != len(e.div) {
 			return now + 1
 		}
-	} else {
-		// Mirror streamMetadata's issue loops (maxLinesInFlight = 4 seq
-		// lines, 2 div lines). An enqueue that the metadata backend then
-		// rejects still terminates: the cursors did not move, the backend
-		// drains, and its completion re-triggers evaluation.
-		if e.metaInFly < 4 && e.metaIssued < len(e.seq) &&
-			e.metaIssued-e.nextIdx < 2*SeqEntriesPerBuffer {
-			return now + 1
-		}
-		if e.divInFly < 2 && e.divIssued < len(e.div) &&
-			e.divIssued-e.curWindow < 2*DivEntriesPerBuffer {
-			return now + 1
-		}
+	} else if e.seqFetchDue() || e.divFetchDue() {
+		// An enqueue that the metadata backend then rejects still
+		// terminates: the cursors did not move, the backend drains, and
+		// its completion re-triggers evaluation.
+		return now + 1
 	}
-	if e.curWindow < e.divFetched && e.curWindow < len(e.div) &&
-		e.curStructRead >= e.div[e.curWindow] {
-		return now + 1 // advanceWindow would move Cur Window
+	// advanceWindow moves Cur Window, or a failed issue retries (and is
+	// counted) every cycle.
+	if e.windowDue() || e.retryValid {
+		return now + 1
 	}
-	if e.retryValid {
-		return now + 1 // a failed issue retries (and is counted) every cycle
-	}
-	if e.nextIdx < len(e.seq) && e.nextIdx < e.fetchedIdx {
-		if e.Control != NoControl && e.Arch.WindowSize > 0 &&
-			e.nextIdx/int(e.Arch.WindowSize) < e.curWindow {
-			return now + 1 // window skip would advance nextIdx
-		}
-		if e.eligible(e.nextIdx) {
-			return now + 1
-		}
+	if e.entryFetched() && (e.windowPassed() || e.eligible(e.nextIdx)) {
+		return now + 1
 	}
 	return mem.WakeupNever
+}
+
+// replaying reports whether the engine is replaying a recorded sequence:
+// only then does OnCycle act.
+func (e *Engine) replaying() bool { return e.Arch.State == StateReplay && len(e.seq) > 0 }
+
+// seqFetchDue reports whether streamMetadata issues another
+// sequence-table line read: a line slot is free, entries are left to
+// fetch, and the fetch cursor is less than two buffers ahead of the
+// prefetch pointer.
+func (e *Engine) seqFetchDue() bool {
+	return e.metaInFly < maxSeqLinesInFlight && e.metaIssued < len(e.seq) &&
+		e.metaIssued-e.nextIdx < 2*SeqEntriesPerBuffer
+}
+
+// divFetchDue is seqFetchDue for the division table, whose cursor runs
+// ahead of Cur Window.
+func (e *Engine) divFetchDue() bool {
+	return e.divInFly < maxDivLinesInFlight && e.divIssued < len(e.div) &&
+		e.divIssued-e.curWindow < 2*DivEntriesPerBuffer
+}
+
+// windowDue reports whether advanceWindow moves Cur Window: the
+// program's structure reads reached the current window's recorded end.
+func (e *Engine) windowDue() bool {
+	return e.curWindow < e.divFetched && e.curWindow < len(e.div) &&
+		e.curStructRead >= e.div[e.curWindow]
+}
+
+// entryFetched reports whether the prefetch pointer sits on a sequence
+// entry whose metadata has arrived.
+func (e *Engine) entryFetched() bool { return e.nextIdx < len(e.seq) && e.nextIdx < e.fetchedIdx }
+
+// windowPassed reports whether the prefetch pointer's entry lies in a
+// window the program has already left, so OnCycle skips ahead to Cur
+// Window.
+func (e *Engine) windowPassed() bool {
+	return e.Control != NoControl && e.Arch.WindowSize > 0 &&
+		e.nextIdx/int(e.Arch.WindowSize) < e.curWindow
 }
 
 // entryLine reconstructs the prefetch address from a sequence entry and
@@ -683,14 +711,8 @@ func (e *Engine) streamMetadata(cycle uint64) {
 		e.divFetched = len(e.div)
 		return
 	}
-	// Two 128 B double buffers per table; each buffer's halves can be in
-	// flight independently, so up to four line reads overlap.
-	const maxLinesInFlight = 4
 	const entriesPerLine = mem.LineSize / SeqEntryBytes
-	aheadLimit := 2 * SeqEntriesPerBuffer
-
-	for e.metaInFly < maxLinesInFlight && e.metaIssued < len(e.seq) &&
-		e.metaIssued-e.nextIdx < aheadLimit {
+	for e.seqFetchDue() {
 		addr := e.Arch.SeqTableBase + mem.Addr(e.metaIssued*SeqEntryBytes)
 		m := e.newMetaRead(addr, cycle, false)
 		if !e.meta.TryEnqueue(&m.req) {
@@ -713,8 +735,7 @@ func (e *Engine) streamMetadata(cycle uint64) {
 	}
 
 	const divPerLine = mem.LineSize / DivEntryBytes
-	for e.divInFly < 2 && e.divIssued < len(e.div) &&
-		e.divIssued-e.curWindow < 2*DivEntriesPerBuffer {
+	for e.divFetchDue() {
 		addr := e.Arch.DivTableBase + mem.Addr(e.divIssued*DivEntryBytes)
 		m := e.newMetaRead(addr, cycle, true)
 		if !e.meta.TryEnqueue(&m.req) {
@@ -737,8 +758,7 @@ func (e *Engine) streamMetadata(cycle uint64) {
 // advanceWindow moves Cur Window forward as the program's structure reads
 // cross recorded window boundaries (Fig. 4(b), step 7).
 func (e *Engine) advanceWindow() {
-	for e.curWindow < e.divFetched && e.curWindow < len(e.div) &&
-		e.curStructRead >= e.div[e.curWindow] {
+	for e.windowDue() {
 		e.windowReads = e.div[e.curWindow]
 		if e.diverge != nil {
 			e.diverge.closeWindow(e.curWindow, e.windowSlice(e.curWindow))
@@ -890,9 +910,3 @@ func (e *Engine) RegisterProbes(tel *telemetry.Recorder, prefix string) {
 		tel.Probe(prefix+"divergence", func(uint64) float64 { return e.diverge.LastScore() })
 	}
 }
-
-// CurStructRead exposes the progress counter.
-func (e *Engine) CurStructRead() uint64 { return e.curStructRead }
-
-// CurWindow exposes the replay window counter.
-func (e *Engine) CurWindow() int { return e.curWindow }

@@ -45,8 +45,8 @@ func TestBoundaryCheckSetsFlagAndCounts(t *testing.T) {
 	if st.StructFlag {
 		t.Error("store flagged (only reads are counted)")
 	}
-	if e.CurStructRead() != 1 || e.Stats.StructReads != 1 {
-		t.Errorf("struct reads = %d/%d, want 1", e.CurStructRead(), e.Stats.StructReads)
+	if e.curStructRead != 1 || e.Stats.StructReads != 1 {
+		t.Errorf("struct reads = %d/%d, want 1", e.curStructRead, e.Stats.StructReads)
 	}
 }
 

@@ -202,8 +202,8 @@ func TestWindowAdvanceRequiresDivMetadata(t *testing.T) {
 		e.PreAccess(r)
 	}
 	e.advanceWindow()
-	if e.CurWindow() != 0 {
-		t.Errorf("window advanced to %d without division metadata", e.CurWindow())
+	if e.curWindow != 0 {
+		t.Errorf("window advanced to %d without division metadata", e.curWindow)
 	}
 }
 

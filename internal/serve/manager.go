@@ -207,18 +207,6 @@ func (m *Manager) suiteLocked(scale string) *bench.Suite {
 	return s
 }
 
-// FreshRuns sums completed fresh simulations across every scale's
-// suite — the observable the duplicate-submission tests assert on.
-func (m *Manager) FreshRuns() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n uint64
-	for _, s := range m.suites {
-		n += s.FreshRuns()
-	}
-	return n
-}
-
 // SubmitRun submits (or coalesces onto) the content-addressed job for
 // the spec. The boolean reports whether a fresh job was created; a
 // coalesced submission returns the existing live or completed job.

@@ -141,11 +141,6 @@ func (s *System) registerAudit() {
 	}
 }
 
-// Audit returns the invariant checker attached at construction (nil
-// when auditing is disabled). Tests use it to inspect violations
-// beyond the summary error.
-func (s *System) Audit() *audit.Checker { return s.aud }
-
 // stateHash folds the architectural state of every simulated component
 // — core ROB/LSQ and dispatch registers, cache tag arrays with
 // LRU/dirty state, queues and MSHRs, the DRAM controller's banks and

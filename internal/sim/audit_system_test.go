@@ -37,10 +37,10 @@ func TestAuditCleanAcrossPrefetchers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("audited run failed: %v", err)
 			}
-			if s.Audit() == nil || s.Audit().Checks() == 0 {
+			if s.aud == nil || s.aud.Checks() == 0 {
 				t.Fatal("auditor attached but never swept")
 			}
-			if v := s.Audit().Violations(); len(v) > 0 {
+			if v := s.aud.Violations(); len(v) > 0 {
 				t.Fatalf("%d violations, first: %s", len(v), v[0])
 			}
 			if !reflect.DeepEqual(plain, audited) {
@@ -120,7 +120,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	if !strings.Contains(err.Error(), "audit:") {
 		t.Fatalf("error is not an audit failure: %v", err)
 	}
-	v := s.Audit().Violations()
+	v := s.aud.Violations()
 	if len(v) == 0 {
 		t.Fatal("no violations retained")
 	}

@@ -36,21 +36,15 @@ func newCtxSwitch(cfg CtxSwitchConfig) *ctxSwitch {
 	return &ctxSwitch{cfg: cfg, nextAt: cfg.Period}
 }
 
-// tick drives the switch state machine; returns true while switched out.
-func (cs *ctxSwitch) tick(s *System, now uint64) bool {
-	if cs.cfg.Period == 0 {
-		return false
-	}
-	if cs.out {
-		if now >= cs.resumeAt {
-			cs.switchIn(s, now)
-		}
-		return cs.out
-	}
-	if now >= cs.nextAt {
+// tick drives the switch state machine.
+func (cs *ctxSwitch) tick(s *System, now uint64) {
+	switch {
+	case cs.cfg.Period == 0:
+	case cs.out && now >= cs.resumeAt:
+		cs.switchIn(s, now)
+	case !cs.out && now >= cs.nextAt:
 		cs.switchOut(s, now)
 	}
-	return cs.out
 }
 
 // wakeup reports the next cycle at which the state machine transitions:

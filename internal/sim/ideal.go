@@ -61,10 +61,10 @@ func (c *idealLLC) TryEnqueue(r *mem.Request) bool {
 	return c.lower.TryEnqueue(&inner)
 }
 
-// wakeup reports the earliest pending-hit completion, or mem.WakeupNever
+// Wakeup reports the earliest pending-hit completion, or mem.WakeupNever
 // when nothing is buffered (misses complete via the lower backend's
 // callbacks, not this tick).
-func (c *idealLLC) wakeup(now uint64) uint64 {
+func (c *idealLLC) Wakeup(now uint64) uint64 {
 	w := mem.WakeupNever
 	for _, p := range c.pending {
 		if p.finish < w {
@@ -77,9 +77,9 @@ func (c *idealLLC) wakeup(now uint64) uint64 {
 	return w
 }
 
-// advanceClock fast-forwards the clock over skipped idle cycles; the
+// AdvanceClock fast-forwards the clock over skipped idle cycles; the
 // clock timestamps hit completions and absorbed writebacks.
-func (c *idealLLC) advanceClock(now uint64) { c.clock = now }
+func (c *idealLLC) AdvanceClock(now uint64) { c.clock = now }
 
 // Tick completes buffered hits.
 func (c *idealLLC) Tick(now uint64) {

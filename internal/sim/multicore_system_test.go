@@ -159,7 +159,7 @@ func TestCoRunAuditClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("audited co-run failed: %v", err)
 	}
-	if s.Audit().Checks() == 0 {
+	if s.aud.Checks() == 0 {
 		t.Fatal("auditor attached but never swept")
 	}
 	if len(r.GroupIterEnd) != 2 {

@@ -118,7 +118,7 @@ func TestObsCtxSwitchNoLeak(t *testing.T) {
 	if r.RnR.Pauses == 0 {
 		t.Fatal("no context switch ever fired")
 	}
-	if open := s.Obs().OpenRecords(); open != 0 {
+	if open := s.obsRec.OpenRecords(); open != 0 {
 		t.Fatalf("%d lifecycle records leaked across context switches", open)
 	}
 	lc := r.Obs.Lifecycle
@@ -127,7 +127,7 @@ func TestObsCtxSwitchNoLeak(t *testing.T) {
 		t.Fatalf("conservation broke under context switches: issued %d != closed %d (%+v)",
 			lc.Issued, closed, lc)
 	}
-	s.Obs().CheckInvariants(func(msg string) { t.Errorf("invariant: %s", msg) })
+	s.obsRec.CheckInvariants(func(msg string) { t.Errorf("invariant: %s", msg) })
 }
 
 // TestObsAuditClean runs audit and obs together: the auditor sweeps the
@@ -146,10 +146,10 @@ func TestObsAuditClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("audited+observed run failed: %v", err)
 	}
-	if s.Audit().Checks() == 0 {
+	if s.aud.Checks() == 0 {
 		t.Fatal("auditor never swept")
 	}
-	if v := s.Audit().Violations(); len(v) > 0 {
+	if v := s.aud.Violations(); len(v) > 0 {
 		t.Fatalf("%d violations, first: %s", len(v), v[0])
 	}
 	if r.Obs == nil || r.Obs.Lifecycle.Issued == 0 {

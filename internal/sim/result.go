@@ -171,14 +171,6 @@ func (r *Result) steadyL2() cache.Stats {
 	return s
 }
 
-// Speedup is baseline cycles over this run's cycles for the simulated ROI.
-func (r *Result) Speedup(baseline *Result) float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(baseline.Cycles) / float64(r.Cycles)
-}
-
 // IterCycles returns the duration of iteration i (barrier to barrier).
 func (r *Result) IterCycles(i int) uint64 {
 	if i < 0 || i >= len(r.IterEnd) || r.IterEnd[i] == 0 {

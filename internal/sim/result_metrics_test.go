@@ -22,7 +22,6 @@ func allMetricsFinite(t *testing.T, r, base *Result) {
 	finite(t, "L2MPKI", r.L2MPKI())
 	finite(t, "Accuracy", r.Accuracy())
 	finite(t, "Coverage", r.Coverage(base))
-	finite(t, "Speedup", r.Speedup(base))
 	finite(t, "SteadyIterCycles", r.SteadyIterCycles())
 	finite(t, "ComposedCycles", r.ComposedCycles(100))
 	finite(t, "ComposedSpeedup", r.ComposedSpeedup(base, 100))
@@ -43,9 +42,6 @@ func TestMetricsZeroCycleResult(t *testing.T) {
 	allMetricsFinite(t, empty, empty)
 	if v := empty.IPC(); v != 0 {
 		t.Errorf("IPC of empty result = %v, want 0", v)
-	}
-	if v := empty.Speedup(empty); v != 0 {
-		t.Errorf("Speedup of empty result = %v, want 0", v)
 	}
 	if v := empty.ComposedSpeedup(empty, 100); v != 0 {
 		t.Errorf("ComposedSpeedup of empty result = %v, want 0", v)

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"rnrsim/internal/telemetry"
-)
+import "fmt"
 
 // registerTelemetry hands the recorder to every component and registers
 // the system-level aggregate series. Called once from New; a nil recorder
@@ -97,7 +93,3 @@ func (s *System) registerTelemetry() {
 		return engineMean(func(c int) int { return s.engines[c].PaceError() })
 	})
 }
-
-// Telemetry returns the recorder attached at construction (nil when the
-// run is uninstrumented).
-func (s *System) Telemetry() *telemetry.Recorder { return s.tel }

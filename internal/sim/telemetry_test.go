@@ -151,7 +151,7 @@ func TestUninstrumentedRunHasNilRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Telemetry() != nil {
+	if sys.tel != nil {
 		t.Error("uninstrumented system carries a non-nil recorder")
 	}
 }

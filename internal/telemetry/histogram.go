@@ -155,11 +155,3 @@ func (r *Registry) Histograms() []NamedHistogram {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// Histogram returns the recorder's named histogram (nil when disabled).
-func (r *Recorder) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.reg.Histogram(name)
-}

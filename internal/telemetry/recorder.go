@@ -28,22 +28,6 @@ type Recorder struct {
 	interval uint64
 }
 
-// Counter returns the recorder's named counter (nil when disabled).
-func (r *Recorder) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.reg.Counter(name)
-}
-
-// Gauge returns the recorder's named gauge (nil when disabled).
-func (r *Recorder) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.reg.Gauge(name)
-}
-
 // Probe registers a pull-style gauge (no-op when disabled).
 func (r *Recorder) Probe(name string, fn Probe) {
 	if r == nil {
@@ -63,9 +47,6 @@ func New(cfg Config) *Recorder {
 		interval: cfg.SampleInterval,
 	}
 }
-
-// Enabled reports whether the recorder collects anything.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // SampleInterval returns the configured sampling period (0 when nil, so
 // callers can use it directly in a modulus guard).
@@ -91,22 +72,6 @@ func (r *Recorder) Span(track, name string, start, end uint64) {
 		return
 	}
 	r.tracer.span(track, name, start, end)
-}
-
-// Sampler exposes the series collector (nil when disabled).
-func (r *Recorder) Sampler() *Sampler {
-	if r == nil {
-		return nil
-	}
-	return r.sampler
-}
-
-// Tracer exposes the event tracer (nil when disabled).
-func (r *Recorder) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
 }
 
 // WriteMetricsJSONL streams the retained series rows as JSONL.

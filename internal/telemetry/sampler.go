@@ -61,20 +61,6 @@ func (s *Sampler) sample(reg *Registry, cycle uint64) {
 	s.dropped++
 }
 
-// Len returns the number of retained rows.
-func (s *Sampler) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.rows)
-}
-
-// Dropped returns how many rows were overwritten by ring wrap-around.
-func (s *Sampler) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
 // WriteJSONL emits the retained rows, oldest first, one JSON object per
 // line: {"cycle":N,"<col>":v,...}. Values are finite by construction.
 func (s *Sampler) WriteJSONL(w io.Writer) error {

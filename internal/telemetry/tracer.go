@@ -77,20 +77,6 @@ func (t *Tracer) span(track, name string, start, end uint64) {
 	)
 }
 
-// Len returns the number of recorded events (metadata excluded).
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Dropped returns how many events were discarded at the cap.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // WriteTrace emits the Chrome trace-event JSON object.
 func (t *Tracer) WriteTrace(w io.Writer) error {
 	t.mu.Lock()

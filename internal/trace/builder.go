@@ -196,11 +196,6 @@ func (b *Builder) Source() *SliceSource { return NewSliceSource(b.Records()) }
 // Len returns the number of records (not instructions) accumulated.
 func (b *Builder) Len() int { return b.nSegs + len(b.cur) }
 
-// Instructions returns the total dynamic instruction count of the trace.
-func (b *Builder) Instructions() uint64 {
-	return Trace(b.segs).Instructions() + instructions(b.cur)
-}
-
 func instructions(recs []Record) uint64 {
 	var n uint64
 	for _, r := range recs {

@@ -248,6 +248,3 @@ func (s *SliceSource) nextSegment() (Record, bool) {
 
 // Reset rewinds the source to the beginning of the trace.
 func (s *SliceSource) Reset() { s.seg, s.cur, s.pos = -1, nil, 0 }
-
-// Len returns the total number of records in the trace.
-func (s *SliceSource) Len() int { return Trace(s.segs).Len() }
