@@ -132,7 +132,7 @@ func TestCoRunJobReportsProgress(t *testing.T) {
 	if phases == 0 {
 		t.Errorf("finished co-run job published no phase events")
 	}
-	if n := m.FreshRuns(); n != 1 {
+	if n := m.suite(coRunSpec().Scale).FreshRuns(); n != 1 {
 		t.Errorf("FreshRuns = %d after one co-run job, want 1", n)
 	}
 }

@@ -184,7 +184,7 @@ func TestDuplicateSubmissionCoalesces(t *testing.T) {
 	if st := j1.State(); st != StateDone {
 		t.Fatalf("state = %q, want done (err %q)", st, j1.View(false).Error)
 	}
-	if n := m.FreshRuns(); n != 1 {
+	if n := m.suite(spec.Scale).FreshRuns(); n != 1 {
 		t.Errorf("FreshRuns = %d, want exactly 1 (singleflight)", n)
 	}
 	if got := counterValue(m.Registry(), CounterJobsCoalesced); got != 1 {

@@ -7,7 +7,7 @@ package telemetry
 // clamp counters in sim/result.go), so the instruments must tolerate
 // concurrent writers with no coordination:
 //
-//   - Counter / Gauge: lock-free sync/atomic — Inc/Add/Set/Load race-free
+//   - Counter / Gauge: lock-free sync/atomic — Inc/Add/Load race-free
 //     and exact (no lost updates).
 //   - Registry: mutexed maps — first-use registration of the same name
 //     from many goroutines yields one shared instrument.
@@ -24,8 +24,8 @@ import (
 )
 
 // TestCounterConcurrentExact asserts no increments are lost under
-// contention: 16 writers x 1000 Incs + 16 writers x 1000 Add(3)s must
-// land exactly, with concurrent readers observing monotonic progress.
+// contention: 16 writers x 1000 Incs + 16 writers x 1000 triple Incs
+// must land exactly, with concurrent readers observing monotonic progress.
 func TestCounterConcurrentExact(t *testing.T) {
 	c := NewRegistry().Counter("c")
 	const writers, each = 16, 1000
@@ -41,7 +41,9 @@ func TestCounterConcurrentExact(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				c.Add(3)
+				c.Inc()
+				c.Inc()
+				c.Inc()
 			}
 		}()
 	}
@@ -65,8 +67,9 @@ func TestCounterConcurrentExact(t *testing.T) {
 	}
 }
 
-// TestGaugeConcurrent asserts Set/Load race-freedom: the final value is
-// one of the written values, never a torn mix.
+// TestGaugeConcurrent asserts Add/Load race-freedom: writer w adds w+1
+// and takes it away again, so every read is a sum of distinct values in
+// 1..8, never a torn mix.
 func TestGaugeConcurrent(t *testing.T) {
 	g := NewRegistry().Gauge("g")
 	var wg sync.WaitGroup
@@ -76,14 +79,15 @@ func TestGaugeConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				g.Set(v)
+				g.Add(v)
+				g.Add(-v)
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				got := g.Load()
-				if got != 0 && (got < 1 || got > 8 || got != float64(int(got))) {
+				if got < 0 || got > 36 || got != float64(int(got)) {
 					t.Errorf("torn gauge read: %v", got)
 					return
 				}
@@ -168,8 +172,8 @@ func TestRecorderConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				rec.Sample(uint64(i))
-				rec.Counter("events").Inc()
-				rec.Gauge("level").Set(float64(i))
+				rec.reg.Counter("events").Inc()
+				rec.reg.Gauge("level").Add(1)
 			}
 		}()
 		go func() {
@@ -194,10 +198,10 @@ func TestRecorderConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if rec.Sampler().Len() == 0 {
+	if len(rec.sampler.rows) == 0 {
 		t.Fatal("no samples recorded")
 	}
-	if rec.Tracer().Len() == 0 {
+	if len(rec.tracer.events) == 0 {
 		t.Fatal("no trace events recorded")
 	}
 }

@@ -19,16 +19,13 @@ func TestDisabledFastPathAllocatesNothing(t *testing.T) {
 	probe := func(uint64) float64 { return 1 }
 	allocs := testing.AllocsPerRun(1000, func() {
 		cnt.Inc()
-		cnt.Add(3)
 		_ = cnt.Load()
-		g.Set(1.5)
 		g.Add(2.5)
 		_ = g.Load()
 		rec.Probe("x", probe)
 		rec.Sample(42)
 		rec.Span("track", "name", 1, 2)
 		_ = rec.SampleInterval()
-		_ = rec.Enabled()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocated %.1f objects per run, want 0", allocs)
@@ -36,10 +33,11 @@ func TestDisabledFastPathAllocatesNothing(t *testing.T) {
 }
 
 // TestGaugeAdd pins delta-gauge semantics: concurrent +1/-1 pairs net
-// to zero (Set would lose updates under the same interleaving).
+// to zero (a load-then-store would lose updates under the same
+// interleaving).
 func TestGaugeAdd(t *testing.T) {
 	g := NewRegistry().Gauge("level")
-	g.Set(10)
+	g.Add(10)
 	g.Add(2.5)
 	g.Add(-0.5)
 	if got := g.Load(); got != 12 {
@@ -72,12 +70,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 	reg.Probe("a", func(uint64) float64 { return 0 }) // must not panic
 	var rec *Recorder
-	if rec.Counter("a") != nil || rec.Gauge("a") != nil {
-		t.Error("nil recorder returned instruments")
-	}
-	if rec.Sampler() != nil || rec.Tracer() != nil {
-		t.Error("nil recorder exposed collectors")
-	}
 	if err := rec.WriteMetricsJSONL(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil recorder write: %v", err)
 	}
@@ -103,7 +95,7 @@ func TestSamplerSeriesLength(t *testing.T) {
 	rec.Sample(cycles) // the simulator's final post-drain sample
 
 	want := cycles/interval + 1 // 10 on-grid + 1 final
-	if got := rec.Sampler().Len(); got != want {
+	if got := len(rec.sampler.rows); got != want {
 		t.Fatalf("sampler retained %d rows for %d cycles at interval %d, want %d",
 			got, cycles, interval, want)
 	}
@@ -138,10 +130,10 @@ func TestSamplerRingDropsOldest(t *testing.T) {
 	for cyc := uint64(1); cyc <= ringCap+6; cyc++ {
 		rec.Sample(cyc)
 	}
-	if got := rec.Sampler().Len(); got != ringCap {
+	if got := len(rec.sampler.rows); got != ringCap {
 		t.Fatalf("ring retained %d rows, want %d", got, ringCap)
 	}
-	if got := rec.Sampler().Dropped(); got != 6 {
+	if got := rec.sampler.dropped; got != 6 {
 		t.Fatalf("ring dropped %d rows, want 6", got)
 	}
 	var buf bytes.Buffer
@@ -166,8 +158,8 @@ func TestSamplerRingDropsOldest(t *testing.T) {
 
 func TestSampleRowIncludesCountersAndGauges(t *testing.T) {
 	rec := New(Config{SampleInterval: 1})
-	rec.Counter("hits").Add(7)
-	rec.Gauge("depth").Set(3.5)
+	rec.reg.Counter("hits").v.Add(7)
+	rec.reg.Gauge("depth").Add(3.5)
 	rec.Sample(10)
 	var buf bytes.Buffer
 	if err := rec.WriteMetricsJSONL(&buf); err != nil {
@@ -256,8 +248,8 @@ func TestTraceRoundTrip(t *testing.T) {
 
 func TestTracerCapDropsWholeSpans(t *testing.T) {
 	rec := New(Config{})
-	if rec.Tracer().cap != traceCap {
-		t.Fatalf("recorder's tracer keeps %d events, want %d", rec.Tracer().cap, traceCap)
+	if rec.tracer.cap != traceCap {
+		t.Fatalf("recorder's tracer keeps %d events, want %d", rec.tracer.cap, traceCap)
 	}
 	// Filling the real 2^20-event cap costs ~100 MB; a 4-event tracer
 	// exercises the same drop rule.
@@ -265,10 +257,10 @@ func TestTracerCapDropsWholeSpans(t *testing.T) {
 	rec.Span("t", "a", 0, 1)
 	rec.Span("t", "b", 1, 2)
 	rec.Span("t", "c", 2, 3) // over cap: dropped as a pair
-	if got := rec.Tracer().Len(); got != 4 {
+	if got := len(rec.tracer.events); got != 4 {
 		t.Fatalf("tracer kept %d events, want 4", got)
 	}
-	if got := rec.Tracer().Dropped(); got != 2 {
+	if got := rec.tracer.dropped; got != 2 {
 		t.Fatalf("tracer dropped %d events, want 2", got)
 	}
 	var buf bytes.Buffer
@@ -303,10 +295,10 @@ func TestConcurrentInstruments(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := rec.Counter("shared")
+			c := rec.reg.Counter("shared")
 			for i := 0; i < 500; i++ {
 				c.Inc()
-				rec.Gauge("g").Set(float64(i))
+				rec.reg.Gauge("g").Add(1)
 				rec.Span("t", "s", uint64(i), uint64(i+1))
 				rec.Span("u", "s", uint64(i), uint64(i))
 				rec.Sample(uint64(g*1000 + i))
@@ -314,7 +306,7 @@ func TestConcurrentInstruments(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := rec.Counter("shared").Load(); got != 8*500 {
+	if got := rec.reg.Counter("shared").Load(); got != 8*500 {
 		t.Errorf("shared counter = %d, want %d", got, 8*500)
 	}
 	var buf bytes.Buffer

@@ -132,8 +132,8 @@ func TestBuilderMatchesAppendOracle(t *testing.T) {
 
 func checkBuilder(t *testing.T, trial int, b *Builder, o *appendOracle) {
 	t.Helper()
-	if got, want := b.Instructions(), o.instructions(); got != want {
-		t.Fatalf("trial %d: Instructions() = %d, oracle %d", trial, got, want)
+	if got, want := Trace(b.segs).Instructions()+instructions(b.cur), o.instructions(); got != want {
+		t.Fatalf("trial %d: instructions = %d, oracle %d", trial, got, want)
 	}
 	recs := b.Records()
 	if len(recs) != len(o.recs) || cap(recs) != len(recs) {

@@ -31,8 +31,8 @@ func TestBuilderCoalescesExec(t *testing.T) {
 	if recs[2].Count != 2 {
 		t.Errorf("trailing exec count = %d, want 2", recs[2].Count)
 	}
-	if b.Instructions() != 7+1+2 {
-		t.Errorf("Instructions() = %d, want 10", b.Instructions())
+	if n := Trace(b.segs).Instructions() + instructions(b.cur); n != 7+1+2 {
+		t.Errorf("instructions = %d, want 10", n)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestBuilderRnRSequence(t *testing.T) {
 func TestSliceSource(t *testing.T) {
 	recs := []Record{Exec(5), Load(1, 64, 8, -1), Store(2, 128, 8, 0)}
 	s := NewSliceSource(recs)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
+	if n := Trace(s.segs).Len(); n != 3 {
+		t.Fatalf("Len = %d", n)
 	}
 	var got []Record
 	for {
@@ -146,7 +146,7 @@ func TestSegmentWalk(t *testing.T) {
 			}
 			src.Reset()
 		}
-		if !slices.Equal(tr.Records(), want) || tr.Len() != len(want) || src.Len() != len(want) {
+		if !slices.Equal(tr.Records(), want) || tr.Len() != len(want) || Trace(src.segs).Len() != len(want) {
 			t.Fatalf("%d segments: Records/Len disagree with the expanded stream", len(tr))
 		}
 		if got, want := tr.Instructions(), instructions(want); got != want {
