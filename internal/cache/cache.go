@@ -156,7 +156,8 @@ type Cache struct {
 	nsets   int
 	setMask mem.Addr
 	lower   mem.Backend
-	clock   uint64
+	clk     *mem.Clock // the machine's clock, read from slot (see BindClock)
+	slot    int
 	readQ   reqRing
 	prefQ   reqRing
 	writeQ  reqRing
@@ -174,12 +175,12 @@ type Cache struct {
 	// turn.
 	posted mem.Pool
 	wb     mem.Request
-	// wakeDirty is set whenever the cache receives external input (an
+	// wake is marked whenever the cache receives external input (an
 	// enqueue from above, a fill from below, an invalidation) — anything
 	// that can move its Wakeup earlier. The event scheduler owns the flag
 	// and clears it when it recomputes the cached wakeup; see
 	// BindWakeFlag.
-	wakeDirty *bool
+	wake mem.WakeFlag
 	// mshrAllocs counts every MSHR ever allocated; the audit layer checks
 	// the conservation law mshrAllocs == MissServiceCnt + len(mshrs)
 	// (every miss is either filled or still in flight).
@@ -212,7 +213,7 @@ func New(cfg Config) *Cache {
 		setMask:   mem.Addr(n - 1),
 		mshrs:     make([]*mshr, 0, cfg.MSHRs),
 		mshrLines: make([]mem.Addr, 0, cfg.MSHRs),
-		wakeDirty: new(bool),
+		wake:      mem.NewWakeFlag(make([]uint64, 1), 0),
 	}
 	for i := range c.sets {
 		c.sets[i].tag = invalidTag
@@ -298,7 +299,7 @@ func (c *Cache) TryEnqueue(r *mem.Request) bool {
 			return false
 		}
 		c.writeQ.pushBack(c.admit(r))
-		*c.wakeDirty = true
+		c.wake.Mark()
 	case mem.ReqPrefetch:
 		return c.TryPrefetch(r)
 	default:
@@ -306,7 +307,7 @@ func (c *Cache) TryEnqueue(r *mem.Request) bool {
 			return false
 		}
 		c.readQ.pushBack(c.admit(r))
-		*c.wakeDirty = true
+		c.wake.Mark()
 	}
 	return true
 }
@@ -317,7 +318,7 @@ func (c *Cache) admit(r *mem.Request) queued {
 	if r.Done == nil {
 		r = c.posted.Copy(r)
 	}
-	return queued{r, c.clock + c.cfg.Latency}
+	return queued{r, c.now() + c.cfg.Latency}
 }
 
 // owned reports whether a request the cache holds is its own pool copy.
@@ -336,7 +337,7 @@ func (c *Cache) TryPrefetch(r *mem.Request) bool {
 	if r.Done == nil && (c.Lookup(r.Line) || c.InFlight(r.Line)) {
 		c.Stats.PrefetchDropped++
 		if c.Lifecycle != nil {
-			c.Lifecycle.PrefetchRedundant(r.Line, c.clock)
+			c.Lifecycle.PrefetchRedundant(r.Line, c.now())
 		}
 		return true // filtered, but accepted from the issuer's perspective
 	}
@@ -345,7 +346,7 @@ func (c *Cache) TryPrefetch(r *mem.Request) bool {
 		return false
 	}
 	c.prefQ.pushBack(c.admit(r))
-	*c.wakeDirty = true
+	c.wake.Mark()
 	c.Stats.PrefetchIssued++
 	return true
 }
@@ -410,26 +411,25 @@ func (c *Cache) Wakeup(now uint64) uint64 {
 // prefetchReserve is how many MSHRs the prefetch queue leaves to demands.
 func (c *Cache) prefetchReserve() int { return min(4, c.cfg.MSHRs/2) }
 
-// AdvanceClock fast-forwards the internal clock over skipped idle
-// cycles. The clock timestamps enqueues (ready = clock + latency) and
-// posted completions, so before simulating cycle X after a jump it must
-// read X-1 — exactly what a cycle-stepped Tick at X-1 would have left
-// behind (Tick sets the clock before its idle early-exit, so this is
-// the only effect the skipped ticks had).
-func (c *Cache) AdvanceClock(now uint64) { c.clock = now }
+// BindClock binds the cache to the machine's clock at its slot in the
+// tick order. The cycle read there stamps enqueues (ready = cycle +
+// latency) and the lifecycle events of lines dropped outside a tick.
+func (c *Cache) BindClock(clk *mem.Clock, slot int) { c.clk, c.slot = clk, slot }
 
-// BindWakeFlag points the cache's external-input flag at *p. Everything
-// that can move the wakeup earlier (TryEnqueue, TryPrefetch, fill,
-// Invalidate, InvalidateAll) sets *p; the event scheduler owns the flag
-// (a slot of its wake table) and clears it when it recomputes the cached
-// wakeup.
-func (c *Cache) BindWakeFlag(p *bool) { c.wakeDirty = p }
+// now is the cycle the cache reads on the machine's clock.
+func (c *Cache) now() uint64 { return c.clk.At(c.slot) }
+
+// BindWakeFlag binds the cache's external-input flag. Everything that
+// can move the wakeup earlier (TryEnqueue, TryPrefetch, fill,
+// Invalidate, InvalidateAll) marks it; the event scheduler owns the flag
+// (a bit of its wake table's stale set) and clears it when it recomputes
+// the cached wakeup.
+func (c *Cache) BindWakeFlag(f mem.WakeFlag) { c.wake = f }
 
 // Tick advances the cache by one cycle: it retries blocked miss traffic,
 // performs up to Bandwidth lookups (demand before prefetch) and forwards
 // writebacks.
 func (c *Cache) Tick(now uint64) {
-	c.clock = now
 	// Idle early-exit: with every input queue empty and no blocked miss
 	// traffic there is no per-cycle work — outstanding MSHR fills are
 	// driven by the lower level's completion callbacks, not by ticking.
@@ -649,7 +649,7 @@ func (c *Cache) retryUnsent() {
 
 // fill installs the line delivered by the lower level and wakes waiters.
 func (c *Cache) fill(m *mshr, now uint64) {
-	*c.wakeDirty = true
+	c.wake.Mark()
 	c.removeMSHR(m)
 	c.Stats.MissServiceSum += now - m.allocAt
 	c.Stats.MissServiceCnt++
@@ -848,9 +848,9 @@ func (c *Cache) Invalidate(lineAddr mem.Addr) bool {
 	set := c.setSlice(lineAddr)
 	for i := range set {
 		if set[i].tag == lineAddr {
-			*c.wakeDirty = true
+			c.wake.Mark()
 			if c.Lifecycle != nil && set[i].prefetched {
-				c.Lifecycle.PrefetchEvictedUnused(lineAddr, c.clock)
+				c.Lifecycle.PrefetchEvictedUnused(lineAddr, c.now())
 			}
 			set[i] = line{tag: invalidTag}
 			return true
@@ -876,7 +876,8 @@ func (c *Cache) ForEachResident(fn func(line mem.Addr)) {
 // are dropped without writeback traffic; the cost modelled is the warm-up
 // misses afterwards, which §IV-C identifies as the dominant penalty.
 func (c *Cache) InvalidateAll() {
-	*c.wakeDirty = true
+	c.wake.Mark()
+	now := c.now()
 	for i := range c.sets {
 		// Invalidation ends the lifecycle of still-unused prefetched
 		// lines exactly like an eviction would; without this the flight
@@ -885,7 +886,7 @@ func (c *Cache) InvalidateAll() {
 		// prefetcher reset is handled by the switch path itself, and
 		// firing OnEvict here would perturb recorded RnR state.
 		if c.Lifecycle != nil && c.sets[i].tag != invalidTag && c.sets[i].prefetched {
-			c.Lifecycle.PrefetchEvictedUnused(c.sets[i].tag, c.clock)
+			c.Lifecycle.PrefetchEvictedUnused(c.sets[i].tag, now)
 		}
 		c.sets[i] = line{tag: invalidTag}
 	}

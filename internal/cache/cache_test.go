@@ -48,6 +48,30 @@ func (f *fakeMemory) Tick(now uint64) {
 	f.inFlight, f.finish = kept, keptFin
 }
 
+// newCache builds a cache on a clock of its own, at slot 0 (see bind).
+func newCache(cfg Config) *Cache {
+	c := New(cfg)
+	bind(&mem.Clock{}, c)
+	return c
+}
+
+// bind binds caches to slots 0, 1, ... of clk in tick order, the way the
+// System binds its wake table, with the walk past every slot, so each
+// reads clk's cycle until tick moves the clock.
+func bind(clk *mem.Clock, cs ...*Cache) {
+	for i, c := range cs {
+		c.BindClock(clk, i)
+	}
+	clk.Cursor = len(cs)
+}
+
+// tick ticks c at cycle now the way the System's walk does: the clock
+// moves to now with the walk just past c's slot.
+func tick(c *Cache, now uint64) {
+	c.clk.Cycle, c.clk.Cursor = now, c.slot+1
+	c.Tick(now)
+}
+
 func testConfig(size uint64, ways int) Config {
 	return Config{
 		Name: "test", SizeBytes: size, Ways: ways, Latency: 2,
@@ -61,7 +85,7 @@ func run(c *Cache, m *fakeMemory, until func() bool, budget int) uint64 {
 	var now uint64
 	for i := 0; i < budget; i++ {
 		now++
-		c.Tick(now)
+		tick(c, now)
 		m.Tick(now)
 		if until() {
 			return now
@@ -77,7 +101,7 @@ func newLoad(addr mem.Addr, pc uint64, done *uint64) *mem.Request {
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 50}
 	c.SetLower(m)
 
@@ -116,7 +140,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestMSHRMergesSameLine(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 80}
 	c.SetLower(m)
 
@@ -140,7 +164,7 @@ func TestMSHRMergesSameLine(t *testing.T) {
 
 func TestLRUEvictionAndWriteback(t *testing.T) {
 	cfg := testConfig(mem.LineSize*2, 2) // one set, two ways
-	c := New(cfg)
+	c := newCache(cfg)
 	m := &fakeMemory{latency: 10}
 	c.SetLower(m)
 
@@ -172,7 +196,7 @@ func TestLRUEvictionAndWriteback(t *testing.T) {
 }
 
 func TestPrefetchLifecycle(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 30}
 	c.SetLower(m)
 
@@ -202,15 +226,15 @@ func TestPrefetchLifecycle(t *testing.T) {
 }
 
 func TestPrefetchLateMerge(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 100}
 	c.SetLower(m)
 
 	pf := mem.NewRequest(mem.ReqPrefetch, 0x4000, 0, 0, 0)
 	c.TryPrefetch(pf)
-	c.Tick(3) // let the prefetch reach the MSHR
-	c.Tick(4)
-	c.Tick(5)
+	tick(c, 3) // let the prefetch reach the MSHR
+	tick(c, 4)
+	tick(c, 5)
 	if !c.InFlight(0x4000) {
 		t.Fatal("prefetch not in flight")
 	}
@@ -226,7 +250,7 @@ func TestPrefetchLateMerge(t *testing.T) {
 }
 
 func TestPrefetchFilteredWhenResident(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 10}
 	c.SetLower(m)
 	var d uint64
@@ -247,7 +271,7 @@ func TestPrefetchFilteredWhenResident(t *testing.T) {
 
 func TestPrefetchEvictedUnused(t *testing.T) {
 	cfg := testConfig(mem.LineSize, 1) // single line cache
-	c := New(cfg)
+	c := newCache(cfg)
 	m := &fakeMemory{latency: 5}
 	c.SetLower(m)
 
@@ -264,7 +288,7 @@ func TestPrefetchEvictedUnused(t *testing.T) {
 }
 
 func TestOnAccessHook(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 5}
 	c.SetLower(m)
 	var events []AccessInfo
@@ -298,7 +322,7 @@ func TestOnAccessHook(t *testing.T) {
 func TestQueueBackpressure(t *testing.T) {
 	cfg := testConfig(4096, 4)
 	cfg.ReadQ = 2
-	c := New(cfg)
+	c := newCache(cfg)
 	m := &fakeMemory{latency: 500}
 	c.SetLower(m)
 
@@ -314,7 +338,7 @@ func TestQueueBackpressure(t *testing.T) {
 func TestMSHRStallPreservesRequest(t *testing.T) {
 	cfg := testConfig(1<<16, 4)
 	cfg.MSHRs = 2
-	c := New(cfg)
+	c := newCache(cfg)
 	m := &fakeMemory{latency: 50}
 	c.SetLower(m)
 
@@ -345,7 +369,7 @@ func TestMSHRStallPreservesRequest(t *testing.T) {
 
 func TestLowerQueueFullRetries(t *testing.T) {
 	cfg := testConfig(1<<16, 4)
-	c := New(cfg)
+	c := newCache(cfg)
 	m := &fakeMemory{latency: 20, capacity: 1}
 	c.SetLower(m)
 

@@ -13,17 +13,18 @@ func (c *Cache) Occupancy() (readQ, prefQ, writeQ, mshrs int) {
 
 // twoLevel builds an L1 -> L2 -> fakeMemory stack for hierarchy tests.
 func twoLevel(l1Size, l2Size uint64, lat uint64) (*Cache, *Cache, *fakeMemory) {
-	l2 := New(Config{
+	l2 := newCache(Config{
 		Name: "L2", SizeBytes: l2Size, Ways: 4, Latency: 4,
 		MSHRs: 8, ReadQ: 16, PrefQ: 16, WriteQ: 16, Bandwidth: 2,
 	})
-	l1 := New(Config{
+	l1 := newCache(Config{
 		Name: "L1", SizeBytes: l1Size, Ways: 2, Latency: 2,
 		MSHRs: 4, ReadQ: 16, PrefQ: 4, WriteQ: 16, Bandwidth: 2,
 	})
 	m := &fakeMemory{latency: lat}
 	l2.SetLower(m)
 	l1.SetLower(l2)
+	bind(&mem.Clock{}, l1, l2)
 	return l1, l2, m
 }
 
@@ -31,8 +32,8 @@ func drive2(l1, l2 *Cache, m *fakeMemory, budget int, until func() bool) {
 	var now uint64
 	for i := 0; i < budget; i++ {
 		now++
-		l1.Tick(now)
-		l2.Tick(now)
+		tick(l1, now)
+		tick(l2, now)
 		m.Tick(now)
 		if until() {
 			return
@@ -110,7 +111,7 @@ func TestWritebackUpdatesResidentLowerLine(t *testing.T) {
 }
 
 func TestOnEvictHookReportsPrefetchState(t *testing.T) {
-	c := New(testConfig(mem.LineSize*2, 2)) // one set, two ways
+	c := newCache(testConfig(mem.LineSize*2, 2)) // one set, two ways
 	m := &fakeMemory{latency: 5}
 	c.SetLower(m)
 	type evict struct {
@@ -147,7 +148,7 @@ func TestPrefetchBandwidthIndependentOfDemand(t *testing.T) {
 	cfg.Bandwidth = 1
 	cfg.PrefBandwidth = 1
 	cfg.MSHRs = 16
-	c := New(cfg)
+	c := newCache(cfg)
 	m := &fakeMemory{latency: 5}
 	c.SetLower(m)
 
@@ -165,7 +166,7 @@ func TestPrefetchBandwidthIndependentOfDemand(t *testing.T) {
 }
 
 func TestMergedDemandCountsOnce(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 60}
 	c.SetLower(m)
 	var d [3]uint64
@@ -182,12 +183,12 @@ func TestMergedDemandCountsOnce(t *testing.T) {
 }
 
 func TestOccupancyReporting(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 500}
 	c.SetLower(m)
 	var d uint64
 	c.TryEnqueue(newLoad(0x100, 1, &d))
-	c.Tick(3)
+	tick(c, 3)
 	r, p, w, ms := c.Occupancy()
 	if r != 0 || p != 0 || w != 0 || ms != 1 {
 		t.Errorf("occupancy after miss = r%d p%d w%d m%d, want MSHR 1", r, p, w, ms)

@@ -22,7 +22,7 @@ func fillLine(t *testing.T, c *Cache, line mem.Addr) {
 		t.Fatalf("enqueue of %#x rejected", uint64(line))
 	}
 	for cyc := uint64(1); cyc < 16 && !c.Lookup(line); cyc++ {
-		c.Tick(cyc)
+		tick(c, cyc)
 	}
 	if !c.Lookup(line) {
 		t.Fatalf("line %#x never became resident", uint64(line))
@@ -30,12 +30,12 @@ func fillLine(t *testing.T, c *Cache, line mem.Addr) {
 }
 
 func TestInvalidateDropsSingleLine(t *testing.T) {
-	c := New(invCacheConfig())
+	c := newCache(invCacheConfig())
 	a, b := mem.Addr(0x1000), mem.Addr(0x2000)
 	fillLine(t, c, a)
 	fillLine(t, c, b)
-	var wake bool
-	c.BindWakeFlag(&wake)
+	wake := make([]uint64, 1)
+	c.BindWakeFlag(mem.NewWakeFlag(wake, 0))
 	if !c.Invalidate(a) {
 		t.Fatal("Invalidate of a resident line returned false")
 	}
@@ -45,8 +45,8 @@ func TestInvalidateDropsSingleLine(t *testing.T) {
 	if !c.Lookup(b) {
 		t.Fatal("Invalidate dropped an unrelated line")
 	}
-	if !wake {
-		t.Fatal("Invalidate did not set the wake-dirty flag")
+	if wake[0] == 0 {
+		t.Fatal("Invalidate did not mark the wake flag")
 	}
 	if c.Invalidate(a) {
 		t.Fatal("Invalidate of an absent line returned true")
@@ -54,7 +54,7 @@ func TestInvalidateDropsSingleLine(t *testing.T) {
 }
 
 func TestInvalidateClosesUnusedPrefetchLifecycle(t *testing.T) {
-	c := New(invCacheConfig())
+	c := newCache(invCacheConfig())
 	rec := &countingLifecycle{}
 	c.Lifecycle = rec
 	line := mem.Addr(0x3000)
@@ -62,7 +62,7 @@ func TestInvalidateClosesUnusedPrefetchLifecycle(t *testing.T) {
 		t.Fatal("prefetch rejected")
 	}
 	for cyc := uint64(1); cyc < 16 && !c.Lookup(line); cyc++ {
-		c.Tick(cyc)
+		tick(c, cyc)
 	}
 	evictedBefore := rec.evictedUnused
 	c.Invalidate(line)
@@ -73,7 +73,7 @@ func TestInvalidateClosesUnusedPrefetchLifecycle(t *testing.T) {
 }
 
 func TestForEachResidentEnumeratesExactly(t *testing.T) {
-	c := New(invCacheConfig())
+	c := newCache(invCacheConfig())
 	want := map[mem.Addr]bool{0x1000: true, 0x2040: true, 0x3080: true}
 	for l := range want {
 		fillLine(t, c, l)

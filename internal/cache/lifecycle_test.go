@@ -40,7 +40,7 @@ func newPrefetch(addr mem.Addr) *mem.Request {
 // TestLifecycleTimelySequence drives prefetch → fill → demand hit and
 // checks the observer sees issue, fill and the timely hit in order.
 func TestLifecycleTimelySequence(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 20}
 	c.SetLower(m)
 	obs := &recObserver{}
@@ -65,7 +65,7 @@ func TestLifecycleTimelySequence(t *testing.T) {
 // the observer must see the late merge with a positive head start, then
 // a demanded fill.
 func TestLifecycleLateSequence(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 100}
 	c.SetLower(m)
 	obs := &recObserver{}
@@ -90,7 +90,7 @@ func TestLifecycleLateSequence(t *testing.T) {
 // filtered against a resident line, filtered against an in-flight MSHR,
 // and a local prefetch merging into a demand miss.
 func TestLifecycleRedundantPaths(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 60}
 	c.SetLower(m)
 	obs := &recObserver{}
@@ -119,7 +119,7 @@ func TestLifecycleRedundantPaths(t *testing.T) {
 // TestLifecycleEvictedUnused fills one set beyond capacity with
 // prefetches and checks the LRU victim reports evicted-unused.
 func TestLifecycleEvictedUnused(t *testing.T) {
-	c := New(Config{
+	c := newCache(Config{
 		Name: "tiny", SizeBytes: 2 * mem.LineSize, Ways: 2, Latency: 1,
 		MSHRs: 8, ReadQ: 8, PrefQ: 8, WriteQ: 8, Bandwidth: 2,
 	})
@@ -153,7 +153,7 @@ func TestLifecycleEvictedUnused(t *testing.T) {
 // invalidation reports still-unused prefetched lines as evicted (and
 // does not fire OnEvict, which would perturb prefetcher state).
 func TestLifecycleInvalidateAllClosesResidents(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 5}
 	c.SetLower(m)
 	obs := &recObserver{}

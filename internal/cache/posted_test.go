@@ -36,7 +36,7 @@ func auditLaws(c *Cache) []string {
 // between posts; each accepted prefetch and writeback keeps its own
 // fields in the cache's queues.
 func TestPostedRequestsAreCopied(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	c.SetLower(&fakeMemory{latency: 5})
 	var scratch mem.Request
 
@@ -75,7 +75,7 @@ func TestPostedRequestsAreCopied(t *testing.T) {
 // TestPostedDoubleReleaseIsReported: the ownership law counts pool copies
 // against owned entries, so releasing an already released copy breaks it.
 func TestPostedDoubleReleaseIsReported(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 5}
 	c.SetLower(m)
 	var scratch mem.Request
@@ -98,9 +98,10 @@ func TestPostedDoubleReleaseIsReported(t *testing.T) {
 // nothing.
 func TestDirtyEvictionAllocatesNothing(t *testing.T) {
 	cfg := testConfig(mem.LineSize, 1) // one line: every store evicts the last
-	c := New(cfg)
+	c := newCache(cfg)
 	mc := dram.New(dram.Default())
 	c.SetLower(mc)
+	mc.BindClock(c.clk, 1)
 	var st mem.Request
 	done := false
 	complete := func(uint64) { done = true }
@@ -116,7 +117,8 @@ func TestDirtyEvictionAllocatesNothing(t *testing.T) {
 		}
 		for i := 0; i < 1000 && (!done || c.Pending() > 0 || mc.Pending() > 0); i++ {
 			now++
-			c.Tick(now)
+			tick(c, now)
+			c.clk.Cursor = 2
 			mc.Tick(now)
 		}
 	}

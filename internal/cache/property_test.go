@@ -41,8 +41,8 @@ func TestNoRequestLostProperty(t *testing.T) {
 					issued++
 				}
 			}
-			l1.Tick(cycle)
-			l2.Tick(cycle)
+			tick(l1, cycle)
+			tick(l2, cycle)
 			m.Tick(cycle)
 			if issued == n && completions == n &&
 				l1.Pending() == 0 && l2.Pending() == 0 {
@@ -62,7 +62,7 @@ func TestNoRequestLostProperty(t *testing.T) {
 func TestPrefetchNeverBlocksDemandProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := New(testConfig(2048, 4))
+		c := newCache(testConfig(2048, 4))
 		m := &fakeMemory{latency: uint64(rng.Intn(100) + 20)}
 		c.SetLower(m)
 
@@ -82,7 +82,7 @@ func TestPrefetchNeverBlocksDemandProperty(t *testing.T) {
 					issued++
 				}
 			}
-			c.Tick(cycle)
+			tick(c, cycle)
 			m.Tick(cycle)
 			if issued == n && completions == n {
 				return true
@@ -99,7 +99,7 @@ func TestPrefetchNeverBlocksDemandProperty(t *testing.T) {
 // a set followed by one miss must evict the line whose hit was earliest.
 func TestLRUVictimProperty(t *testing.T) {
 	cfg := testConfig(mem.LineSize*4, 4) // one set, four ways
-	c := New(cfg)
+	c := newCache(cfg)
 	m := &fakeMemory{latency: 3}
 	c.SetLower(m)
 
@@ -129,7 +129,7 @@ func TestLRUVictimProperty(t *testing.T) {
 }
 
 func TestInvalidateAllEmptiesCache(t *testing.T) {
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	m := &fakeMemory{latency: 3}
 	c.SetLower(m)
 	for i := 0; i < 10; i++ {
@@ -187,14 +187,14 @@ func (s *shuffledMemory) Tick(now uint64) {
 func TestMSHRLineIndexMirrorsActiveList(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := &shuffledMemory{rng: rng}
-	c := New(testConfig(4096, 4))
+	c := newCache(testConfig(4096, 4))
 	c.SetLower(m)
 	for cycle := uint64(1); cycle < 20000; cycle++ {
 		if rng.Intn(2) == 0 {
 			line := mem.Addr(rng.Intn(48)) * mem.LineSize
 			c.TryEnqueue(mem.NewRequest(mem.ReqLoad, line, 0, 0, cycle))
 		}
-		c.Tick(cycle)
+		tick(c, cycle)
 		m.Tick(cycle)
 		if len(c.mshrLines) != len(c.mshrs) {
 			t.Fatalf("cycle %d: %d lines for %d MSHRs", cycle, len(c.mshrLines), len(c.mshrs))

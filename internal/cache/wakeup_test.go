@@ -15,11 +15,11 @@ import (
 func TestWakeupFrozenMissIgnoresRequeueStamp(t *testing.T) {
 	cfg := testConfig(4096, 4)
 	cfg.MSHRs = 2
-	c := New(cfg)
+	c := newCache(cfg)
 	m := &fakeMemory{latency: 50}
 	c.SetLower(m)
-	var flag bool
-	c.BindWakeFlag(&flag)
+	flag := make([]uint64, 1)
+	c.BindWakeFlag(mem.NewWakeFlag(flag, 0))
 
 	var done [3]uint64
 	for i := range done {
@@ -28,7 +28,7 @@ func TestWakeupFrozenMissIgnoresRequeueStamp(t *testing.T) {
 		}
 	}
 	// Cycle 2 (enqueue latency): both lookups miss and take both MSHRs.
-	c.Tick(2)
+	tick(c, 2)
 	if len(c.mshrs) != 2 || c.readQ.n != 1 {
 		t.Fatalf("after cycle 2: %d MSHRs, %d queued; want 2, 1", len(c.mshrs), c.readQ.n)
 	}
@@ -37,7 +37,7 @@ func TestWakeupFrozenMissIgnoresRequeueStamp(t *testing.T) {
 	}
 	// Cycle 3: the third lookup stalls and is re-queued at ready 4.
 	accesses := c.Stats.DemandAccesses
-	c.Tick(3)
+	tick(c, 3)
 	if f := c.readQ.front(); f.ready != 4 {
 		t.Fatalf("re-queued head ready at %d, want 4", f.ready)
 	}
@@ -48,7 +48,7 @@ func TestWakeupFrozenMissIgnoresRequeueStamp(t *testing.T) {
 		t.Errorf("frozen head after its re-queue: Wakeup(3) = %d, want WakeupNever", w)
 	}
 
-	flag = false
+	flag[0] = 0
 	var now uint64
 	for now = 4; done[0] == 0 && done[1] == 0 && now < 200; now++ {
 		m.Tick(now)
@@ -57,8 +57,8 @@ func TestWakeupFrozenMissIgnoresRequeueStamp(t *testing.T) {
 	if done[0] == 0 && done[1] == 0 {
 		t.Fatal("no miss completed")
 	}
-	if !flag {
-		t.Error("the fill that freed an MSHR did not set the wake flag")
+	if flag[0] == 0 {
+		t.Error("the fill that freed an MSHR did not mark the wake flag")
 	}
 	if w := c.Wakeup(now); w != now+1 {
 		t.Errorf("after the fill: Wakeup(%d) = %d, want %d", now, w, now+1)

@@ -91,8 +91,10 @@ type Core struct {
 	opArena      []memOp      // chunk allocator for memOps
 	opFree       []*memOp     // completed memOps available for reuse
 	drained      bool
-	wakeDirty    *bool  // set by completions that can move Wakeup; see BindWakeFlag
-	idle         uint64 // skipped cycles not yet charged to Stats; see Settle
+	wake         mem.WakeFlag // marked by completions that can move Wakeup; see BindWakeFlag
+	clk          *mem.Clock   // the machine's clock, read from slot (see BindClock)
+	slot         int
+	charged      uint64 // last cycle charged to Stats; see Settle
 
 	Stats Stats
 
@@ -117,7 +119,8 @@ func New(id int, cfg Config, src trace.Source, l1 mem.Backend) *Core {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	c := &Core{ID: id, cfg: cfg, l1: l1, src: src, rob: make([]robEntry, cfg.ROB), wakeDirty: new(bool)}
+	c := &Core{ID: id, cfg: cfg, l1: l1, src: src, rob: make([]robEntry, cfg.ROB),
+		wake: mem.NewWakeFlag(make([]uint64, 1), 0)}
 	c.l1Cap, _ = l1.(mem.DemandCapacity)
 	return c
 }
@@ -130,7 +133,8 @@ func (c *Core) Done() bool {
 
 // Tick advances the core one cycle: retire, then fetch/dispatch.
 func (c *Core) Tick(now uint64) {
-	c.Settle()
+	c.settleTo(now - 1) // the cycles since the last charge were idle
+	c.charged = now     // this one the tick itself counts
 	if c.Done() {
 		return
 	}
@@ -146,7 +150,7 @@ func (c *Core) Tick(now uint64) {
 //
 // Per-cycle stall counters (Cycles, FetchStalls, ROBStallCyc) are NOT
 // wakeup conditions: they advance deterministically over a frozen span
-// and the scheduler charges them in one batch via SkipIdle.
+// and Settle charges them in one batch.
 func (c *Core) Wakeup(now uint64) uint64 {
 	if c.Done() {
 		return mem.WakeupNever
@@ -176,7 +180,7 @@ func (c *Core) Wakeup(now uint64) uint64 {
 		// L1 backpressure. The dispatch retry runs every cycle, but a
 		// retry against a still-full read queue provably fails without
 		// side effects beyond the per-cycle FetchStalls count (charged by
-		// SkipIdle): the rejection is pure, the tail-slot rewrite is
+		// Settle): the rejection is pure, the tail-slot rewrite is
 		// outside the architectural window, and the retry closure is
 		// rebuilt from scratch on the attempt that finally lands. So only
 		// wake when the L1 could admit the request; the queue frees a
@@ -205,36 +209,52 @@ func (c *Core) Wakeup(now uint64) uint64 {
 // wakeup without any completion reaching the core.
 func (c *Core) BlockedOnL1() bool { return c.pendingReq != nil }
 
-// BindWakeFlag points the core's external-input flag at *p: a memory
+// BindWakeFlag binds the core's external-input flag: a memory
 // completion callback that can move Wakeup earlier (the ROB head done,
-// a slot of a full LSQ freed) sets *p. The event scheduler owns the flag (a
-// slot of its wake table) and clears it when it recomputes the cached
-// wakeup.
-func (c *Core) BindWakeFlag(p *bool) { c.wakeDirty = p }
+// a slot of a full LSQ freed) marks it. The event scheduler owns the
+// flag (a bit of its wake table's stale set) and clears it when it
+// recomputes the cached wakeup.
+func (c *Core) BindWakeFlag(f mem.WakeFlag) { c.wake = f }
 
-// SkipIdle records n skipped cycles. The caller (the event-driven
-// scheduler) guarantees the core's state is frozen over the span: no
-// retirement, no dispatch, no completion — exactly the cycles Wakeup
-// said nothing happens on. What a frozen Tick still does is count, and
-// that count is deferred: SkipIdle only adds to a pending total, and
-// Settle charges it. The charge depends only on the frozen state, so a
-// batch of n pending cycles charges exactly what n eager ones would,
-// provided nothing changes the core's stall classification in between.
-// The core settles itself before each such change it owns (Tick, memory
-// completion) and before reading Stats (HashState, probes); a caller
-// that flips the fetch Gate or reads Stats directly must Settle first.
-func (c *Core) SkipIdle(n uint64) { c.idle += n }
+// BindClock binds the core to the machine's clock at its slot in the
+// tick order. The cycle read there is the core's position: every cycle
+// up to it that the core did not tick is an idle cycle, charged by
+// Settle.
+func (c *Core) BindClock(clk *mem.Clock, slot int) { c.clk, c.slot = clk, slot }
 
-// Settle charges the pending skipped cycles (see SkipIdle): Cycles
-// always, ROBStallCyc and FetchStalls when retire/fetch are blocked. The
-// conditions mirror one frozen Tick body, so n settled cycles hash
-// identically to n real ones.
-func (c *Core) Settle() {
-	n := c.idle
-	if n == 0 {
+// Settle charges the idle cycles from the last charged one up to the
+// core's position on the clock. The caller (the event-driven scheduler)
+// ticks the core only when Wakeup says something happens, so the core's
+// state is frozen over those cycles: no retirement, no dispatch, no
+// completion. What a frozen Tick still does is count, and the count
+// depends only on the frozen state, so n cycles settled in one batch
+// charge exactly what n eager ones would, provided nothing changes the
+// core's stall classification in between. The core settles itself
+// before each such change it owns (Tick, memory completion) and before
+// reading Stats (HashState, probes); a caller that flips the fetch Gate
+// or reads Stats directly must Settle first. The charge mirrors one
+// frozen Tick body: Cycles always, ROBStallCyc and FetchStalls when
+// retire/fetch are blocked.
+func (c *Core) Settle() { c.settleTo(c.clk.At(c.slot)) }
+
+// SwitchOut settles the core and stops charging it: a descheduled
+// core's cycles are not its own. SwitchIn restarts the charge from the
+// core's position.
+func (c *Core) SwitchOut() {
+	c.Settle()
+	c.charged = mem.WakeupNever
+}
+
+// SwitchIn resumes the charge SwitchOut stopped; see SwitchOut.
+func (c *Core) SwitchIn() { c.charged = c.clk.At(c.slot) }
+
+// settleTo charges the idle cycles (c.charged, pos]; see Settle.
+func (c *Core) settleTo(pos uint64) {
+	if pos <= c.charged {
 		return
 	}
-	c.idle = 0
+	n := pos - c.charged
+	c.charged = pos
 	if c.Done() {
 		return
 	}
@@ -371,7 +391,7 @@ func (o *memOp) done(cycle uint64) {
 	// retirable or by freeing a slot of a full LSQ; after any other the
 	// cached wakeup still holds.
 	if (o.isLoad && c.count > 0 && o.slot == c.head) || c.lsqUsed >= c.cfg.LSQ {
-		*c.wakeDirty = true
+		c.wake.Mark()
 	}
 	if o.isLoad {
 		c.rob[o.slot].done = true

@@ -51,11 +51,25 @@ func (s *stubMem) Tick(now uint64) {
 	s.inflight, s.finish = kept, keptFin
 }
 
+// newCore builds a core on a clock of its own, at slot 0 with the walk
+// past it, so the core's position is the clock's cycle.
+func newCore(id int, cfg Config, src trace.Source, l1 mem.Backend) *Core {
+	c := New(id, cfg, src, l1)
+	c.BindClock(&mem.Clock{Cursor: 1}, 0)
+	return c
+}
+
+// tick ticks c at cycle now, moving its clock there first.
+func tick(c *Core, now uint64) {
+	c.clk.Cycle = now
+	c.Tick(now)
+}
+
 func runCore(c *Core, m *stubMem, budget int) uint64 {
 	var now uint64
 	for i := 0; i < budget && !c.Done(); i++ {
 		now++
-		c.Tick(now)
+		tick(c, now)
 		m.Tick(now)
 	}
 	return now
@@ -65,7 +79,7 @@ func TestExecOnlyIPC(t *testing.T) {
 	b := trace.NewBuilder(0)
 	b.Exec(4000)
 	m := newStubMem(1)
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	runCore(c, m, 10000)
 	if !c.Done() {
 		t.Fatal("core never finished")
@@ -87,7 +101,7 @@ func TestLoadLatencyStallsROBHead(t *testing.T) {
 	b.Exec(100)
 	m := newStubMem(1)
 	m.latency[0x1000] = 500
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	runCore(c, m, 5000)
 	if !c.Done() {
 		t.Fatal("core never finished")
@@ -107,7 +121,7 @@ func TestMemoryLevelParallelism(t *testing.T) {
 		b.Load(uint64(i), mem.Addr(0x1000+i*0x40), 8, -1)
 	}
 	m := newStubMem(lat)
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	runCore(c, m, 100000)
 	if !c.Done() {
 		t.Fatal("core never finished")
@@ -130,7 +144,7 @@ func TestLSQBoundsOutstandingLoads(t *testing.T) {
 		b.Load(uint64(i), mem.Addr(0x1000+i*0x40), 8, -1)
 	}
 	m := newStubMem(lat)
-	c := New(0, cfg, b.Source(), m)
+	c := newCore(0, cfg, b.Source(), m)
 	runCore(c, m, 100000)
 	if !c.Done() {
 		t.Fatal("core never finished")
@@ -147,7 +161,7 @@ func TestStoresRetireWithoutWaiting(t *testing.T) {
 	b.Exec(8)
 	m := newStubMem(1)
 	m.latency[0x2000] = 1000
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	runCore(c, m, 5000)
 	if !c.Done() {
 		t.Fatal("core never finished")
@@ -167,7 +181,7 @@ func TestMarkersDeliveredInOrder(t *testing.T) {
 	b.Replay()
 	b.PrefetchEnd()
 	m := newStubMem(1)
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	var got []trace.Marker
 	c.OnMarker = func(rec trace.Record, cycle uint64) { got = append(got, rec.Marker) }
 	runCore(c, m, 1000)
@@ -190,7 +204,7 @@ func TestPreAccessSeesEveryDemand(t *testing.T) {
 	b.Load(1, 0x100, 8, 2)
 	b.Store(2, 0x200, 8, 3)
 	m := newStubMem(1)
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	var seen []mem.Addr
 	c.PreAccess = func(r *mem.Request) {
 		seen = append(seen, r.Addr)
@@ -206,7 +220,7 @@ func TestRegionIDPropagates(t *testing.T) {
 	b := trace.NewBuilder(0)
 	b.Load(1, 0x100, 8, 7)
 	m := newStubMem(1)
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	var region int
 	c.PreAccess = func(r *mem.Request) { region = r.RegionID }
 	runCore(c, m, 100)
@@ -222,9 +236,9 @@ func TestBackpressureFromL1DoesNotLoseRecords(t *testing.T) {
 	}
 	m := newStubMem(1)
 	m.rejectAll = true
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	for i := 1; i <= 10; i++ {
-		c.Tick(uint64(i))
+		tick(c, uint64(i))
 		m.Tick(uint64(i))
 	}
 	if c.Stats.Loads != 0 {
@@ -248,7 +262,7 @@ func TestInstructionAccounting(t *testing.T) {
 	b.IterBegin(0)
 	b.IterEnd(0)
 	m := newStubMem(3)
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	runCore(c, m, 10000)
 	want := uint64(100 + 2 + 2)
 	if c.Stats.Instructions != want {

@@ -13,7 +13,7 @@ func TestGatePausesFetchNotRetire(t *testing.T) {
 	b.IterEnd(0)
 	b.Exec(20)
 	m := newStubMem(1)
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 
 	gated := false
 	c.Gate = func() bool { return !gated }
@@ -23,7 +23,7 @@ func TestGatePausesFetchNotRetire(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 50; i++ {
-		c.Tick(uint64(i))
+		tick(c, uint64(i))
 		m.Tick(uint64(i))
 	}
 	if c.Done() {
@@ -40,7 +40,7 @@ func TestGatePausesFetchNotRetire(t *testing.T) {
 	}
 	gated = false
 	for i := 51; i <= 200 && !c.Done(); i++ {
-		c.Tick(uint64(i))
+		tick(c, uint64(i))
 		m.Tick(uint64(i))
 	}
 	if !c.Done() {
@@ -60,11 +60,11 @@ func TestPreAccessRunsOncePerInstruction(t *testing.T) {
 	}
 	m := newStubMem(1)
 	m.rejectAll = true
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	calls := 0
 	c.PreAccess = func(r *mem.Request) { calls++ }
 	for i := 1; i <= 20; i++ {
-		c.Tick(uint64(i))
+		tick(c, uint64(i))
 		m.Tick(uint64(i))
 	}
 	if calls != 1 {
@@ -82,7 +82,7 @@ func TestAvgLoadLatency(t *testing.T) {
 	b.Load(1, 0x100, 8, -1)
 	b.Load(2, 0x200, 8, -1)
 	m := newStubMem(10)
-	c := New(0, Default(), b.Source(), m)
+	c := newCore(0, Default(), b.Source(), m)
 	runCore(c, m, 1000)
 	if got := c.Stats.AvgLoadLatency(); got < 5 || got > 30 {
 		t.Errorf("avg load latency = %.1f, want ~10", got)
@@ -104,7 +104,7 @@ func TestROBWraparound(t *testing.T) {
 		b.Exec(3)
 	}
 	m := newStubMem(7)
-	c := New(0, cfg, b.Source(), m)
+	c := newCore(0, cfg, b.Source(), m)
 	runCore(c, m, 100000)
 	if !c.Done() {
 		t.Fatal("core never finished with a tiny ROB")
@@ -118,8 +118,8 @@ func TestExecBundleSplitAcrossCycles(t *testing.T) {
 	b := trace.NewBuilder(0)
 	b.Exec(10) // wider than one fetch group
 	m := newStubMem(1)
-	c := New(0, Default(), b.Source(), m)
-	c.Tick(1)
+	c := newCore(0, Default(), b.Source(), m)
+	tick(c, 1)
 	if c.Stats.Instructions != 0 {
 		t.Error("instructions retired in the dispatch cycle")
 	}

@@ -36,13 +36,13 @@ func (sc settleCase) build(t *testing.T) (frozenCore, uint64) {
 	if sc.mem != nil {
 		sc.mem(m)
 	}
-	c := New(0, sc.cfg, b.Source(), cappedMem{m})
+	c := newCore(0, sc.cfg, b.Source(), cappedMem{m})
 	gated := new(bool)
 	c.Gate = func() bool { return !*gated }
 	var now uint64
 	for i := 0; i < sc.warm; i++ {
 		now++
-		c.Tick(now)
+		tick(c, now)
 		m.Tick(now)
 	}
 	*gated = sc.gated
@@ -83,9 +83,13 @@ func settleCases() []settleCase {
 	}
 }
 
-// TestSettleMatchesEagerCharges: n deferred SkipIdle cycles settled at
-// once leave Stats identical to n cycles charged one by one, and to n
-// real Ticks of the frozen core, in every stall classification.
+// skip moves fc's clock one cycle on without ticking the core: one idle
+// cycle, charged when the core next settles.
+func (fc frozenCore) skip() { fc.c.clk.Cycle++ }
+
+// TestSettleMatchesEagerCharges: n idle cycles settled at once leave
+// Stats identical to n cycles settled one by one, and to n real Ticks of
+// the frozen core, in every stall classification.
 func TestSettleMatchesEagerCharges(t *testing.T) {
 	const n = 37
 	for _, sc := range settleCases() {
@@ -95,14 +99,14 @@ func TestSettleMatchesEagerCharges(t *testing.T) {
 			ticked, _ := sc.build(t)
 			before := eager.c.Stats
 			for i := uint64(1); i <= n; i++ {
-				eager.c.SkipIdle(1)
+				eager.skip()
 				eager.c.Settle()
-				batched.c.SkipIdle(1)
-				ticked.c.Tick(now + i)
+				batched.skip()
+				tick(ticked.c, now+i)
 			}
 			if batched.c.Stats == eager.c.Stats {
 				// Not settled yet: only Settle may charge.
-				t.Fatal("SkipIdle charged Stats before Settle")
+				t.Fatal("moving the clock charged Stats before Settle")
 			}
 			batched.c.Settle()
 			if batched.c.Stats != eager.c.Stats {
@@ -126,18 +130,18 @@ func TestSettleMatchesEagerCharges(t *testing.T) {
 	}
 }
 
-// TestSettleAcrossCompletion: a memory completion between skips changes
-// the stall classification (an LSQ slot frees), so the completion
-// callback must charge the pending cycles under the old classification
-// first.
+// TestSettleAcrossCompletion: a memory completion between idle cycles
+// changes the stall classification (an LSQ slot frees), so the
+// completion callback must charge the pending cycles under the old
+// classification first.
 func TestSettleAcrossCompletion(t *testing.T) {
 	sc := settleCases()[2] // lsq-full
 	eager, now := sc.build(t)
 	batched, _ := sc.build(t)
 	for i := uint64(1); i <= 20; i++ {
-		eager.c.SkipIdle(1)
+		eager.skip()
 		eager.c.Settle()
-		batched.c.SkipIdle(1)
+		batched.skip()
 	}
 	now += 20
 	eager.m.inflight[1].Complete(now)
@@ -146,9 +150,9 @@ func TestSettleAcrossCompletion(t *testing.T) {
 		t.Fatal("lsq-full case charged no fetch stalls; the test would prove nothing")
 	}
 	for i := 0; i < 20; i++ {
-		eager.c.SkipIdle(1)
+		eager.skip()
 		eager.c.Settle()
-		batched.c.SkipIdle(1)
+		batched.skip()
 	}
 	batched.c.Settle()
 	if batched.c.Stats != eager.c.Stats {
@@ -168,7 +172,7 @@ func TestSettleBeforeGateFlip(t *testing.T) {
 	careless, _ := sc.build(t)
 	for _, fc := range []frozenCore{eager, batched, careless} {
 		for i := 0; i < 20; i++ {
-			fc.c.SkipIdle(1)
+			fc.skip()
 			if fc.c == eager.c {
 				fc.c.Settle()
 			}
@@ -178,7 +182,7 @@ func TestSettleBeforeGateFlip(t *testing.T) {
 	for _, fc := range []frozenCore{eager, batched, careless} {
 		*fc.gated = false
 		for i := 0; i < 20; i++ {
-			fc.c.SkipIdle(1)
+			fc.skip()
 			if fc.c == eager.c {
 				fc.c.Settle()
 			}
@@ -190,6 +194,35 @@ func TestSettleBeforeGateFlip(t *testing.T) {
 	}
 	if careless.c.Stats == eager.c.Stats {
 		t.Error("flipping the gate without Settle went unnoticed; the classification test is vacuous")
+	}
+}
+
+// TestSwitchedOutCyclesNotCharged: the cycles between SwitchOut and
+// SwitchIn are not the core's, even when it settles in between (a
+// completion or a Stats read while descheduled); the cycles on either
+// side are charged as if the span had not happened.
+func TestSwitchedOutCyclesNotCharged(t *testing.T) {
+	sc := settleCases()[0] // rob-full: Cycles, ROBStallCyc and FetchStalls
+	switched, _ := sc.build(t)
+	straight, _ := sc.build(t)
+	for i := 0; i < 5; i++ {
+		switched.skip()
+		straight.skip()
+	}
+	switched.c.SwitchOut()
+	for i := 0; i < 50; i++ {
+		switched.skip()
+		switched.c.Settle()
+	}
+	switched.c.SwitchIn()
+	for i := 0; i < 7; i++ {
+		switched.skip()
+		straight.skip()
+	}
+	switched.c.Settle()
+	straight.c.Settle()
+	if switched.c.Stats != straight.c.Stats {
+		t.Errorf("switched out %+v != never switched %+v", switched.c.Stats, straight.c.Stats)
 	}
 }
 
@@ -209,24 +242,24 @@ func TestWakeFlagCoversWakeupMoves(t *testing.T) {
 		b.Load(uint64(i), addr, 8, -1)
 		b.Exec(uint64(i % 3))
 	}
-	c := New(0, cfg, b.Source(), m)
-	var flag bool
-	c.BindWakeFlag(&flag)
+	c := newCore(0, cfg, b.Source(), m)
+	flag := make([]uint64, 1)
+	c.BindWakeFlag(mem.NewWakeFlag(flag, 0))
 	var flagged, quiet int
 	for now := uint64(1); now < 100000 && !c.Done(); now++ {
-		c.Tick(now)
+		tick(c, now)
 		before, completed := c.Wakeup(now), len(m.inflight)
-		flag = false
+		flag[0] = 0
 		m.Tick(now)
 		if len(m.inflight) == completed {
 			continue
 		}
-		if flag {
+		if flag[0] != 0 {
 			flagged++
 		} else {
 			quiet++
 			if after := c.Wakeup(now); after != before {
-				t.Fatalf("cycle %d: completion moved Wakeup %d -> %d without setting the wake flag", now, before, after)
+				t.Fatalf("cycle %d: completion moved Wakeup %d -> %d without marking the wake flag", now, before, after)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ func TestChannelsIncreaseThroughput(t *testing.T) {
 		// Enough scheduling slots that the data bus, not the controller,
 		// is the binding constraint.
 		cfg.MaxInFlight = 24
-		c := New(cfg)
+		c := newController(cfg)
 		const n = 64
 		var done [n]uint64
 		next := 0
@@ -27,7 +27,7 @@ func TestChannelsIncreaseThroughput(t *testing.T) {
 				}
 				next++
 			}
-			c.Tick(cycle)
+			tick(c, cycle)
 			alldone := true
 			for i := range done {
 				if done[i] == 0 {
@@ -52,7 +52,7 @@ func TestChannelsIncreaseThroughput(t *testing.T) {
 func TestChannelAddressingCoversAllBanks(t *testing.T) {
 	cfg := testConfig()
 	cfg.Channels = 4
-	c := New(cfg)
+	c := newController(cfg)
 	seen := map[int]bool{}
 	for i := 0; i < 4096; i++ {
 		seen[c.bankOf(mem.Addr(i)*mem.Addr(cfg.RowBytes))] = true
@@ -67,7 +67,7 @@ func TestWriteDrainBurstsAmortiseTurnaround(t *testing.T) {
 	// policy must drain a full write queue while reads keep arriving
 	// without collapsing read throughput.
 	cfg := testConfig()
-	c := New(cfg)
+	c := newController(cfg)
 	var reads [48]uint64
 	nextRead := 0
 	writes := 0
@@ -84,7 +84,7 @@ func TestWriteDrainBurstsAmortiseTurnaround(t *testing.T) {
 				nextRead++
 			}
 		}
-		c.Tick(cycle)
+		tick(c, cycle)
 		done := nextRead == len(reads) && writes == 64 && c.Pending() == 0
 		if done {
 			for i := range reads {
@@ -100,7 +100,7 @@ func TestWriteDrainBurstsAmortiseTurnaround(t *testing.T) {
 
 func TestFullWriteQueueForcesDrain(t *testing.T) {
 	cfg := testConfig()
-	c := New(cfg)
+	c := newController(cfg)
 	// Fill the write queue to capacity, then keep demand reads flowing:
 	// the forced burst must make room so later writebacks are accepted.
 	for i := 0; i < cfg.WriteQ; i++ {
@@ -113,7 +113,7 @@ func TestFullWriteQueueForcesDrain(t *testing.T) {
 	c.TryEnqueue(load(0x500000, &sink))
 	accepted := false
 	for cycle := uint64(1); cycle < 5000; cycle++ {
-		c.Tick(cycle)
+		tick(c, cycle)
 		if !accepted {
 			wb := mem.NewRequest(mem.ReqWriteback, 0x999940, 0, -1, 0)
 			accepted = c.TryEnqueue(wb)
@@ -132,7 +132,7 @@ func TestRowHitsForSequentialMetadata(t *testing.T) {
 	// high, which is the basis of the paper's "metadata traffic is
 	// efficient" argument (§VII-A.7).
 	cfg := testConfig()
-	c := New(cfg)
+	c := newController(cfg)
 	const n = 64
 	done := 0
 	next := 0
@@ -145,7 +145,7 @@ func TestRowHitsForSequentialMetadata(t *testing.T) {
 			}
 			next++
 		}
-		c.Tick(cycle)
+		tick(c, cycle)
 	}
 	if done != n {
 		t.Fatalf("metadata stream incomplete: %d/%d", done, n)
@@ -172,7 +172,7 @@ func TestEnqueueDecodesBank(t *testing.T) {
 	}{{"pow2", pow2, true}, {"non-pow2", odd, false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.ReadQ, tc.cfg.WriteQ = 4096, 4096
-			c := New(tc.cfg)
+			c := newController(tc.cfg)
 			if c.fastAddr != tc.fast {
 				t.Fatalf("fastAddr = %v, want %v", c.fastAddr, tc.fast)
 			}

@@ -113,12 +113,13 @@ type Controller struct {
 	readQ     []queued
 	writeQ    []queued
 	inService []pending
-	clock     uint64
+	clk       *mem.Clock // the machine's clock, read from slot (see BindClock)
+	slot      int
 	busFreeAt []uint64 // per channel
 	lastWrite []bool   // per channel: direction of last transfer, for turnaround
 	draining  bool
-	burstLeft int   // writes remaining in the current drain burst
-	wakeDirty *bool // set on every accepted enqueue; see BindWakeFlag
+	burstLeft int          // writes remaining in the current drain burst
+	wake      mem.WakeFlag // marked on every accepted enqueue; see BindWakeFlag
 	// Power-of-two address-decode fast path (see New).
 	fastAddr  bool
 	drainHi   int // precomputed watermark: int(WriteQ*DrainHigh)
@@ -159,7 +160,7 @@ func New(cfg Config) *Controller {
 		banks:     make([]bank, cfg.Banks*cfg.Channels),
 		busFreeAt: make([]uint64, cfg.Channels),
 		lastWrite: make([]bool, cfg.Channels),
-		wakeDirty: new(bool),
+		wake:      mem.NewWakeFlag(make([]uint64, 1), 0),
 	}
 	// Address decode runs on every scheduling scan; when the geometry is
 	// all powers of two (every shipped config) the three divisions reduce
@@ -229,8 +230,8 @@ func (c *Controller) TryEnqueue(r *mem.Request) bool {
 			return false
 		}
 		c.writeQ = append(c.writeQ, c.entry(c.posted.Copy(r)))
-		*c.wakeDirty = true
-		r.Complete(c.clock) // posted write
+		c.wake.Mark()
+		r.Complete(c.clk.At(c.slot)) // posted write
 		return true
 	default:
 		if len(c.readQ) >= c.cfg.ReadQ {
@@ -241,7 +242,7 @@ func (c *Controller) TryEnqueue(r *mem.Request) bool {
 			r = c.posted.Copy(r)
 		}
 		c.readQ = append(c.readQ, c.entry(r))
-		*c.wakeDirty = true
+		c.wake.Mark()
 		return true
 	}
 }
@@ -251,11 +252,15 @@ func (c *Controller) entry(r *mem.Request) queued {
 	return queued{req: r, bank: int32(c.bankOf(r.Line)), demand: r.Type.IsDemand()}
 }
 
-// BindWakeFlag points the controller's external-input flag at *p: every
-// accepted enqueue sets *p, which may move Wakeup earlier. The event
-// scheduler owns the flag (a slot of its wake table) and clears it when
-// it recomputes the cached wakeup.
-func (c *Controller) BindWakeFlag(p *bool) { c.wakeDirty = p }
+// BindClock binds the controller to the machine's clock at its slot in
+// the tick order. The cycle read there completes posted writes.
+func (c *Controller) BindClock(clk *mem.Clock, slot int) { c.clk, c.slot = clk, slot }
+
+// BindWakeFlag binds the controller's external-input flag: every
+// accepted enqueue marks it, which may move Wakeup earlier. The event
+// scheduler owns the flag (a bit of its wake table's stale set) and
+// clears it when it recomputes the cached wakeup.
+func (c *Controller) BindWakeFlag(f mem.WakeFlag) { c.wake = f }
 
 // Pending returns outstanding work (queued plus in service).
 func (c *Controller) Pending() int {
@@ -265,9 +270,8 @@ func (c *Controller) Pending() int {
 // Tick advances the controller one CPU cycle: completes finished transfers
 // and schedules new ones subject to bank and bus availability.
 func (c *Controller) Tick(now uint64) {
-	c.clock = now
 	c.complete(now)
-	c.updateDrainState()
+	c.updateDrainState(now)
 
 	for slot := 0; slot < c.cfg.MaxInFlight; slot++ {
 		if !c.scheduleOne(now) {
@@ -310,21 +314,29 @@ func (c *Controller) Wakeup(now uint64) uint64 {
 	if slotFree && c.burstLeft > 0 && len(c.writeQ) == 0 {
 		return now + 1 // stale burst credit is cleared next tick
 	}
+	// Every candidate below is a cycle at which Tick may act; the answer
+	// is their minimum, clamped to now+1. So the first candidate at or
+	// before now+1 decides it.
+	soon := now + 1
 	w := mem.WakeupNever
 	for _, p := range c.inService {
-		if p.finish < w {
-			w = p.finish
+		if p.finish <= soon {
+			return soon
 		}
+		w = min(w, p.finish)
 	}
 	// Reads issue as soon as a bank is ready, provided a slot admits them:
 	// demand reads issue only from scheduleOne, prefetch and metadata
 	// reads also from the extra issue after it.
 	if len(c.inService) <= c.cfg.MaxInFlight {
 		for i := range c.readQ {
-			if c.readQ[i].demand && !slotFree {
+			q := &c.readQ[i]
+			if q.demand && !slotFree {
 				continue
 			}
-			if ra := c.banks[c.readQ[i].bank].readyAt; ra < w {
+			if ra := c.banks[q.bank].readyAt; ra <= soon {
+				return soon
+			} else if ra < w {
 				w = ra
 			}
 		}
@@ -339,22 +351,15 @@ func (c *Controller) Wakeup(now uint64) uint64 {
 		(c.burstLeft > 0 ||
 			(len(c.readQ) == 0 && (len(c.writeQ) >= writeBurstMin || len(c.inService) == 0))) {
 		for i := range c.writeQ {
-			if ra := c.banks[c.writeQ[i].bank].readyAt; ra < w {
+			if ra := c.banks[c.writeQ[i].bank].readyAt; ra <= soon {
+				return soon
+			} else if ra < w {
 				w = ra
 			}
 		}
 	}
-	if w != mem.WakeupNever && w <= now {
-		w = now + 1
-	}
 	return w
 }
-
-// AdvanceClock fast-forwards the internal clock over skipped idle
-// cycles. The clock timestamps posted-write completions and the
-// write-drain telemetry span, so before simulating cycle X after a jump
-// it must read X-1, as a cycle-stepped run would have left it.
-func (c *Controller) AdvanceClock(now uint64) { c.clock = now }
 
 func (c *Controller) complete(now uint64) {
 	kept := c.inService[:0]
@@ -373,14 +378,14 @@ func (c *Controller) complete(now uint64) {
 	c.inService = kept
 }
 
-func (c *Controller) updateDrainState() {
+func (c *Controller) updateDrainState(now uint64) {
 	was := c.draining
 	c.draining = c.drainTarget()
 	if c.Tel != nil && c.draining != was {
 		if c.draining {
-			c.drainStart = c.clock
+			c.drainStart = now
 		} else {
-			c.Tel.Span("dram", "write-drain", c.drainStart, c.clock)
+			c.Tel.Span("dram", "write-drain", c.drainStart, now)
 		}
 	}
 	if c.burstForced() {

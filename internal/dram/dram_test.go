@@ -9,6 +9,20 @@ import (
 // WriteQLen returns the current write-queue occupancy.
 func (c *Controller) WriteQLen() int { return len(c.writeQ) }
 
+// newController builds a controller on a clock of its own, at slot 0
+// with the walk past it, so it reads the clock's cycle.
+func newController(cfg Config) *Controller {
+	c := New(cfg)
+	c.BindClock(&mem.Clock{Cursor: 1}, 0)
+	return c
+}
+
+// tick ticks c at cycle now, moving its clock there first.
+func tick(c *Controller, now uint64) {
+	c.clk.Cycle = now
+	c.Tick(now)
+}
+
 func testConfig() Config {
 	c := Default()
 	c.MaxInFlight = 4
@@ -22,14 +36,14 @@ func load(addr mem.Addr, done *uint64) *mem.Request {
 }
 
 func drive(c *Controller, cycles int) {
-	start := c.clock
+	start := c.clk.Cycle
 	for i := 1; i <= cycles; i++ {
-		c.Tick(start + uint64(i))
+		tick(c, start+uint64(i))
 	}
 }
 
 func TestSingleReadLatency(t *testing.T) {
-	c := New(testConfig())
+	c := newController(testConfig())
 	var done uint64
 	if !c.TryEnqueue(load(0x1000, &done)) {
 		t.Fatal("enqueue failed")
@@ -52,12 +66,12 @@ func TestSingleReadLatency(t *testing.T) {
 }
 
 func TestRowBufferHitIsFaster(t *testing.T) {
-	c := New(testConfig())
+	c := newController(testConfig())
 	var d1, d2 uint64
 	c.TryEnqueue(load(0x0, &d1))
 	drive(c, 300)
 	c.TryEnqueue(load(0x40, &d2)) // same row, next line
-	start := c.clock
+	start := c.clk.Cycle
 	drive(c, 300)
 	if d2 == 0 {
 		t.Fatal("second read never completed")
@@ -73,13 +87,13 @@ func TestRowBufferHitIsFaster(t *testing.T) {
 }
 
 func TestRowConflictIsSlower(t *testing.T) {
-	c := New(testConfig())
+	c := newController(testConfig())
 	cfg := testConfig()
 	rowStride := mem.Addr(cfg.RowBytes * uint64(cfg.Banks)) // same bank, next row
 	var d1, d2 uint64
 	c.TryEnqueue(load(0x0, &d1))
 	drive(c, 300)
-	start := c.clock
+	start := c.clk.Cycle
 	c.TryEnqueue(load(rowStride, &d2))
 	drive(c, 500)
 	if d2 == 0 {
@@ -97,7 +111,7 @@ func TestBankParallelismBeatsSameBank(t *testing.T) {
 	// Two reads to different banks should overlap; two to the same bank
 	// (different rows) serialise on the bank.
 	run := func(a, b mem.Addr) uint64 {
-		c := New(cfg)
+		c := newController(cfg)
 		var d1, d2 uint64
 		c.TryEnqueue(load(a, &d1))
 		c.TryEnqueue(load(b, &d2))
@@ -118,7 +132,7 @@ func TestBankParallelismBeatsSameBank(t *testing.T) {
 }
 
 func TestDemandPriorityOverPrefetch(t *testing.T) {
-	c := New(testConfig())
+	c := newController(testConfig())
 	var pfDone, ldDone uint64
 	pf := mem.NewRequest(mem.ReqPrefetch, 0x10000, 0, 0, 0)
 	pf.Done = func(cy uint64) { pfDone = cy }
@@ -140,7 +154,7 @@ func TestDemandPriorityOverPrefetch(t *testing.T) {
 }
 
 func TestWritesArePostedAndDrained(t *testing.T) {
-	c := New(testConfig())
+	c := newController(testConfig())
 	done := 0
 	for i := 0; i < 10; i++ {
 		wb := mem.NewRequest(mem.ReqWriteback, mem.Addr(i*0x40), 0, -1, 0)
@@ -163,7 +177,7 @@ func TestWritesArePostedAndDrained(t *testing.T) {
 
 func TestWriteDrainWatermark(t *testing.T) {
 	cfg := testConfig()
-	c := New(cfg)
+	c := newController(cfg)
 	// Fill the write queue past the high watermark while reads keep coming;
 	// the drain must still make progress.
 	high := int(float64(cfg.WriteQ)*cfg.DrainHigh) + 1
@@ -189,7 +203,7 @@ func TestWriteDrainWatermark(t *testing.T) {
 func TestReadQueueBackpressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.ReadQ = 4
-	c := New(cfg)
+	c := newController(cfg)
 	var sink uint64
 	for i := 0; i < 4; i++ {
 		if !c.TryEnqueue(load(mem.Addr(i*0x40), &sink)) {
@@ -205,7 +219,7 @@ func TestReadQueueBackpressure(t *testing.T) {
 }
 
 func TestMetadataAccounting(t *testing.T) {
-	c := New(testConfig())
+	c := newController(testConfig())
 	var d uint64
 	mr := mem.NewRequest(mem.ReqMetaRead, 0x40000, 0, 0, 0)
 	mr.Done = func(cy uint64) { d = cy }
@@ -228,7 +242,7 @@ func TestStreamingThroughput(t *testing.T) {
 	// A sequential stream should be row-hit dominated and bus-bound:
 	// N lines should take roughly N*BurstCycles once the pipe is warm.
 	cfg := testConfig()
-	c := New(cfg)
+	c := newController(cfg)
 	const n = 32
 	var done [n]uint64
 	next := 0
@@ -236,7 +250,7 @@ func TestStreamingThroughput(t *testing.T) {
 		for next < n && c.TryEnqueue(load(mem.Addr(next*0x40), &done[next])) {
 			next++
 		}
-		c.Tick(cycle)
+		tick(c, cycle)
 		if done[n-1] != 0 {
 			break
 		}

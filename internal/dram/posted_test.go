@@ -17,7 +17,7 @@ func auditLaws(c *Controller) []string {
 // metadata reads may all come from one scratch request the issuer refills
 // between calls; each queued copy keeps its own fields.
 func TestPostedRequestsAreCopied(t *testing.T) {
-	c := New(testConfig())
+	c := newController(testConfig())
 	var scratch mem.Request
 	post := func(typ mem.ReqType, a mem.Addr) {
 		scratch.Init(typ, a, 0, 0, 0)
@@ -76,7 +76,7 @@ func TestPostedRequestsAreCopied(t *testing.T) {
 // TestPostedDoubleReleaseIsReported: releasing a retired write's copy a
 // second time breaks the ownership law.
 func TestPostedDoubleReleaseIsReported(t *testing.T) {
-	c := New(testConfig())
+	c := newController(testConfig())
 	wb := mem.NewRequest(mem.ReqWriteback, 0x1000, 0, -1, 0)
 	c.TryEnqueue(wb)
 	cp := c.writeQ[0].req

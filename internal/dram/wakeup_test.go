@@ -13,7 +13,7 @@ import (
 // an idle bank wakes the controller on the next cycle.
 func TestWakeupWaitsForAServiceSlot(t *testing.T) {
 	cfg := Default()
-	c := New(cfg)
+	c := newController(cfg)
 	row := mem.Addr(cfg.RowBytes) // consecutive rows map to consecutive banks
 	demand := func(bank int) *mem.Request {
 		r := mem.NewRequest(mem.ReqLoad, mem.Addr(bank)*row, 1, 0, 0)
@@ -25,7 +25,7 @@ func TestWakeupWaitsForAServiceSlot(t *testing.T) {
 			t.Fatalf("enqueue %d rejected", b)
 		}
 	}
-	c.Tick(1)
+	tick(c, 1)
 	if len(c.inService) != cfg.MaxInFlight {
 		t.Fatalf("%d reads in service, want %d", len(c.inService), cfg.MaxInFlight)
 	}
@@ -43,7 +43,7 @@ func TestWakeupWaitsForAServiceSlot(t *testing.T) {
 	if w := c.Wakeup(1); w != firstFinish {
 		t.Errorf("demand read behind full slots: Wakeup(1) = %d, want the first finish %d", w, firstFinish)
 	}
-	c.Tick(2)
+	tick(c, 2)
 	if len(c.inService) != cfg.MaxInFlight || len(c.readQ) != 1 {
 		t.Fatalf("a tick before the first finish issued: %d in service, %d queued", len(c.inService), len(c.readQ))
 	}
@@ -55,7 +55,7 @@ func TestWakeupWaitsForAServiceSlot(t *testing.T) {
 	if w := c.Wakeup(2); w != 3 {
 		t.Errorf("prefetch read on an idle bank: Wakeup(2) = %d, want 3", w)
 	}
-	c.Tick(3)
+	tick(c, 3)
 	if len(c.inService) != cfg.MaxInFlight+1 || c.Stats.PrefetchReads != 1 {
 		t.Errorf("the prefetch did not take the extra slot: %d in service, %d prefetch reads",
 			len(c.inService), c.Stats.PrefetchReads)

@@ -30,7 +30,7 @@ type Droplet struct {
 
 	resolved     fifoTable[mem.Addr, struct{}] // edge lines already decoded
 	pendingFills []mem.Addr                    // edge lines filled this cycle, decoded in OnCycle
-	wakeDirty    *bool                         // set when a fill is buffered; see BindWakeFlag
+	wake         mem.WakeFlag                  // marked when a fill is buffered; see BindWakeFlag
 }
 
 const (
@@ -43,8 +43,8 @@ const (
 // EdgeRegion and Resolve before use.
 func NewDroplet() *Droplet {
 	return &Droplet{
-		resolved:  newFIFOTable[mem.Addr, struct{}](dropletResolvedCap),
-		wakeDirty: new(bool),
+		resolved: newFIFOTable[mem.Addr, struct{}](dropletResolvedCap),
+		wake:     mem.NewWakeFlag(make([]uint64, 1), 0),
 	}
 }
 
@@ -73,7 +73,7 @@ func (p *Droplet) OnFill(line mem.Addr, prefetch bool, cycle uint64) {
 		return
 	}
 	p.pendingFills = append(p.pendingFills, line)
-	*p.wakeDirty = true
+	p.wake.Mark()
 }
 
 // OnCycle implements CycleDriven: decode the edge lines buffered by OnFill.
@@ -94,8 +94,8 @@ func (p *Droplet) Wakeup(now uint64) uint64 {
 }
 
 // BindWakeFlag implements CycleDriven: OnFill, the only input that moves
-// Wakeup, sets *p.
-func (p *Droplet) BindWakeFlag(f *bool) { p.wakeDirty = f }
+// Wakeup, marks f.
+func (p *Droplet) BindWakeFlag(f mem.WakeFlag) { p.wake = f }
 
 func (p *Droplet) decode(edgeLine mem.Addr, issue IssueFunc) {
 	if p.Resolve == nil {

@@ -50,14 +50,14 @@ type FillObserver interface {
 // implement CycleDriven are never a reason to simulate a cycle.
 //
 // The simulator caches Wakeup and recomputes it only after OnCycle ran
-// or after the prefetcher set the flag handed over by BindWakeFlag. So a
-// CycleDriven prefetcher sets *p on every input outside OnCycle that can
+// or after the prefetcher marked the flag handed over by BindWakeFlag. So
+// a CycleDriven prefetcher marks it on every input outside OnCycle that can
 // move its wakeup earlier (a fill, a demand access, a software marker),
 // and Wakeup reads no state that changes without setting it.
 type CycleDriven interface {
 	OnCycle(cycle uint64, issue IssueFunc)
 	Wakeup(now uint64) uint64
-	BindWakeFlag(p *bool)
+	BindWakeFlag(f mem.WakeFlag)
 }
 
 // RegionFilter wraps a prefetcher and suppresses its training and issuing
@@ -106,9 +106,9 @@ func (f *RegionFilter) Wakeup(now uint64) uint64 {
 }
 
 // BindWakeFlag implements CycleDriven by binding the wrapped prefetcher.
-func (f *RegionFilter) BindWakeFlag(p *bool) {
+func (f *RegionFilter) BindWakeFlag(w mem.WakeFlag) {
 	if cd, ok := f.Inner.(CycleDriven); ok {
-		cd.BindWakeFlag(p)
+		cd.BindWakeFlag(w)
 	}
 }
 
@@ -166,10 +166,10 @@ func (c Combine) Wakeup(now uint64) uint64 {
 
 // BindWakeFlag implements CycleDriven by binding every cycle-driven
 // member to the one flag.
-func (c Combine) BindWakeFlag(p *bool) {
+func (c Combine) BindWakeFlag(f mem.WakeFlag) {
 	for _, m := range c {
 		if cd, ok := m.(CycleDriven); ok {
-			cd.BindWakeFlag(p)
+			cd.BindWakeFlag(f)
 		}
 	}
 }

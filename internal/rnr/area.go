@@ -131,5 +131,5 @@ func (e *Engine) Restore(s SavedState) {
 	e.divFetched = 0
 	e.divIssued = 0
 	e.divInFly = 0
-	*e.wakeDirty = true
+	e.wake.Mark()
 }

@@ -133,10 +133,10 @@ type Engine struct {
 	track          map[mem.Addr]uint8
 	issuedThisIter map[mem.Addr]bool
 
-	// wakeDirty is set on every input outside OnCycle that can move
+	// wake is marked on every input outside OnCycle that can move
 	// Wakeup: a replay-time structure read, a metadata arrival, a marker
 	// and a restore. See BindWakeFlag.
-	wakeDirty *bool
+	wake mem.WakeFlag
 
 	// diverge, when attached, scores observed replay misses against the
 	// recorded sequence per window (see DivergenceProbe). Observational
@@ -177,13 +177,13 @@ func NewEngine(core int, meta mem.Backend) *Engine {
 		meta:           meta,
 		track:          make(map[mem.Addr]uint8),
 		issuedThisIter: make(map[mem.Addr]bool),
-		wakeDirty:      new(bool),
+		wake:           mem.NewWakeFlag(make([]uint64, 1), 0),
 	}
 }
 
-// BindWakeFlag implements prefetch.CycleDriven: the engine sets *p
+// BindWakeFlag implements prefetch.CycleDriven: the engine marks f
 // whenever state that Wakeup reads changes outside OnCycle.
-func (e *Engine) BindWakeFlag(p *bool) { e.wakeDirty = p }
+func (e *Engine) BindWakeFlag(f mem.WakeFlag) { e.wake = f }
 
 // InRange reports whether a line falls inside any *valid* boundary slot
 // (enabled or not). The conventional prefetchers running alongside RnR are
@@ -219,7 +219,7 @@ func (e *Engine) PreAccess(r *mem.Request) {
 		// Cur Struct Read paces replay. While recording Wakeup is
 		// WakeupNever whatever the count, and the marker that starts
 		// replay sets the flag itself.
-		*e.wakeDirty = true
+		e.wake.Mark()
 	}
 }
 
@@ -392,7 +392,7 @@ func (m *metaRead) done(cy uint64) {
 	if e.metaGen != m.gen {
 		return // replay was reset while this read was in flight
 	}
-	*e.wakeDirty = true
+	e.wake.Mark()
 	if m.div {
 		e.divInFly--
 		e.divFetched += mem.LineSize / DivEntryBytes
@@ -436,7 +436,7 @@ func (e *Engine) finalizeRecord() {
 func (e *Engine) HandleMarker(rec trace.Record, cycle uint64) {
 	prev := e.Arch.State
 	e.handleMarker(rec, cycle)
-	*e.wakeDirty = true
+	e.wake.Mark()
 	if e.tel != nil && e.Arch.State != prev {
 		if prev != StateIdle {
 			e.tel.Span(e.telTrack, prev.String(), e.stateStart, cycle)

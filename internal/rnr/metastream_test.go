@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rnrsim/internal/dram"
+	"rnrsim/internal/mem"
 )
 
 // TestMetadataStreamAllocatesNothing: once warm, the replay's metadata
@@ -12,11 +13,15 @@ import (
 // stale) allocates nothing: each read is a recycled engine slot.
 func TestMetadataStreamAllocatesNothing(t *testing.T) {
 	mc := dram.New(dram.Default())
+	// The controller alone on the clock, at slot 0 with the walk past it.
+	clk := &mem.Clock{Cursor: 1}
+	mc.BindClock(clk, 0)
 	e := buildRecorded(t, mc, 4096, 256)
 	var cycle uint64
 	resets := 0
 	step := func() {
 		cycle++
+		clk.Cycle = cycle
 		mc.Tick(cycle)
 		e.streamMetadata(cycle)
 		// Consume whatever arrived, as if every fetched entry had been

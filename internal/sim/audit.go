@@ -151,7 +151,7 @@ func (s *System) registerAudit() {
 func (s *System) stateHash() uint64 {
 	h := audit.NewHash()
 	mix := h.Mix()
-	mix(s.cycle)
+	mix(s.clock.Cycle)
 	for c := range s.cores {
 		s.cores[c].HashState(mix)
 		s.l1s[c].HashState(mix)

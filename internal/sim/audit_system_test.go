@@ -160,11 +160,11 @@ func TestAuditFailFastAborts(t *testing.T) {
 	}
 	// The abort must land within one cancel batch of the corruption,
 	// far before the healthy run's end.
-	if s.cycle >= healthy.Cycles {
-		t.Errorf("audit aborted at cycle %d, healthy run ends at %d", s.cycle, healthy.Cycles)
+	if s.clock.Cycle >= healthy.Cycles {
+		t.Errorf("audit aborted at cycle %d, healthy run ends at %d", s.clock.Cycle, healthy.Cycles)
 	}
-	if s.cycle > 128+2*CancelCheckInterval {
-		t.Errorf("audit aborted at cycle %d, want within two batches of the corruption at 128", s.cycle)
+	if s.clock.Cycle > 128+2*CancelCheckInterval {
+		t.Errorf("audit aborted at cycle %d, want within two batches of the corruption at 128", s.clock.Cycle)
 	}
 }
 

@@ -311,17 +311,17 @@ func TestNextWakeupClampsPastEvents(t *testing.T) {
 	}
 	// Force a sample event 100 cycles in the past; the scheduler must
 	// clamp it to the very next cycle rather than jumping backwards.
-	s.nextSampleAt = s.cycle - 100
-	if next := s.nextWakeup(s.cycle + 10_000); next != s.cycle+1 {
-		t.Errorf("nextWakeup with past sample event = %d, want %d", next, s.cycle+1)
+	s.nextSampleAt = s.clock.Cycle - 100
+	if next := s.nextWakeup(s.clock.Cycle + 10_000); next != s.clock.Cycle+1 {
+		t.Errorf("nextWakeup with past sample event = %d, want %d", next, s.clock.Cycle+1)
 	}
-	s.nextSampleAt = s.cycle - s.cycle%s.sampleEvery + s.sampleEvery
+	s.nextSampleAt = s.clock.Cycle - s.clock.Cycle%s.sampleEvery + s.sampleEvery
 
 	// And across a driven run, the scheduler never stalls or reverses.
 	for i := 0; i < 2_000 && !s.Done(); i++ {
-		next := s.nextWakeup(s.cycle + CancelCheckInterval)
-		if next <= s.cycle {
-			t.Fatalf("nextWakeup returned %d at cycle %d (not in the future)", next, s.cycle)
+		next := s.nextWakeup(s.clock.Cycle + CancelCheckInterval)
+		if next <= s.clock.Cycle {
+			t.Fatalf("nextWakeup returned %d at cycle %d (not in the future)", next, s.clock.Cycle)
 		}
 		s.advanceTo(next)
 	}

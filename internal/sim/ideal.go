@@ -9,11 +9,14 @@ type idealLLC struct {
 	latency  uint64
 	lower    mem.Backend
 	resident map[mem.Addr]struct{}
-	clock    uint64
 	pending  []pendingHit
-	// wakeDirty is set when a hit is buffered, the only input that moves
+	// clock is the machine's clock, read from the ideal LLC's wake-table
+	// slot: it stamps hit completions and absorbed writebacks.
+	clock *mem.Clock
+	slot  int
+	// wake is marked when a hit is buffered, the only input that moves
 	// wakeup; the System binds it to the ideal LLC's wake-table slot.
-	wakeDirty *bool
+	wake mem.WakeFlag
 }
 
 type pendingHit struct {
@@ -23,10 +26,10 @@ type pendingHit struct {
 
 func newIdealLLC(latency uint64, lower mem.Backend) *idealLLC {
 	return &idealLLC{
-		latency:   latency,
-		lower:     lower,
-		resident:  make(map[mem.Addr]struct{}),
-		wakeDirty: new(bool),
+		latency:  latency,
+		lower:    lower,
+		resident: make(map[mem.Addr]struct{}),
+		wake:     mem.NewWakeFlag(make([]uint64, 1), 0),
 	}
 }
 
@@ -42,14 +45,14 @@ func (c *idealLLC) TryEnqueue(r *mem.Request) bool {
 		if r.Type == mem.ReqMetaWrite {
 			return c.lower.TryEnqueue(r)
 		}
-		r.Complete(c.clock)
+		r.Complete(c.clock.At(c.slot))
 		return true
 	case mem.ReqMetaRead:
 		return c.lower.TryEnqueue(r)
 	}
 	if _, ok := c.resident[r.Line]; ok {
-		c.pending = append(c.pending, pendingHit{r, c.clock + c.latency})
-		*c.wakeDirty = true
+		c.pending = append(c.pending, pendingHit{r, c.clock.At(c.slot) + c.latency})
+		c.wake.Mark()
 		return true
 	}
 	line := r.Line
@@ -77,13 +80,8 @@ func (c *idealLLC) Wakeup(now uint64) uint64 {
 	return w
 }
 
-// AdvanceClock fast-forwards the clock over skipped idle cycles; the
-// clock timestamps hit completions and absorbed writebacks.
-func (c *idealLLC) AdvanceClock(now uint64) { c.clock = now }
-
 // Tick completes buffered hits.
 func (c *idealLLC) Tick(now uint64) {
-	c.clock = now
 	kept := c.pending[:0]
 	for _, p := range c.pending {
 		if p.finish <= now {

@@ -25,9 +25,18 @@ func (m *instantMem) TryEnqueue(r *mem.Request) bool {
 	return true
 }
 
+// bindIdeal binds c to a clock of its own, at slot 0 with the walk past
+// it, so c reads the clock's cycle.
+func bindIdeal(c *idealLLC) *mem.Clock {
+	clk := &mem.Clock{Cursor: 1}
+	c.clock, c.slot = clk, 0
+	return clk
+}
+
 func TestIdealLLCColdMissThenHit(t *testing.T) {
 	lower := &instantMem{}
 	c := newIdealLLC(40, lower)
+	clk := bindIdeal(c)
 
 	var first, second uint64
 	r1 := mem.NewRequest(mem.ReqLoad, 0x1000, 1, 0, 0)
@@ -44,6 +53,7 @@ func TestIdealLLCColdMissThenHit(t *testing.T) {
 	r2.Done = func(cy uint64) { second = cy }
 	c.TryEnqueue(r2)
 	for i := uint64(1); i <= 60; i++ {
+		clk.Cycle = i
 		c.Tick(i)
 	}
 	if second == 0 {
@@ -57,6 +67,7 @@ func TestIdealLLCColdMissThenHit(t *testing.T) {
 func TestIdealLLCAbsorbsWritebacksButNotMetadata(t *testing.T) {
 	lower := &instantMem{}
 	c := newIdealLLC(40, lower)
+	bindIdeal(c)
 
 	wb := mem.NewRequest(mem.ReqWriteback, 0x2000, 0, -1, 0)
 	done := false
@@ -115,5 +126,25 @@ func TestBarrierTreatsDrainedCoresAsArrived(t *testing.T) {
 	b.arrive(0, 7)
 	if opened != 1 {
 		t.Errorf("barrier did not open with a drained core (opened=%d)", opened)
+	}
+}
+
+// TestBarrierArrivedCountsWaitingMembers: the waiting count that lets
+// the end-of-cycle check skip a barrier tracks arrivals (a repeated
+// arrival counts once) and drops to zero when the barrier opens, here
+// because the other member drained while the first waited.
+func TestBarrierArrivedCountsWaitingMembers(t *testing.T) {
+	b := newBarrier([]int{0, 1})
+	doneCores := map[int]bool{}
+	b.done = func(c int) bool { return doneCores[c] }
+	b.arrive(0, 3)
+	b.arrive(0, 3)
+	if b.arrived != 1 || !b.gated(0) {
+		t.Fatalf("after core 0 arrives: arrived %d, gated %v; want 1, true", b.arrived, b.gated(0))
+	}
+	doneCores[1] = true
+	b.maybeOpen()
+	if b.arrived != 0 || b.gated(0) {
+		t.Errorf("after core 1 drains: arrived %d, gated %v; want 0, false", b.arrived, b.gated(0))
 	}
 }

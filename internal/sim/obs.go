@@ -56,7 +56,7 @@ func (s *System) collectObs(r *Result) {
 	if s.obsRec == nil {
 		return
 	}
-	s.obsRec.Finalize(s.cycle)
+	s.obsRec.Finalize(s.clock.Cycle)
 	sum := s.obsRec.Summarize()
 	probes := make([]*rnr.DivergenceProbe, len(s.engines))
 	for c, e := range s.engines {

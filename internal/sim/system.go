@@ -50,7 +50,10 @@ type System struct {
 
 	ctx *ctxSwitch
 
-	cycle uint64
+	// clock is the machine's one clock: the cycle being simulated and
+	// the cursor of the tick-order walk, read by every component at its
+	// wake-table slot (see mem.Clock).
+	clock mem.Clock
 	// Barrier groups: groups[g] lists the member cores of barrier g,
 	// coreGrp/coreSlot locate a core inside its group. Single-program
 	// apps have one group holding every core (the legacy shape); the
@@ -94,8 +97,14 @@ type System struct {
 	busy bool
 
 	// wake is the wake table: the cached wakeup of every scheduled
-	// component, one slot each in tick order (see wake.go).
-	wake []wakeSlot
+	// component, one slot each in tick order (see wake.go). stale and
+	// timed are bitsets over its slots: the slots whose wakeup must be
+	// recomputed, and those whose cached wakeup is a finite cycle, no
+	// earlier than timedMin.
+	wake     []wakeSlot
+	stale    []uint64
+	timed    []uint64
+	timedMin uint64
 	// pfSlots holds each core's prefetcher slot in wake when that
 	// prefetcher is cycle-driven, and 0 (a core's slot) otherwise.
 	pfSlots []int
@@ -119,6 +128,7 @@ const WakeupNever = mem.WakeupNever
 type barrier struct {
 	members []int  // core ids, fixed at construction
 	waiting []bool // parallel to members
+	arrived int    // members waiting
 	iter    []int32
 	done    func(core int) bool
 	onOpen  func(iter int32)
@@ -138,6 +148,9 @@ func newBarrier(members []int) *barrier {
 }
 
 func (b *barrier) arrive(slot int, iter int32) {
+	if !b.waiting[slot] {
+		b.arrived++
+	}
 	b.waiting[slot] = true
 	b.iter[slot] = iter
 	b.maybeOpen()
@@ -159,6 +172,7 @@ func (b *barrier) maybeOpen() {
 		}
 		b.waiting[i] = false
 	}
+	b.arrived = 0
 	if b.onOpen != nil && iter >= 0 {
 		b.onOpen(iter)
 	}
@@ -243,7 +257,7 @@ func New(cfg Config, app *apps.App) (*System, error) {
 		b.done = func(core int) bool { return s.cores[core].Done() }
 		b.release = func(core int) {
 			s.cores[core].Settle()
-			s.wake[core].stale = true
+			s.flag(core).Mark()
 		}
 		b.onOpen = s.makeOnOpen(g)
 	}
@@ -410,7 +424,7 @@ func (s *System) makeOnOpen(g int) func(iter int32) {
 				s.iterEnd[g] = append(s.iterEnd[g], 0)
 				s.iterSnaps[g] = append(s.iterSnaps[g], cache.Stats{})
 			}
-			s.iterEnd[g][iter] = s.cycle
+			s.iterEnd[g][iter] = s.clock.Cycle
 			var snap cache.Stats
 			for _, c := range s.groups[g] {
 				snap.Add(s.l2s[c].Stats)
@@ -420,10 +434,10 @@ func (s *System) makeOnOpen(g int) func(iter int32) {
 		if g == 0 {
 			if s.obsRec != nil {
 				// The recorder caps hostile indices itself.
-				s.obsRec.IterEnd(int(iter), s.cycle)
+				s.obsRec.IterEnd(int(iter), s.clock.Cycle)
 			}
 			if s.cfg.OnIteration != nil {
-				s.cfg.OnIteration(int(iter), s.cycle)
+				s.cfg.OnIteration(int(iter), s.clock.Cycle)
 			}
 		}
 		if s.tel != nil {
@@ -434,8 +448,8 @@ func (s *System) makeOnOpen(g int) func(iter int32) {
 			if g > 0 {
 				track = fmt.Sprintf("iterations.g%d", g)
 			}
-			s.tel.Span(track, fmt.Sprintf("iter %d", iter), s.lastIterEnd[g], s.cycle)
-			s.lastIterEnd[g] = s.cycle
+			s.tel.Span(track, fmt.Sprintf("iter %d", iter), s.lastIterEnd[g], s.clock.Cycle)
+			s.lastIterEnd[g] = s.clock.Cycle
 		}
 	}
 }
@@ -563,7 +577,7 @@ func (s *System) wireCoherence() {
 func (s *System) wireCrossCore() {
 	s.xcore = prefetch.NewCrossCore(s.cfg.Cores)
 	s.xcore.Issue = func(core int, line mem.Addr) bool {
-		s.post.Init(mem.ReqPrefetch, line, 0, core, s.cycle)
+		s.post.Init(mem.ReqPrefetch, line, 0, core, s.clock.Cycle)
 		return s.llcs[s.bankOf(line)].TryPrefetch(&s.post)
 	}
 	for b := range s.llcs {
@@ -584,13 +598,13 @@ func (s *System) wireCrossCore() {
 func (s *System) issueFunc(c int) prefetch.IssueFunc {
 	if s.cfg.RnRPrefetchToLLC && len(s.llcs) > 0 {
 		return func(line mem.Addr) bool {
-			s.post.Init(mem.ReqPrefetch, line, 0, c, s.cycle)
+			s.post.Init(mem.ReqPrefetch, line, 0, c, s.clock.Cycle)
 			return s.llcs[s.bankOf(line)].TryPrefetch(&s.post)
 		}
 	}
 	l2 := s.l2s[c]
 	return func(line mem.Addr) bool {
-		s.post.Init(mem.ReqPrefetch, line, 0, c, s.cycle)
+		s.post.Init(mem.ReqPrefetch, line, 0, c, s.clock.Cycle)
 		return l2.TryPrefetch(&s.post)
 	}
 }
@@ -602,7 +616,7 @@ func (s *System) metaHook(c int) func(write bool, addr mem.Addr) {
 		if write {
 			t = mem.ReqMetaWrite
 		}
-		s.post.Init(t, addr, 0, c, s.cycle)
+		s.post.Init(t, addr, 0, c, s.clock.Cycle)
 		// Best effort: a full queue drops the transaction; the traffic
 		// model is what matters for MISB.
 		s.mc.TryEnqueue(&s.post)
@@ -614,57 +628,65 @@ func (s *System) metaHook(c int) func(write bool, addr mem.Addr) {
 func (s *System) Tick() { s.step(false) }
 
 // step simulates one cycle. Both engines share this body, and so the
-// per-cycle tick order: ctx switch, then the wake table front to back
-// (see bindWakeTable), then the end-of-cycle events.
+// per-cycle tick order: ctx switch (clock cursor 0), then the wake table
+// front to back (see bindWakeTable), then the end-of-cycle events
+// (cursor past every slot).
 //
 // The gate policy decides which components tick. With gated false
 // (always tick, the stepped engine) every component ticks and no wakeup
-// is consulted: the short-circuit skips every wakeAt call, so the
-// stepped engine evaluates none. With gated true (the event engine) each
-// component's wakeup is consulted just-in-time — in tick order, so work
-// enqueued upstream earlier in the same cycle is visible — and a
-// component with nothing due skips its Tick, charging the one-cycle
-// accounting (skipIdle) instead. This is the event engine's dense-region
-// fast path: in regions where *some* component acts every cycle (so the
-// global next-wakeup jump degenerates to stepping), most individual
-// components are still idle, and a skipped component Tick is provably a
-// no-op by the same wakeup contract that justifies multi-cycle jumps.
-// State evolution is byte-identical under both policies; the
-// event-vs-stepped differentials hold it to that.
+// is consulted, so the stepped engine evaluates none. With gated true
+// (the event engine) the walk visits only the due set (tickDue): each
+// stale slot's wakeup is recomputed just-in-time — in tick order, so
+// work enqueued upstream earlier in the same cycle is visible — and a
+// slot ticks when its wakeup has come. Every other component is idle
+// this cycle and costs nothing: its clock is the shared one, and a core
+// charges idle cycles lazily (cpu.Core.Settle). This is the event
+// engine's dense-region fast path: in regions where *some* component
+// acts every cycle (so the global next-wakeup jump degenerates to
+// stepping), most individual components are still idle, and a skipped
+// component Tick is provably a no-op by the same wakeup contract that
+// justifies multi-cycle jumps. State evolution is byte-identical under
+// both policies; the event-vs-stepped differentials hold it to that.
 //
 // The stale marks keep the wake table valid for the gated policy; the
 // always-tick policy never reads the table, so they are inert there.
 func (s *System) step(gated bool) {
-	s.cycle++
+	s.clock.Cycle++
+	s.clock.Cursor = 0
 	s.ticked++
 	s.doneDirty = true
-	now := s.cycle
-	prev := now - 1
+	now := s.clock.Cycle
 	busy := false
 	if s.ctxOn {
 		outBefore := s.ctx.out
 		s.ctx.tick(s, now)
 		busy = s.ctx.out != outBefore // a switch fired
 	}
-	for i := s.firstScheduled(); i < len(s.wake); i++ {
-		w := &s.wake[i]
-		if !gated || s.wakeAt(i, prev) <= now {
-			w.stale = true
-			w.comp.Tick(now)
-			busy = true
-		} else {
-			skipIdle(w.comp, 1, now)
+	first := s.firstScheduled()
+	ticked := true
+	if gated {
+		ticked = s.tickDue(first, now)
+	} else {
+		for i := first; i < len(s.wake); i++ {
+			s.clock.Cursor = i + 1
+			s.wake[i].comp.Tick(now)
 		}
+		s.markStale(first)
 	}
+	s.clock.Cursor = len(s.wake)
 	s.endCycle(now)
-	s.busy = busy
+	s.busy = busy || ticked
 }
 
 // endCycle runs the end-of-cycle events both engines share: barrier
-// opens, then the telemetry sample and audit sweep when due.
+// opens, then the telemetry sample and audit sweep when due. An open
+// releases the waiting members, so a barrier none of whose members waits
+// is not checked: the check would find nothing to do.
 func (s *System) endCycle(now uint64) {
 	for _, b := range s.barriers {
-		b.maybeOpen()
+		if b.arrived > 0 {
+			b.maybeOpen()
+		}
 	}
 	if s.tel != nil && now >= s.nextSampleAt {
 		// Record the last crossed sampleEvery multiple, not now: a caller
@@ -687,7 +709,7 @@ func (s *System) endCycle(now uint64) {
 }
 
 // settleCores charges every core's deferred idle cycles (see
-// cpu.Core.SkipIdle) ahead of a read of core Stats.
+// cpu.Core.Settle) ahead of a read of core Stats.
 func (s *System) settleCores() {
 	for _, c := range s.cores {
 		c.Settle()
@@ -736,7 +758,7 @@ func (s *System) computeDone() bool {
 func (s *System) TickedCycles() uint64 { return s.ticked }
 
 // Cycle reports the current simulated cycle.
-func (s *System) Cycle() uint64 { return s.cycle }
+func (s *System) Cycle() uint64 { return s.clock.Cycle }
 
 // Run drives the machine to completion and returns the collected result.
 func Run(cfg Config, app *apps.App) (*Result, error) {
@@ -794,11 +816,11 @@ func (s *System) RunAllContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	s.settleCores()
-	if s.tel != nil && s.cycle%s.sampleEvery != 0 {
-		s.tel.Sample(s.cycle) // capture the final, post-drain state
+	if s.tel != nil && s.clock.Cycle%s.sampleEvery != 0 {
+		s.tel.Sample(s.clock.Cycle) // capture the final, post-drain state
 	}
 	if s.aud != nil {
-		s.aud.Check(s.cycle) // one final sweep over the drained machine
+		s.aud.Check(s.clock.Cycle) // one final sweep over the drained machine
 		if err := s.aud.Err(); err != nil {
 			return nil, fmt.Errorf("sim: %s on %s/%s: %w",
 				s.cfg.Name, s.app.Name, s.app.Input, err)
@@ -812,23 +834,23 @@ func (s *System) RunAllContext(ctx context.Context) (*Result, error) {
 // audit-abort points under both engines. The stepped engine
 // (Config.ForceCycleStepped) simulates every cycle with the always-tick
 // policy. The event engine asks every component for its wakeup and
-// simulates only the minimum. Cycles in between are provably inert:
-// skipping them is accounted for by Core.SkipIdle (stall/cycle counters)
-// and the AdvanceClock calls (internal clock stamps), after which the
-// gated step runs. The global scan only runs after an idle cycle: while
-// components keep acting, the loop simulates cycle after cycle through
-// the gated step.
+// simulates only the minimum. Cycles in between are provably inert, and
+// skipping them costs nothing: every component reads the shared clock
+// (advanceTo), and the cores charge the skipped cycles lazily
+// (cpu.Core.Settle). The global scan only runs after an idle cycle:
+// while components keep acting, the loop simulates cycle after cycle
+// through the gated step.
 func (s *System) run(ctx context.Context, maxCycles uint64) error {
 	stepped := s.cfg.ForceCycleStepped
 	for !s.Done() {
 		if err := ctx.Err(); err != nil {
 			runsCancelled.Inc()
 			return fmt.Errorf("sim: %s on %s/%s cancelled at cycle %d: %w",
-				s.cfg.Name, s.app.Name, s.app.Input, s.cycle, err)
+				s.cfg.Name, s.app.Name, s.app.Input, s.clock.Cycle, err)
 		}
-		batchEnd := s.cycle + CancelCheckInterval
-		for !s.Done() && s.cycle < batchEnd {
-			if s.cycle >= maxCycles {
+		batchEnd := s.clock.Cycle + CancelCheckInterval
+		for !s.Done() && s.clock.Cycle < batchEnd {
+			if s.clock.Cycle >= maxCycles {
 				return fmt.Errorf("sim: %s on %s/%s exceeded %d cycles",
 					s.cfg.Name, s.app.Name, s.app.Input, maxCycles)
 			}
@@ -837,7 +859,7 @@ func (s *System) run(ctx context.Context, maxCycles uint64) error {
 				s.Tick()
 			case s.busy:
 				// Dense regime: some component acted last cycle, so the
-				// global scan would most likely return s.cycle+1 anyway.
+				// global scan would most likely return s.clock.Cycle+1 anyway.
 				// Simulating that cycle directly is always sound — a gated
 				// cycle with nothing due is exactly a skipped one — and
 				// the next idle cycle falls back to the scan.
@@ -865,12 +887,12 @@ func (s *System) run(ctx context.Context, maxCycles uint64) error {
 
 // nextWakeup returns the next cycle worth simulating: the minimum over
 // all component wakeups and scheduled events (telemetry sample, audit
-// sweep, context switch), clamped to (s.cycle, limit]. Wakeups at or
-// before s.cycle — legal under the contract, meaning "as soon as
-// possible" — are treated as s.cycle+1, never skipped. The scan early-
-// exits once the minimum hits s.cycle+1 since nothing can beat it.
+// sweep, context switch), clamped to (now, limit] for the current cycle
+// now. Wakeups at or before now — legal under the contract, meaning "as
+// soon as possible" — are treated as now+1, never skipped. The scan
+// early-exits once the minimum hits now+1 since nothing can beat it.
 func (s *System) nextWakeup(limit uint64) uint64 {
-	now := s.cycle
+	now := s.clock.Cycle
 	min := limit
 	consider := func(w uint64) bool {
 		if w <= now {
@@ -892,9 +914,15 @@ func (s *System) nextWakeup(limit uint64) uint64 {
 	}
 	// While descheduled the cores are frozen — their wakeups are
 	// meaningless until the switch-in (already counted above) — and they
-	// must not drag the scheduler into dense stepping.
-	for i := s.firstScheduled(); i < len(s.wake); i++ {
-		if consider(s.wakeAt(i, now)) {
+	// must not drag the scheduler into dense stepping. A slot neither
+	// stale nor timed waits on external input, so only those two sets
+	// are walked, in slot order like step's walk.
+	for i := nextIn(s.stale, s.timed, s.firstScheduled()); i < len(s.wake); i = nextIn(s.stale, s.timed, i+1) {
+		at := s.wake[i].at
+		if s.stale[i>>6]&(1<<(i&63)) != 0 {
+			at = s.evaluate(i, now)
+		}
+		if consider(at) {
 			return min
 		}
 	}
@@ -911,19 +939,12 @@ func (s *System) firstScheduled() int {
 	return 0
 }
 
-// advanceTo jumps the machine to cycle next and simulates it. The
-// skipped cycles (s.cycle, next) are charged to every component
-// (skipIdle), the cores' share suppressed while descheduled, when
-// stepped cores would not tick either: the state a stepped run would
-// carry into cycle next.
+// advanceTo jumps the machine to cycle next and simulates it. Only the
+// clock moves over the skipped cycles (s.clock.Cycle, next): every
+// component reads it, and a core charges the skipped cycles when it next
+// settles, the way a stepped run would have charged them.
 func (s *System) advanceTo(next uint64) {
-	if gap := next - s.cycle - 1; gap > 0 {
-		prev := next - 1
-		for i := s.firstScheduled(); i < len(s.wake); i++ {
-			skipIdle(s.wake[i].comp, gap, prev)
-		}
-		s.cycle = prev
-	}
+	s.clock.Cycle = next - 1
 	s.step(true)
 }
 
@@ -934,7 +955,7 @@ func (s *System) collect() *Result {
 		Prefetcher: s.cfg.Prefetcher,
 		App:        s.app.Name,
 		Input:      s.app.Input,
-		Cycles:     s.cycle,
+		Cycles:     s.clock.Cycle,
 		Iterations: s.app.Iterations,
 		IterEnd:    append([]uint64(nil), s.iterEnd[0]...),
 		IterL2:     append([]cache.Stats(nil), s.iterSnaps[0]...),
